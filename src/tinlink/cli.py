@@ -122,22 +122,12 @@ def cmd_design(cfg: Mapping, args) -> int:
     spec = spec_from_config(cfg)
     samples, seed = sampling_params(cfg, args)
     section = cfg.get("design", {})
-    weights = section.get("weights", [1.0] * spec.K)
     cap = int(section.get("max_sub_block_order", scheme.DEFAULT_ORDER_CAP))
-    pareto_only = bool(section.get("pareto_only", True))
-    explicit = section.get("orders")
-    workers = worker_count(args)
-
-    if explicit is not None:
-        candidates = _evaluate_explicit(spec, explicit, weights, samples,
-                                        seed, workers)
-        explanation = None if candidates else "no feasible plan among the configured order matrices"
-        result = scheme.DesignSearchResult(tuple(candidates), explanation)
-    else:
-        result = scheme.design_search(
-            spec, weights, n_noise_samples=samples, seed=seed,
-            max_sub_block_order=cap, pareto_only=pareto_only,
-            workers=workers)
+    result = scheme.design_search(
+        spec, section.get("weights"), orders=section.get("orders"),
+        n_noise_samples=samples, seed=seed, max_sub_block_order=cap,
+        pareto_only=bool(section.get("pareto_only", True)),
+        workers=worker_count(args))
 
     header = (["build_id", "seed", "n_noise_samples", "rank", "orders",
                "weighted_sum", "feasible", "min_order_slack"]
@@ -164,29 +154,6 @@ def cmd_design(cfg: Mapping, args) -> int:
         print(result.explanation or "no feasible design", file=sys.stderr)
         return EXIT_NO_DESIGN
     return EXIT_OK
-
-
-def _evaluate_explicit(spec, order_list, weights, samples, seed, workers=1):
-    cache: dict = {}
-    scored = []
-    for orders in order_list:
-        try:
-            plan = scheme.assign_power(orders, spec)
-        except (scheme.InfeasiblePlanError, scheme.SpecError):
-            continue
-        result = rates.compute_plan_rates(
-            plan, n_noise_samples=samples, seed=seed, stats_cache=cache,
-            workers=workers)
-        ws = sum(w * r for w, r in zip(weights, result.rates))
-        info = tuple(max(0, math.floor(u.rate * u.n_symbols))
-                     for u in result.users)
-        scored.append(scheme.DesignCandidate(
-            orders=plan.orders, plan=plan, rate_result=result,
-            weighted_sum=ws, info_bits=info,
-            codeword_bits=plan.codeword_lengths, pareto=True))
-    scored.sort(key=lambda c: (-c.weighted_sum,
-                               tuple(m for row in c.orders for m in row)))
-    return scored
 
 
 # ---------------------------------------------------------------------------
@@ -263,6 +230,8 @@ def cmd_rate_region(cfg: Mapping, args, benchmarks_only: bool = False) -> int:
     samples, seed = sampling_params(cfg, args)
     section = cfg.get("rate_region", {})
     steps = int(section.get("power_steps", 17))
+    if steps < 2:
+        raise ConfigError("rate_region.power_steps must be >= 2")
     cap = int(section.get("max_sub_block_order", scheme.DEFAULT_ORDER_CAP))
     include_qam = not benchmarks_only and bool(section.get("include_qam", True))
     workers = worker_count(args)
@@ -330,6 +299,8 @@ def cmd_simulate(cfg: Mapping, args) -> int:
     if orders is None:
         raise ConfigError("simulate requires simulate.orders")
     n_frames = int(section.get("n_frames", 50))
+    if n_frames <= 0:
+        raise ConfigError("simulate.n_frames must be positive")
     try:
         plan = scheme.assign_power(orders, spec)
     except scheme.InfeasiblePlanError as exc:
@@ -570,7 +541,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             raise ConfigError(
                 f"config declares command {declared!r}, invoked {args.command!r}")
         return _COMMANDS[args.command](cfg, args)
-    except (ConfigError, scheme.SpecError, rates.RateEngineError) as exc:
+    except (ConfigError, scheme.SpecError, rates.RateEngineError,
+            constellations.ConstellationError, linksim.SimulationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
 

@@ -15,10 +15,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .rates import LN2, _combo_sums, estimate_mi_dispersion
+from .rates import LN2, MAX_TUPLES, _combo_sums, estimate_mi_dispersion
 from .scheme import SchemePlan, build_frame, map_bits
-
-MAX_CANDIDATES = 4096
 
 
 class SimulationError(ValueError):
@@ -82,10 +80,10 @@ def _candidate_grid(plan: SchemePlan, user: int, sub_block: int,
     """Receive-side candidates h*(d + t), desired-major; returns (grid, |D|, m)."""
     desired, interferers = plan.sub_block_signals(user, sub_block)
     combos = _combo_sums(interferers)
-    if desired.size * combos.size > MAX_CANDIDATES:
+    if desired.size * combos.size > MAX_TUPLES:
         raise SimulationError(
             f"candidate count {desired.size * combos.size} exceeds cap "
-            f"{MAX_CANDIDATES}")
+            f"{MAX_TUPLES}")
     grid = (h * desired[:, None] + h * combos[None, :])
     m = plan.entries[(user, sub_block)].order
     return grid, desired.size, m

@@ -20,8 +20,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import erfc
+from scipy.special import erfc, ndtri
 
 LN2 = math.log(2.0)
 LOG2E = 1.0 / LN2
@@ -49,14 +48,13 @@ def qfunc(x):
 
 
 def qfunc_inv(p: float) -> float:
-    """Inverse of the Q function on (0, 0.5], by bracketed root finding."""
+    """Inverse of the Q function on (0, 0.5], as -Phi^{-1}(p) in closed form."""
     p = float(p)
     if not 0.0 < p <= 0.5:
         raise RateEngineError(f"qfunc_inv requires p in (0, 0.5], got {p}")
     if p == 0.5:
         return 0.0
-    x = brentq(lambda t: qfunc(t) - p, 0.0, 45.0, xtol=1e-14, rtol=8.9e-16)
-    return float(x)
+    return float(-ndtri(p))
 
 
 # ---------------------------------------------------------------------------
@@ -356,12 +354,8 @@ def gaussian_benchmark(sinrs, lengths, eps: float, n_total: int) -> SecondOrderR
     return combine_second_order(lengths, mis, vs, eps, n_total)
 
 
-def shell_benchmark(p_eff: float, n: int, eps: float,
-                    interference_power: float = 0.0) -> SecondOrderRate:
+def shell_benchmark(p_eff: float, n: int, eps: float) -> SecondOrderRate:
     """Second-order rate of shell codes on an interference-free link."""
-    if interference_power != 0.0:
-        raise RateEngineError(
-            "shell benchmark is defined for interference-free links only")
     mi, v = shell_stats(p_eff)
     return combine_second_order([n], [mi], [v], eps, n)
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -21,11 +22,12 @@ import numpy as np
 
 from . import rates
 from .constellations import (
+    MAX_TOTAL_ORDER,
+    ConstellationError,
     LabeledConstellation,
     build_rect_qam,
     grid_energy,
     silent,
-    superimpose,
     superposition_factors,
 )
 
@@ -214,16 +216,41 @@ class FeasibilityReport:
 
 def _normalize_orders(orders, K: int) -> tuple[tuple[int, ...], ...]:
     rows = []
-    if len(orders) != K:
-        raise SpecError(f"orders must have {K} rows")
-    for k, row in enumerate(orders):
-        row = tuple(int(m) for m in row)
+    try:
+        if len(orders) != K:
+            raise SpecError(f"orders must have {K} rows")
+        raw = [tuple(operator.index(m) for m in row) for row in orders]
+    except TypeError as exc:
+        raise SpecError(f"malformed order matrix {orders!r}: {exc}") from exc
+    for k, row in enumerate(raw):
         if len(row) != k + 1:
             raise SpecError(f"orders row {k} must have {k + 1} entries")
         if any(m < 0 for m in row):
             raise SpecError("modulation orders must be non-negative")
         rows.append(row)
     return tuple(rows)
+
+
+def sub_block_geometry(mv: Sequence[int]
+                       ) -> tuple[list[tuple[int, int]], list[tuple[int, int]], float]:
+    """Part shapes, stretch factors and normaliser of one sub-block.
+
+    mv lists the orders strongest rank first.  The stretched parts tile a
+    2^t_I x 2^t_Q unit grid, so the normaliser that gives the superimposed
+    constellation unit energy is eta = 1 / sqrt(grid_energy(t_I, t_Q));
+    a silent sub-block has eta = 0.
+    """
+    total = sum(mv)
+    if total > MAX_TOTAL_ORDER:
+        raise ConstellationError(
+            f"cumulative order {total} exceeds {MAX_TOTAL_ORDER}")
+    shapes = part_shapes(mv)
+    factors = superposition_factors([(1 << a, 1 << b) for a, b in shapes])
+    if total == 0:
+        return shapes, factors, 0.0
+    ti = sum(a for a, _ in shapes)
+    tq = sum(b for _, b in shapes)
+    return shapes, factors, 1.0 / math.sqrt(grid_energy(ti, tq))
 
 
 def _sub_block_rows(mv: Sequence[int], ranks: Sequence[int], sub_block: int,
@@ -243,11 +270,8 @@ def _sub_block_rows(mv: Sequence[int], ranks: Sequence[int], sub_block: int,
             lhs=float(suffix), rhs=float(rhs), slack=float(rhs - suffix),
             passed=passed))
     if total >= 1:
-        shapes = part_shapes(mv)
-        ti = sum(a for a, _ in shapes)
-        tq = sum(b for _, b in shapes)
-        eta_sq = 1.0 / grid_energy(ti, tq)
-        factors = superposition_factors([(1 << a, 1 << b) for a, b in shapes])
+        shapes, factors, eta = sub_block_geometry(mv)
+        eta_sq = eta * eta
         d_sup = eta_sq * S * abs(spec.users[ranks[0]].h) ** 2
         rows.append(ConstraintRow(
             kind="superimposed_distance", sub_block=sub_block, rank=0,
@@ -319,12 +343,6 @@ class PlanEntry:
     tx_points: np.ndarray
     power: float
 
-    def uniform_scale(self) -> complex | None:
-        """Single complex scale when both dimensions agree, else None."""
-        if math.isclose(self.amp_i, self.amp_q, rel_tol=1e-12):
-            return complex(self.amp_i)
-        return None
-
 
 @dataclass
 class SchemePlan:
@@ -336,7 +354,6 @@ class SchemePlan:
     entries: dict[tuple[int, int], PlanEntry]
     eta: tuple[float, ...]
     sub_block_power: tuple[float, ...]
-    superimposed: tuple[LabeledConstellation | None, ...]
     codeword_lengths: tuple[int, ...]
 
     def sub_block_signals(self, user: int, sub_block: int
@@ -399,20 +416,6 @@ def plan_from_dict(data: Mapping) -> SchemePlan:
     return plan
 
 
-def _build_sub_block(mv: Sequence[int], S: float):
-    """Parts, stretch factors, normalizer, and composite for one sub-block."""
-    shapes = part_shapes(mv)
-    parts = [silent() if m == 0 else build_rect_qam(a, b)
-             for m, (a, b) in zip(mv, shapes)]
-    factors = superposition_factors([(1 << a, 1 << b) for a, b in shapes])
-    total = sum(mv)
-    if total == 0:
-        return shapes, parts, factors, 0.0, None
-    composite = superimpose(parts)
-    eta = 1.0 / math.sqrt(composite.energy)
-    return shapes, parts, factors, eta, composite
-
-
 def assign_power(orders, spec: SystemSpec,
                  layout: SubBlockLayout | None = None, *,
                  check: bool = True) -> SchemePlan:
@@ -435,20 +438,18 @@ def assign_power(orders, spec: SystemSpec,
     entries: dict[tuple[int, int], PlanEntry] = {}
     etas = []
     powers = []
-    composites = []
     for sb in layout.sub_blocks:
         mv = [orders[u][sb.index] for u in sb.ranks]
-        shapes, parts, factors, eta, composite = _build_sub_block(mv, spec.P)
-        S = spec.P if composite is not None else 0.0
-        root = eta * math.sqrt(S) if S > 0 else 0.0
+        shapes, factors, eta = sub_block_geometry(mv)
+        S = spec.P if eta > 0 else 0.0
+        root = eta * math.sqrt(S)
         etas.append(eta)
         powers.append(S)
-        composites.append(composite)
         for rank, user in enumerate(sb.ranks):
             fi, fq = factors[rank]
             amp_i = root * fi
             amp_q = root * fq
-            part = parts[rank]
+            part = silent() if mv[rank] == 0 else build_rect_qam(*shapes[rank])
             tx = amp_i * part.points.real + 1j * (amp_q * part.points.imag)
             entries[(user, sb.index)] = PlanEntry(
                 user=user, sub_block=sb.index, order=mv[rank], rank=rank,
@@ -459,7 +460,6 @@ def assign_power(orders, spec: SystemSpec,
     return SchemePlan(spec=spec, layout=layout, orders=orders,
                       entries=entries, eta=tuple(etas),
                       sub_block_power=tuple(powers),
-                      superimposed=tuple(composites),
                       codeword_lengths=n_k)
 
 
@@ -487,7 +487,7 @@ def verify_min_distances(plan: SchemePlan, spec: SystemSpec | None = None
         raise SpecError("override spec must have the same user count")
     rows = []
     for sb in plan.layout.sub_blocks:
-        if sb.length == 0 or plan.superimposed[sb.index] is None:
+        if sb.length == 0 or plan.sub_block_power[sb.index] == 0:
             continue
         root = plan.eta[sb.index] * math.sqrt(plan.sub_block_power[sb.index])
         strongest = sb.ranks[0]
@@ -626,75 +626,92 @@ def _enumerate_rank_vectors(ranks, sub_block, spec, cap):
 
 
 def design_search(spec: SystemSpec, weights: Sequence[float] | None = None, *,
+                  orders: Sequence | None = None,
                   n_noise_samples: int = 10_000, seed: int = 0,
                   max_sub_block_order: int = DEFAULT_ORDER_CAP,
                   pareto_only: bool = True,
                   stats_cache: dict | None = None,
                   workers: int = 1) -> DesignSearchResult:
-    """Enumerate feasible order matrices and rank them by weighted-sum rate.
+    """Score order matrices and rank them by weighted-sum rate.
 
-    Every sub-block's feasible rank-order vectors (budget capped at
-    max_sub_block_order) are combined across sub-blocks; each candidate's
-    per-user rates come from the exact-enumeration estimator, with statistics
-    cached per (sub-block, rank orders, rank) so shared sub-block designs are
-    only evaluated once.  Candidates are Pareto-filtered over the users with
-    positive weight (unless pareto_only=False), sorted by descending weighted
-    sum, ties broken by the lexicographically smaller order matrix.
+    By default every sub-block's feasible rank-order vectors (budget capped at
+    max_sub_block_order) are combined across sub-blocks, and the candidates
+    are Pareto-filtered over the users with positive weight (unless
+    pareto_only=False).  Passing `orders` scores exactly those matrices
+    instead: a malformed matrix raises SpecError, infeasible ones are skipped,
+    and none is Pareto-filtered.  Each candidate's per-user rates come from
+    the exact-enumeration estimator, with statistics cached per (sub-block,
+    rank orders, rank) so shared sub-block designs are only evaluated once.
+    Candidates are sorted by descending weighted sum, ties broken by the
+    lexicographically smaller order matrix.
     """
     layout = build_layout(spec)
     if weights is None:
         weights = [1.0] * spec.K
-    weights = [float(w) for w in weights]
+    try:
+        weights = [float(w) for w in weights]
+    except (TypeError, ValueError) as exc:
+        raise SpecError(f"malformed weights: {exc}") from exc
     if len(weights) != spec.K or any(w < 0 for w in weights):
         raise SpecError("weights must be non-negative, one per user")
     if not any(w > 0 for w in weights):
         raise SpecError("at least one weight must be positive")
 
-    per_block: list[list[tuple[int, ...]]] = []
-    for sb in layout.sub_blocks:
-        if sb.length == 0:
-            per_block.append([(0,) * len(sb.ranks)])
-            continue
-        vectors = _enumerate_rank_vectors(sb.ranks, sb.index, spec,
-                                          max_sub_block_order)
-        if not vectors:
-            return DesignSearchResult(
-                candidates=(),
-                explanation=(f"no feasible order vector for sub-block "
-                             f"{sb.index} under the modulation constraints"))
-        per_block.append(vectors)
+    if orders is not None:
+        matrices = [_normalize_orders(o, spec.K) for o in orders]
+        matrices = [o for o in matrices
+                    if check_modulation_constraints(o, spec, layout).feasible]
+        none_left = "no feasible plan among the configured order matrices"
+    else:
+        per_block: list[list[tuple[int, ...]]] = []
+        for sb in layout.sub_blocks:
+            if sb.length == 0:
+                per_block.append([(0,) * len(sb.ranks)])
+                continue
+            # larger sums have no constellation
+            vectors = _enumerate_rank_vectors(
+                sb.ranks, sb.index, spec,
+                min(max_sub_block_order, MAX_TOTAL_ORDER))
+            if not vectors:
+                return DesignSearchResult(
+                    candidates=(),
+                    explanation=(f"no feasible order vector for sub-block "
+                                 f"{sb.index} under the modulation constraints"))
+            per_block.append(vectors)
+        matrices = (_orders_from_rank_vectors(combo, layout, spec.K)
+                    for combo in itertools.product(*per_block)
+                    if any(m for vec in combo for m in vec))
+        none_left = ("only the all-silent order matrix is feasible "
+                     "at this power budget")
 
     cache = stats_cache if stats_cache is not None else {}
     scored = []
-    for combo in itertools.product(*per_block):
-        if all(m == 0 for vec in combo for m in vec):
-            continue
-        orders = _orders_from_rank_vectors(combo, layout, spec.K)
-        plan = assign_power(orders, spec, layout, check=False)
+    for matrix in matrices:
+        plan = assign_power(matrix, spec, layout, check=False)
         result = rates.compute_plan_rates(
             plan, n_noise_samples=n_noise_samples, seed=seed,
             stats_cache=cache, workers=workers)
         # plans are rebuilt for the surviving candidates only
-        scored.append((orders, result))
+        scored.append((matrix, result))
     if not scored:
-        return DesignSearchResult(
-            candidates=(),
-            explanation=("only the all-silent order matrix is feasible "
-                         "at this power budget"))
+        return DesignSearchResult(candidates=(), explanation=none_left)
 
-    pareto_flags = _pareto_flags(
-        [s[1].rates for s in scored],
-        [k for k in range(spec.K) if weights[k] > 0])
+    if orders is not None:
+        pareto_flags = [True] * len(scored)
+    else:
+        pareto_flags = _pareto_flags(
+            [s[1].rates for s in scored],
+            [k for k in range(spec.K) if weights[k] > 0])
     candidates = []
-    for (orders, result), is_pareto in zip(scored, pareto_flags):
+    for (matrix, result), is_pareto in zip(scored, pareto_flags):
         if pareto_only and not is_pareto:
             continue
-        plan = assign_power(orders, spec, layout, check=False)
+        plan = assign_power(matrix, spec, layout, check=False)
         ws = sum(w * r for w, r in zip(weights, result.rates))
         info = tuple(max(0, math.floor(u.rate * u.n_symbols))
                      for u in result.users)
         candidates.append(DesignCandidate(
-            orders=orders, plan=plan, rate_result=result, weighted_sum=ws,
+            orders=matrix, plan=plan, rate_result=result, weighted_sum=ws,
             info_bits=info, codeword_bits=plan.codeword_lengths,
             pareto=is_pareto))
     candidates.sort(key=lambda c: (-c.weighted_sum, _flat(c.orders)))

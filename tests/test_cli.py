@@ -59,6 +59,27 @@ class TestDesign:
         plan = json.loads(plan_out.read_text())
         assert plan["orders"] == [[2], [4, 4]]
 
+    def test_explicit_weights_must_match_users(self, tmp_path):
+        cfg = write_config(tmp_path, design={"orders": [[[2], [4, 4]]],
+                                             "weights": [1.0]})
+        assert main(["design", "--config", str(cfg),
+                     "--out", str(tmp_path / "d.csv")]) == EXIT_BAD_CONFIG
+
+    @pytest.mark.parametrize("bad", [[[2], [4]], [[2], [4, -1]],
+                                     [[2.5], [4, 4]]])
+    def test_explicit_malformed_orders_exit_2(self, tmp_path, bad):
+        cfg = write_config(tmp_path, design={"orders": [[[2], [4, 4]], bad]})
+        assert main(["design", "--config", str(cfg),
+                     "--out", str(tmp_path / "d.csv")]) == EXIT_BAD_CONFIG
+
+    def test_explicit_all_infeasible_exits_3(self, tmp_path):
+        cfg = write_config(tmp_path, design={
+            "orders": [[[2], [5, 4]], [[8], [4, 4]]]})
+        out = tmp_path / "d.csv"
+        assert main(["design", "--config", str(cfg),
+                     "--out", str(out)]) == EXIT_NO_DESIGN
+        assert read_rows(out)[1] == []
+
     def test_search_infeasible_power_exits_3(self, tmp_path):
         cfg = write_config(tmp_path, system={
             "P": 1e-9,
@@ -137,6 +158,12 @@ class TestRateRegion:
                      "--out", str(enved)]) == EXIT_OK
         assert serial.read_bytes() == enved.read_bytes()
 
+    @pytest.mark.parametrize("command", ["rate-region", "benchmark"])
+    def test_single_power_step_exits_2(self, tmp_path, command):
+        cfg = write_config(tmp_path, rate_region={"power_steps": 1})
+        assert main([command, "--config", str(cfg),
+                     "--out", str(tmp_path / "r.csv")]) == EXIT_BAD_CONFIG
+
     def test_benchmark_only_command(self, tmp_path):
         cfg = self.region_config(tmp_path)
         out = tmp_path / "bench.csv"
@@ -146,6 +173,28 @@ class TestRateRegion:
 
 
 class TestSimulate:
+    def single_user_config(self, tmp_path, **simulate):
+        return write_config(
+            tmp_path,
+            system={"P": 1e9, "users": [
+                {"N": 16, "eps": 1e-5, "h_re": 1.0, "h_im": 0.0}]},
+            simulate={"n_frames": 1, **simulate})
+
+    # [[17]] exceeds the 16-bit order cap; [[13]] has 8192 TIN candidates,
+    # above the demapper's 4096 cap
+    @pytest.mark.parametrize("orders", [[[17]], [[13]]])
+    def test_oversized_orders_exit_2(self, tmp_path, orders):
+        cfg = self.single_user_config(tmp_path, orders=orders)
+        assert main(["simulate", "--config", str(cfg),
+                     "--out", str(tmp_path / "sim.csv")]) == EXIT_BAD_CONFIG
+
+    @pytest.mark.parametrize("n_frames", [0, -3])
+    def test_nonpositive_frames_exit_2(self, tmp_path, n_frames):
+        cfg = self.single_user_config(tmp_path, orders=[[2]],
+                                      n_frames=n_frames)
+        assert main(["simulate", "--config", str(cfg),
+                     "--out", str(tmp_path / "sim.csv")]) == EXIT_BAD_CONFIG
+
     def test_simulate_reports_roundtrip_and_power(self, tmp_path):
         cfg = write_config(
             tmp_path,

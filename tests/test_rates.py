@@ -48,10 +48,13 @@ class TestQFunction:
     def test_inverse_at_half(self):
         assert qfunc_inv(0.5) == 0.0
 
-    @pytest.mark.parametrize("p", [0.5, 0.1, 1e-2, 1e-4, 1e-6, 1e-9, 1e-12])
+    @pytest.mark.parametrize("p", [0.5, 0.3, 0.1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6,
+                                   1e-7, 1e-8, 1e-9, 1e-10, 1e-11, 1e-12,
+                                   1e-13, 1e-14, 1e-15])
     def test_roundtrip(self, p):
         x = qfunc_inv(p)
         assert abs(qfunc(x) - p) <= 1e-12 * p
+        assert x == pytest.approx(bisect_qinv(p), rel=1e-14, abs=1e-14)
 
     def test_against_bisection_oracle(self):
         x = qfunc_inv(1e-6)
@@ -232,10 +235,6 @@ class TestBenchmarks:
     def test_shell_eps_half_is_capacity(self):
         r = shell_benchmark(10.0, 128, 0.5)
         assert r.rate == pytest.approx(math.log2(11.0), abs=1e-12)
-
-    def test_shell_refuses_interference(self):
-        with pytest.raises(RateEngineError):
-            shell_benchmark(10.0, 128, 1e-6, interference_power=0.5)
 
 
 class TestBroadcastBenchmarks:

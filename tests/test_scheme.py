@@ -1,9 +1,16 @@
 """Layout, feasibility, power assignment, mapping, frames, and design search."""
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from tinlink.constellations import (
+    ConstellationError,
+    build_rect_qam,
+    silent,
+    superimpose,
+)
 from tinlink.scheme import (
     InfeasiblePlanError,
     SpecError,
@@ -17,6 +24,7 @@ from tinlink.scheme import (
     design_search,
     map_bits,
     part_shapes,
+    sub_block_geometry,
     verify_min_distances,
 )
 
@@ -136,6 +144,22 @@ class TestPartShapes:
                 assert abs(ti - tq) <= 1
 
 
+class TestSubBlockGeometry:
+    def test_normaliser_matches_superimposed_energy(self):
+        # every rank vector of 1-3 ranks with total order 1-12; the composite's
+        # sampled energy may be an ulp high, the closed form is exact
+        for n_ranks in range(1, 4):
+            for mv in itertools.product(range(13), repeat=n_ranks):
+                if not 1 <= sum(mv) <= 12:
+                    continue
+                shapes, _, eta = sub_block_geometry(mv)
+                parts = [silent() if m == 0 else build_rect_qam(a, b)
+                         for m, (a, b) in zip(mv, shapes)]
+                composite = superimpose(parts)
+                assert eta == pytest.approx(
+                    1.0 / math.sqrt(composite.energy), rel=1e-14, abs=0.0)
+
+
 class TestPowerAssignment:
     def test_two_user_shares(self):
         spec = two_user_spec()
@@ -203,6 +227,14 @@ class TestPowerAssignment:
     def test_infeasible_orders_raise(self):
         with pytest.raises(InfeasiblePlanError):
             assign_power([[2], [5, 4]], two_user_spec())
+
+    @pytest.mark.parametrize("check", [True, False])
+    def test_total_order_above_cap_rejected(self, check):
+        # each part fits in 16 bits, their 17-bit superposition does not
+        spec = SystemSpec.create(1e9, [UserSpec(64, 1e-6, 1.0),
+                                       UserSpec(96, 1e-4, 0.5)])
+        with pytest.raises(ConstellationError):
+            assign_power([[9], [8, 4]], spec, check=check)
 
     def test_swapped_channels_swap_roles(self):
         strong, weak = 9.0, 4.0
@@ -409,3 +441,16 @@ class TestDesignSearch:
         for c in res.candidates[:5]:
             for u, k_bits in zip(c.rate_result.users, c.info_bits):
                 assert k_bits == max(0, math.floor(u.rate * u.n_symbols))
+
+    def test_explicit_orders_scored_without_filter(self):
+        spec = two_user_spec(n1=32, n2=64)
+        listed = [[[2], [2, 2]], [[2], [5, 4]], [[0], [0, 2]], [[2], [2, 2]]]
+        res = design_search(spec, orders=listed, n_noise_samples=2000, seed=6,
+                            max_sub_block_order=1)
+        # the infeasible matrix is skipped; duplicates stay and nothing is
+        # Pareto-filtered or capped
+        assert sorted(c.orders for c in res.candidates) == [
+            ((0,), (0, 2)), ((2,), (2, 2)), ((2,), (2, 2))]
+        assert all(c.pareto for c in res.candidates)
+        sums = [c.weighted_sum for c in res.candidates]
+        assert sums == sorted(sums, reverse=True)
