@@ -125,9 +125,8 @@ def cmd_design(cfg: Mapping, args) -> int:
     cap = int(section.get("max_sub_block_order", scheme.DEFAULT_ORDER_CAP))
     result = scheme.design_search(
         spec, section.get("weights"), orders=section.get("orders"),
-        n_noise_samples=samples, seed=seed, max_sub_block_order=cap,
-        pareto_only=bool(section.get("pareto_only", True)),
-        workers=worker_count(args))
+        max_sub_block_order=cap,
+        pareto_only=bool(section.get("pareto_only", True)))
 
     header = (["build_id", "seed", "n_noise_samples", "rank", "orders",
                "weighted_sum", "feasible", "min_order_slack"]
@@ -244,8 +243,7 @@ def cmd_rate_region(cfg: Mapping, args, benchmarks_only: bool = False) -> int:
 
     if include_qam:
         result = scheme.design_search(
-            spec, [1.0] * spec.K, n_noise_samples=samples, seed=seed,
-            max_sub_block_order=cap, pareto_only=False, workers=workers)
+            spec, [1.0] * spec.K, max_sub_block_order=cap, pareto_only=False)
         if not result.candidates:
             print(result.explanation or "no feasible design", file=sys.stderr)
             _write_csv(args.out, header, [])
@@ -419,6 +417,17 @@ def _validation_checks(samples: int, seed: int):
         ok = ok and bool(np.array_equal(
             linksim.hard_bits(llr), _active_bits(payloads[k], k, plan)))
     yield "zero_noise_llr_roundtrip", ok, ""
+
+    # quadrature kernel against the Monte Carlo estimator on the same plan
+    worst = 0.0
+    for k, user in enumerate(rates.compute_plan_rates(plan).users):
+        for j, st in enumerate(user.stats):
+            mc = rates.estimate_mi_dispersion(
+                *plan.sub_block_signals(k, j), spec.users[k].h, samples, seed)
+            worst = max(worst, abs(st.mi - mc.mi) / max(mc.std_err_mi, 1e-9),
+                        abs(st.dispersion - mc.dispersion)
+                        / max(mc.std_err_dispersion, 1e-9))
+    yield "kernel_vs_estimator", worst <= 4.0, f"worst_sigma={worst:.3g}"
 
 
 def _random_spec(rng) -> scheme.SystemSpec:

@@ -5,7 +5,10 @@ and adds circularly symmetric complex Gaussian noise with unit total variance
 (0.5 per real dimension).  Demapping treats co-scheduled users' signals as
 part of the channel law: bit LLRs marginalize the desired constellation and
 sum over all interferer symbol combinations, never touching interferer
-codebooks.
+codebooks.  After rotating y by conj(h)/|h| every likelihood factors into an
+I and a Q part, so LLRs and information densities come from the per-dimension
+kernel `rates.tin_loglik`: each I-bit LLR depends on the I coordinate only
+and each Q-bit LLR on the Q coordinate only (BICM demapping).
 """
 from __future__ import annotations
 
@@ -15,7 +18,14 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .rates import LN2, MAX_TUPLES, _combo_sums, estimate_mi_dispersion
+from .constellations import gray_sequence
+from .rates import (
+    compute_plan_rates,
+    dimension_densities,
+    dimension_levels,
+    log_sum_exp,
+    tin_loglik,
+)
 from .scheme import SchemePlan, build_frame, map_bits
 
 
@@ -75,18 +85,11 @@ def simulate_frame(plan: SchemePlan, payloads: Mapping[int, np.ndarray],
 # Exact TIN LLR demapping
 # ---------------------------------------------------------------------------
 
-def _candidate_grid(plan: SchemePlan, user: int, sub_block: int,
-                    h: complex) -> tuple[np.ndarray, int, int]:
-    """Receive-side candidates h*(d + t), desired-major; returns (grid, |D|, m)."""
-    desired, interferers = plan.sub_block_signals(user, sub_block)
-    combos = _combo_sums(interferers)
-    if desired.size * combos.size > MAX_TUPLES:
-        raise SimulationError(
-            f"candidate count {desired.size * combos.size} exceeds cap "
-            f"{MAX_TUPLES}")
-    grid = (h * desired[:, None] + h * combos[None, :])
-    m = plan.entries[(user, sub_block)].order
-    return grid, desired.size, m
+def _rotated(y: np.ndarray, h: complex
+             ) -> tuple[float, tuple[np.ndarray, np.ndarray]]:
+    """|h| and the I and Q coordinates of y conj(h)/|h| (of y if h = 0)."""
+    y = np.asarray(y, dtype=complex).ravel() * (np.conj(h) / abs(h) if h else 1)
+    return abs(h), (y.real, y.imag)
 
 
 def tin_llr(y: np.ndarray, user: int, sub_block: int, plan: SchemePlan,
@@ -95,39 +98,30 @@ def tin_llr(y: np.ndarray, user: int, sub_block: int, plan: SchemePlan,
 
     Interference enters only through its marginal law: the metric for each
     desired point sums the Gaussian likelihood over every interferer symbol
-    combination.  Returns an (n_symbols, m) array with the convention
+    combination.  Label bits 0..a-1 select the I level and the rest the Q
+    level (`build_rect_qam`), so each bit's LLR marginalizes one dimension's
+    levels.  Returns an (n_symbols, m) array with the convention
     LLR = log P(bit=0 | y) / P(bit=1 | y) in nats, so the sign of the LLR at
     zero noise recovers the transmitted bit.  max_log replaces the sums with
     maxima.
     """
     if h is None:
         h = plan.spec.users[user].h
-    y = np.asarray(y, dtype=complex).ravel()
-    grid, n_desired, m = _candidate_grid(plan, user, sub_block, h)
-    if m == 0:
-        return np.zeros((y.size, 0))
-    n_combos = grid.shape[1]
-    flat = grid.ravel()
-    labels = np.repeat(np.arange(n_desired), n_combos)
-    out = np.empty((y.size, m))
-    chunk = max(1, (1 << 22) // max(1, flat.size))
-    for lo in range(0, y.size, chunk):
-        seg = y[lo:lo + chunk]
-        metric = -np.abs(seg[:, None] - flat[None, :]) ** 2
-        for b in range(m):
-            bitmask = (labels >> (m - 1 - b)) & 1
-            m0 = metric[:, bitmask == 0]
-            m1 = metric[:, bitmask == 1]
-            if max_log:
-                out[lo:lo + chunk, b] = m0.max(axis=1) - m1.max(axis=1)
-            else:
-                out[lo:lo + chunk, b] = (_lse_rows(m0) - _lse_rows(m1))
-    return out
-
-
-def _lse_rows(metric: np.ndarray) -> np.ndarray:
-    mx = metric.max(axis=1)
-    return mx + np.log(np.exp(metric - mx[:, None]).sum(axis=1))
+    g, coords = _rotated(y, h)
+    entry = plan.entries[(user, sub_block)]
+    reduce = np.max if max_log else log_sum_exp
+    cols = []
+    for yd, n_bits, (levels, sums) in zip(
+            coords, entry.shape, dimension_levels(plan, user, sub_block)):
+        if n_bits == 0:
+            continue
+        ll = tin_loglik(yd, g, levels, sums, max_log=max_log)
+        labels = gray_sequence(n_bits)
+        for b in range(n_bits):
+            one = ((labels >> (n_bits - 1 - b)) & 1).astype(bool)
+            cols.append(reduce(ll[:, ~one], axis=1)
+                        - reduce(ll[:, one], axis=1))
+    return np.stack(cols, axis=1) if cols else np.zeros((coords[0].size, 0))
 
 
 def hard_bits(llr: np.ndarray) -> np.ndarray:
@@ -168,42 +162,34 @@ class DensityCheckRow:
 def information_densities(frame: ReceivedFrame, user: int, sub_block: int,
                           plan: SchemePlan, h: complex | None = None
                           ) -> np.ndarray:
-    """Per-symbol information densities of one received sub-block segment."""
+    """Per-symbol information densities of one received sub-block segment.
+
+    The density is the sum of the I and Q parts; the sent levels are read
+    from the unit symbols, whose coordinates sit on the half-integer grid.
+    """
     if h is None:
         h = plan.spec.users[user].h
     sb = plan.layout.sub_blocks[sub_block]
-    entry = plan.entries[(user, sub_block)]
-    y = frame.y[user][sb.start:sb.stop]
-    grid, n_desired, m = _candidate_grid(plan, user, sub_block, h)
-    n_combos = grid.shape[1]
-    # recover the transmitted desired-symbol indices from the unit symbols
+    g, coords = _rotated(frame.y[user][sb.start:sb.stop], h)
     sent = frame.symbols[user][sb.start:sb.stop]
-    idx = np.argmin(np.abs(sent[:, None] - entry.part.points[None, :]), axis=1)
-    flat = grid.ravel()
-    dens = np.empty(y.size)
-    chunk = max(1, (1 << 22) // max(1, flat.size))
-    for lo in range(0, y.size, chunk):
-        seg = y[lo:lo + chunk]
-        metric = -np.abs(seg[:, None] - flat[None, :]) ** 2
-        num = _lse_rows(metric)
-        per_desired = metric.reshape(seg.size, n_desired, n_combos)
-        rows = np.arange(seg.size)
-        den = _lse_rows(per_desired[rows, idx[lo:lo + chunk], :])
-        dens[lo:lo + chunk] = m - (num - den) / LN2
+    dens = np.zeros(sent.size)
+    for yd, unit, (levels, sums) in zip(
+            coords, (sent.real, sent.imag),
+            dimension_levels(plan, user, sub_block)):
+        idx = np.rint(unit + (levels.size - 1) / 2).astype(np.int64)
+        dens += dimension_densities(yd, g, levels, sums, idx)
     return dens
 
 
 def empirical_id_check(plan: SchemePlan, user: int, n_frames: int, seed: int,
-                       *, n_reference_samples: int = 20_000,
-                       sigma_limit: float = 4.0) -> tuple[DensityCheckRow, ...]:
+                       *, sigma_limit: float = 4.0) -> tuple[DensityCheckRow, ...]:
     """Compare sampled information densities against the rate engine.
 
     Simulates n_frames independent frames, samples per-symbol densities for
     each sub-block of the user, and flags sub-blocks whose empirical mean or
-    variance deviates from the exact-enumeration estimate by more than
-    sigma_limit combined standard errors.
+    variance deviates from the quadrature (I, V) by more than sigma_limit
+    standard errors of the sample.
     """
-    spec = plan.spec
     rows = []
     per_block: dict[int, list[np.ndarray]] = {}
     for f in range(n_frames):
@@ -214,11 +200,10 @@ def empirical_id_check(plan: SchemePlan, user: int, n_frames: int, seed: int,
                 continue
             per_block.setdefault(sb.index, []).append(
                 information_densities(frame, user, sb.index, plan))
+    exact = compute_plan_rates(plan).users[user].stats
     for j, chunks in sorted(per_block.items()):
         samples = np.concatenate(chunks)
-        desired, interferers = plan.sub_block_signals(user, j)
-        ref = estimate_mi_dispersion(desired, interferers, spec.users[user].h,
-                                     n_reference_samples, seed)
+        ref = exact[j]
         n = samples.size
         emp_mi = float(samples.mean())
         emp_v = float(samples.var(ddof=1))
@@ -226,8 +211,8 @@ def empirical_id_check(plan: SchemePlan, user: int, n_frames: int, seed: int,
         # variance-of-variance from the fourth central moment
         m4 = float(np.mean((samples - emp_mi) ** 4))
         se_var = np.sqrt(max(m4 - emp_v ** 2, 0.0) / n)
-        mi_sigma = abs(emp_mi - ref.mi) / np.hypot(se_mean, ref.std_err_mi)
-        v_sigma = abs(emp_v - ref.dispersion) / np.hypot(se_var, ref.std_err_dispersion)
+        mi_sigma = abs(emp_mi - ref.mi) / se_mean
+        v_sigma = abs(emp_v - ref.dispersion) / se_var
         rows.append(DensityCheckRow(
             user=user, sub_block=j, n_samples=n,
             empirical_mi=emp_mi, empirical_dispersion=emp_v,

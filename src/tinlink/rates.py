@@ -1,21 +1,24 @@
 """Mutual information, dispersion, and second-order achievable rates.
 
-Conventions used throughout: logarithms are base 2 (rates in bits per complex
-symbol), the noise is circularly symmetric complex Gaussian with unit total
-variance, and the channel law is y = h x + z.  For discrete inputs the
-per-symbol information density is evaluated by exact enumeration over the
-symbol tuples of the desired and interfering constellations, with Monte Carlo
-only over the noise.  All inner sums of Gaussian likelihoods go through
-log-sum-exp, so estimates stay finite for arbitrarily large amplitudes.
+Logarithms are base 2 (rates in bits per complex symbol), the noise is
+circularly symmetric complex Gaussian with unit total variance, and the
+channel law is y = h x + z.  Every part is a Gray rectangular QAM stretched
+separately in I and Q, so after rotating y by conj(h)/|h| the information
+density splits into independent I and Q parts and I = I_I + I_Q,
+V = V_I + V_Q.  One per-dimension kernel, `tin_loglik`, gives the TIN
+likelihoods: `compute_plan_rates` takes (I, V) from it by Gauss-Hermite
+quadrature and `linksim` its LLRs and information densities.  Likelihood
+sums go through log-sum-exp, so values stay finite for any amplitudes.
 
-Noise samples come from counter-based Philox substreams keyed by
-(seed, batch index), so an estimate depends only on (seed, sample count) and
-not on how batches are scheduled across workers.
+`estimate_mi_dispersion` (exact 2-D tuple enumeration, Monte Carlo over the
+noise from Philox substreams keyed by (seed, batch index)) and
+`quadrature_mi` (2-D Gauss-Hermite, interference-free) stay as the kernel's
+independent oracles.
 """
 from __future__ import annotations
 
+import functools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -27,6 +30,7 @@ LOG2E = 1.0 / LN2
 
 MAX_TUPLES = 4096
 MIN_NOISE_SAMPLES = 1000
+GH_NODES = 128
 
 _BATCH = 4096
 _ELEM_BUDGET = 1 << 23
@@ -86,11 +90,10 @@ def _batch_plan(n_samples: int, batch: int = _BATCH) -> list[tuple[int, int]]:
 # ---------------------------------------------------------------------------
 
 def _combo_sums(sets: Sequence[np.ndarray]) -> np.ndarray:
-    """All sums over the cartesian product of the given symbol sets."""
-    acc = np.zeros(1, dtype=complex)
+    """All sums over the cartesian product of the given level or symbol sets."""
+    acc = np.zeros(1)
     for arr in sets:
-        arr = np.asarray(arr, dtype=complex)
-        acc = (acc[:, None] + arr[None, :]).ravel()
+        acc = (acc[:, None] + np.asarray(arr)[None, :]).ravel()
     return acc
 
 
@@ -126,12 +129,14 @@ def _lse_over_alts(xt: np.ndarray, xa: np.ndarray, zr: np.ndarray,
 
 @dataclass(frozen=True)
 class SubBlockRateStats:
-    """Per-(user, sub-block) mutual information and dispersion estimates.
+    """Per-(user, sub-block) mutual information and dispersion.
 
-    mi and dispersion are in bits and bits**2 per complex symbol; the standard
-    errors reflect the Monte Carlo noise averaging only (symbol tuples are
-    enumerated exactly).  third_abs_moment is the centred third absolute
-    moment of the information density, filled only on request.
+    mi and dispersion are in bits and bits**2 per complex symbol.  From the
+    Monte Carlo estimator, sample_count and the standard errors describe the
+    noise averaging (symbol tuples are enumerated exactly) and
+    third_abs_moment, the centred third absolute moment of the information
+    density, is filled on request.  From the quadrature kernel they are 0
+    and None: its values carry no sampling error.
     """
 
     mi: float
@@ -175,8 +180,8 @@ class _DensityContext:
 
 
 def estimate_mi_dispersion(desired, interferers, h, n_noise_samples: int,
-                           seed: int, *, third_moment: bool = False,
-                           workers: int = 1) -> SubBlockRateStats:
+                           seed: int, *, third_moment: bool = False
+                           ) -> SubBlockRateStats:
     """Estimate (I, V) for a discrete input under additive interference.
 
     desired: complex transmit amplitudes of the wanted constellation (uniform
@@ -185,8 +190,8 @@ def estimate_mi_dispersion(desired, interferers, h, n_noise_samples: int,
     links pass an empty interferer list.  Symbol tuples are enumerated exactly
     (product cardinality capped at 4096); the expectation over the unit
     complex Gaussian noise uses n_noise_samples common random numbers shared
-    by all tuples.  Noise batches may be spread over `workers` threads; the
-    result is identical for any worker count.
+    by all tuples.  This is the Monte Carlo oracle that the tests and
+    `validate` compare the quadrature kernel against.
     """
     n_noise_samples = int(n_noise_samples)
     if n_noise_samples < MIN_NOISE_SAMPLES:
@@ -201,11 +206,7 @@ def estimate_mi_dispersion(desired, interferers, h, n_noise_samples: int,
         dens = ctx.densities(zr, zi)
         return dens.mean(axis=0), np.mean(dens * dens, axis=0)
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            moments = list(pool.map(batch_moments, batches))
-    else:
-        moments = [batch_moments(b) for b in batches]
+    moments = [batch_moments(b) for b in batches]
     per_z_mean = np.concatenate([m for m, _ in moments])
     per_z_sq = np.concatenate([q for _, q in moments])
     n = per_z_mean.size
@@ -256,6 +257,73 @@ def quadrature_mi(points, h, n_nodes: int = 64) -> float:
         val = (lse + (zr * zr + zi * zi)[None, :]) / LN2
         total += float(val.mean(axis=0) @ wgt[lo:lo + chunk])
     return m_bits - total
+
+
+# ---------------------------------------------------------------------------
+# Per-dimension TIN kernel
+# ---------------------------------------------------------------------------
+
+def dimension_levels(plan, user: int, sub_block: int
+                     ) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(desired levels, interferer level sums) in I, then in Q.
+
+    Levels are in position order, the order `build_rect_qam` Gray-labels
+    them in; a silent co-scheduled user adds the single level 0.
+    """
+    def levels(entry, d):
+        n = 1 << entry.shape[d]
+        return (entry.amp_i, entry.amp_q)[d] * (np.arange(n) - (n - 1) / 2)
+
+    entries = {u: plan.entries[(u, sub_block)]
+               for u in plan.layout.sub_blocks[sub_block].participants}
+    own = entries.pop(user)
+    return [(levels(own, d), _combo_sums([levels(e, d)
+                                          for e in entries.values()]))
+            for d in (0, 1)]
+
+
+def log_sum_exp(a: np.ndarray, axis: int) -> np.ndarray:
+    """log sum exp(a) along one axis, finite for any magnitudes."""
+    mx = a.max(axis=axis, keepdims=True)
+    return np.log(np.exp(a - mx).sum(axis=axis)) + np.squeeze(mx, axis=axis)
+
+
+def tin_loglik(y: np.ndarray, g: float, levels: np.ndarray, sums: np.ndarray,
+               *, max_log: bool = False) -> np.ndarray:
+    """log sum_t exp(-(y - g (x + t))^2) for every desired level x.
+
+    The TIN likelihood of one real dimension up to a constant, the one place
+    it is computed: y are coordinates after rotation by conj(h)/|h|, g = |h|,
+    and t runs over the interferer level sums.  Returns a (len(y),
+    len(levels)) array; max_log takes the maximum over t instead.
+    """
+    x = g * (levels[:, None] + sums[None, :])
+    out = np.empty((y.size, levels.size))
+    step = max(1, _ELEM_BUDGET // x.size)
+    for lo in range(0, y.size, step):
+        m = y[lo:lo + step, None, None] - x[None, :, :]
+        np.square(m, out=m)
+        np.negative(m, out=m)
+        out[lo:lo + step] = m.max(axis=2) if max_log else log_sum_exp(m, 2)
+    return out
+
+
+def dimension_densities(y: np.ndarray, g: float, levels: np.ndarray,
+                        sums: np.ndarray, sent: np.ndarray) -> np.ndarray:
+    """One dimension's information density in bits, at sent level indices."""
+    ll = tin_loglik(y, g, levels, sums)
+    own = np.take_along_axis(ll, sent[:, None], axis=1)[:, 0]
+    return math.log2(levels.size) + (own - log_sum_exp(ll, 1)) / LN2
+
+
+@functools.cache
+def _hermite_rule(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only Gauss-Hermite nodes and weights for E over N(0, 1/2)."""
+    nodes, weights = np.polynomial.hermite.hermgauss(n_nodes)
+    weights /= math.sqrt(math.pi)
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +518,6 @@ class UserRate:
     n_symbols: int
     lengths: tuple[int, ...]
     stats: tuple[SubBlockRateStats, ...]
-    be_diagnostic: float | None = None
 
 
 @dataclass(frozen=True)
@@ -464,19 +531,39 @@ class RateResult:
         return tuple(u.rate for u in self.users)
 
 
-def compute_plan_rates(plan, *, n_noise_samples: int, seed: int,
-                       third_moment: bool = False,
-                       stats_cache: dict | None = None,
-                       workers: int = 1) -> RateResult:
+def _sub_block_stats(plan, user: int, sub_block: int) -> SubBlockRateStats:
+    """(I, V) of one (user, sub-block) as the sums of its I and Q parts.
+
+    In each dimension every (level, interferer sum) pair is equally likely,
+    and the noise N(0, 1/2) is integrated by the GH_NODES-point rule.
+    """
+    g = abs(plan.spec.users[user].h)
+    nodes, weights = _hermite_rule(GH_NODES)
+    mi = dispersion = 0.0
+    for levels, sums in dimension_levels(plan, user, sub_block):
+        pairs = levels.size * sums.size
+        y = (g * (levels[:, None] + sums[None, :]))[:, :, None] + nodes
+        sent = np.repeat(np.arange(levels.size), sums.size * nodes.size)
+        dens = dimension_densities(y.ravel(), g, levels, sums, sent)
+        w = np.tile(weights, pairs) / pairs
+        first, second = float(dens @ w), float((dens * dens) @ w)
+        mi += first
+        dispersion += max(second - first * first, 0.0)
+    return SubBlockRateStats(mi, dispersion, 0, 0.0, 0.0)
+
+
+def compute_plan_rates(plan, *, stats_cache: dict | None = None) -> RateResult:
     """Evaluate every user's second-order rate for a transmission plan.
 
-    Per-(user, sub-block) statistics are cached by the sub-block's rank order
-    vector and the user's rank inside it, which is what they depend on for a
-    fixed spec; pass a shared dict to reuse them across plans, e.g. during a
-    design search.
+    Per-(user, sub-block) (I, V) come from the per-dimension quadrature
+    kernel.  They are cached by the sub-block's rank order vector and the
+    user's rank inside it, which is what they depend on for a fixed spec;
+    pass a shared dict to reuse them across plans, e.g. during a design
+    search.
     """
     spec = plan.spec
     layout = plan.layout
+    cache = {} if stats_cache is None else stats_cache
     users = []
     for k, user in enumerate(spec.users):
         lengths = []
@@ -488,25 +575,13 @@ def compute_plan_rates(plan, *, n_noise_samples: int, seed: int,
                 stats.append(ZERO_STATS)
                 continue
             rank_orders = tuple(plan.orders[u][sb.index] for u in sb.ranks)
-            key = (sb.index, rank_orders, sb.ranks.index(k),
-                   n_noise_samples, third_moment)
-            cached = stats_cache.get(key) if stats_cache is not None else None
-            if cached is None:
-                desired, interferers = plan.sub_block_signals(k, sb.index)
-                cached = estimate_mi_dispersion(
-                    desired, interferers, user.h, n_noise_samples, seed,
-                    third_moment=third_moment, workers=workers)
-                if stats_cache is not None:
-                    stats_cache[key] = cached
-            stats.append(cached)
+            key = (sb.index, rank_orders, sb.ranks.index(k))
+            if key not in cache:
+                cache[key] = _sub_block_stats(plan, k, sb.index)
+            stats.append(cache[key])
         result = second_order_rate(lengths, stats, user.eps, user.N)
-        diag = None
-        if third_moment:
-            active = [(L, s) for L, s in zip(lengths, stats) if L > 0]
-            diag = berry_esseen_diagnostic(
-                [L for L, _ in active], [s for _, s in active], user.N)
         users.append(UserRate(
             user=k, rate=result.rate, nonpositive=result.nonpositive,
             eps=user.eps, n_symbols=user.N, lengths=tuple(lengths),
-            stats=tuple(stats), be_diagnostic=diag))
+            stats=tuple(stats)))
     return RateResult(users=tuple(users))

@@ -627,11 +627,8 @@ def _enumerate_rank_vectors(ranks, sub_block, spec, cap):
 
 def design_search(spec: SystemSpec, weights: Sequence[float] | None = None, *,
                   orders: Sequence | None = None,
-                  n_noise_samples: int = 10_000, seed: int = 0,
                   max_sub_block_order: int = DEFAULT_ORDER_CAP,
-                  pareto_only: bool = True,
-                  stats_cache: dict | None = None,
-                  workers: int = 1) -> DesignSearchResult:
+                  pareto_only: bool = True) -> DesignSearchResult:
     """Score order matrices and rank them by weighted-sum rate.
 
     By default every sub-block's feasible rank-order vectors (budget capped at
@@ -640,8 +637,9 @@ def design_search(spec: SystemSpec, weights: Sequence[float] | None = None, *,
     pareto_only=False).  Passing `orders` scores exactly those matrices
     instead: a malformed matrix raises SpecError, infeasible ones are skipped,
     and none is Pareto-filtered.  Each candidate's per-user rates come from
-    the exact-enumeration estimator, with statistics cached per (sub-block,
-    rank orders, rank) so shared sub-block designs are only evaluated once.
+    the per-dimension quadrature kernel, with statistics cached per
+    (sub-block, rank orders, rank) so shared sub-block designs are only
+    evaluated once.
     Candidates are sorted by descending weighted sum, ties broken by the
     lexicographically smaller order matrix.
     """
@@ -684,13 +682,11 @@ def design_search(spec: SystemSpec, weights: Sequence[float] | None = None, *,
         none_left = ("only the all-silent order matrix is feasible "
                      "at this power budget")
 
-    cache = stats_cache if stats_cache is not None else {}
+    cache: dict = {}
     scored = []
     for matrix in matrices:
         plan = assign_power(matrix, spec, layout, check=False)
-        result = rates.compute_plan_rates(
-            plan, n_noise_samples=n_noise_samples, seed=seed,
-            stats_cache=cache, workers=workers)
+        result = rates.compute_plan_rates(plan, stats_cache=cache)
         # plans are rebuilt for the surviving candidates only
         scored.append((matrix, result))
     if not scored:

@@ -53,7 +53,7 @@ def test_criterion_1_design_point_rate_pair():
     target = (1.0174, 1.5644)
     start = time.perf_counter()
     plan = assign_power([[2], [4, 4]], urllc_spec())
-    result = compute_plan_rates(plan, n_noise_samples=200_000, seed=20240803)
+    result = compute_plan_rates(plan)
     elapsed = time.perf_counter() - start
     r1, r2 = result.rates
     ok = (abs(r1 - target[0]) <= 0.02 and abs(r2 - target[1]) <= 0.02
@@ -145,7 +145,7 @@ def test_criterion_6_dispersion_ordering():
     ok = True
     for m1, m2 in [(2, 2), (2, 4), (4, 4)]:
         plan = assign_power([[m1], [m2, 0]], spec)
-        result = compute_plan_rates(plan, n_noise_samples=20_000, seed=42)
+        result = compute_plan_rates(plan)
         v_qam = [result.users[0].stats[0].dispersion,
                  result.users[1].stats[0].dispersion]
         p1 = plan.entries[(0, 0)].power

@@ -59,6 +59,18 @@ class TestDesign:
         plan = json.loads(plan_out.read_text())
         assert plan["orders"] == [[2], [4, 4]]
 
+    def test_rows_independent_of_seed(self, tmp_path):
+        cfg = write_config(tmp_path, design={"max_sub_block_order": 6})
+        tables = []
+        for seed in ("1", "2"):
+            out = tmp_path / f"design{seed}.csv"
+            assert main(["design", "--config", str(cfg), "--out", str(out),
+                         "--seed", seed]) == EXIT_OK
+            _, rows = read_rows(out)
+            assert rows and all(r.pop("seed") == seed for r in rows)
+            tables.append(rows)
+        assert tables[0] == tables[1]
+
     def test_explicit_weights_must_match_users(self, tmp_path):
         cfg = write_config(tmp_path, design={"orders": [[[2], [4, 4]]],
                                              "weights": [1.0]})
@@ -180,13 +192,21 @@ class TestSimulate:
                 {"N": 16, "eps": 1e-5, "h_re": 1.0, "h_im": 0.0}]},
             simulate={"n_frames": 1, **simulate})
 
-    # [[17]] exceeds the 16-bit order cap; [[13]] has 8192 TIN candidates,
-    # above the demapper's 4096 cap
-    @pytest.mark.parametrize("orders", [[[17]], [[13]]])
+    # [[17]] exceeds the 16-bit order cap
+    @pytest.mark.parametrize("orders", [[[17]]])
     def test_oversized_orders_exit_2(self, tmp_path, orders):
         cfg = self.single_user_config(tmp_path, orders=orders)
         assert main(["simulate", "--config", str(cfg),
                      "--out", str(tmp_path / "sim.csv")]) == EXIT_BAD_CONFIG
+
+    def test_thirteen_bit_order_round_trips(self, tmp_path):
+        # 2^13 points: the demapper works per dimension (128 x 64 levels)
+        cfg = self.single_user_config(tmp_path, orders=[[13]])
+        out = tmp_path / "sim.csv"
+        assert main(["simulate", "--config", str(cfg),
+                     "--out", str(out)]) == EXIT_OK
+        _, rows = read_rows(out)
+        assert [r["zero_noise_roundtrip"] for r in rows] == ["yes"]
 
     @pytest.mark.parametrize("n_frames", [0, -3])
     def test_nonpositive_frames_exit_2(self, tmp_path, n_frames):

@@ -399,16 +399,14 @@ class TestMappingAndFrames:
 class TestDesignSearch:
     def test_single_user_picks_capacity_order(self):
         spec = SystemSpec.create(1.0, [UserSpec(128, 1e-6, math.sqrt(10 ** 1.8))])
-        result = design_search(spec, n_noise_samples=2000, seed=1,
-                               max_sub_block_order=10)
+        result = design_search(spec, max_sub_block_order=10)
         best = result.candidates[0]
         expected = math.floor(math.log2(1 + 6 * 10 ** 1.8))
         assert best.orders[0][0] == expected
 
     def test_weighting_prefers_first_user(self):
         spec = two_user_spec(n1=32, n2=64)
-        res = design_search(spec, [1.0, 0.0], n_noise_samples=2000, seed=2,
-                            max_sub_block_order=6)
+        res = design_search(spec, [1.0, 0.0], max_sub_block_order=6)
         best_r1 = max(c.rate_result.rates[0] for c in res.candidates)
         assert res.candidates[0].rate_result.rates[0] == pytest.approx(best_r1)
         # zero-weight user takes no part in the Pareto filter
@@ -417,23 +415,20 @@ class TestDesignSearch:
 
     def test_tiny_power_has_no_design(self):
         spec = SystemSpec.create(1e-9, [UserSpec(64, 1e-6, 1.0)])
-        res = design_search(spec, n_noise_samples=2000, seed=3)
+        res = design_search(spec)
         assert not res.candidates
         assert res.explanation
 
     def test_deterministic_given_seed(self):
         spec = two_user_spec(n1=32, n2=64)
-        a = design_search(spec, n_noise_samples=2000, seed=4,
-                          max_sub_block_order=4)
-        b = design_search(spec, n_noise_samples=2000, seed=4,
-                          max_sub_block_order=4)
+        a = design_search(spec, max_sub_block_order=4)
+        b = design_search(spec, max_sub_block_order=4)
         assert [c.orders for c in a.candidates] == [c.orders for c in b.candidates]
         assert a.candidates[0].rate_result.rates == b.candidates[0].rate_result.rates
 
     def test_candidates_sorted_and_tagged(self):
         spec = two_user_spec(n1=32, n2=64)
-        res = design_search(spec, n_noise_samples=2000, seed=5,
-                            max_sub_block_order=4, pareto_only=False)
+        res = design_search(spec, max_sub_block_order=4, pareto_only=False)
         sums = [c.weighted_sum for c in res.candidates]
         assert sums == sorted(sums, reverse=True)
         assert any(c.pareto for c in res.candidates)
@@ -445,8 +440,7 @@ class TestDesignSearch:
     def test_explicit_orders_scored_without_filter(self):
         spec = two_user_spec(n1=32, n2=64)
         listed = [[[2], [2, 2]], [[2], [5, 4]], [[0], [0, 2]], [[2], [2, 2]]]
-        res = design_search(spec, orders=listed, n_noise_samples=2000, seed=6,
-                            max_sub_block_order=1)
+        res = design_search(spec, orders=listed, max_sub_block_order=1)
         # the infeasible matrix is skipped; duplicates stay and nothing is
         # Pareto-filtered or capped
         assert sorted(c.orders for c in res.candidates) == [
