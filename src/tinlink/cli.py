@@ -14,17 +14,13 @@ import hashlib
 import itertools
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from . import __version__, constellations, linksim, rates, scheme
-
-WORKERS_ENV = "TINLINK_WORKERS"
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -89,6 +85,25 @@ def load_config(path) -> dict:
     return cfg
 
 
+def _section(cfg: Mapping, name: str) -> Mapping:
+    """Config section `name` ({} if absent), which must be a JSON object."""
+    section = cfg.get(name, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"config section {name!r} must be a JSON object")
+    return section
+
+
+def _read(section: Mapping, key: str, default, kind: type):
+    """section[key] (default if absent), required to be a JSON integer or
+    boolean as `kind` says: other values are rejected, never converted."""
+    value = section.get(key, default)
+    if (not isinstance(value, kind)
+            or isinstance(value, bool) != (kind is bool)):
+        name = "a boolean" if kind is bool else "an integer"
+        raise ConfigError(f"{key} must be {name}, got {value!r}")
+    return value
+
+
 def spec_from_config(cfg: Mapping) -> scheme.SystemSpec:
     try:
         return scheme.SystemSpec.from_dict(cfg["system"])
@@ -97,21 +112,15 @@ def spec_from_config(cfg: Mapping) -> scheme.SystemSpec:
 
 
 def sampling_params(cfg: Mapping, args) -> tuple[int, int]:
-    sampling = cfg.get("sampling", {})
-    samples = args.samples if args.samples is not None else int(
-        sampling.get("n_noise_samples", 20_000))
-    seed = args.seed if args.seed is not None else int(sampling.get("seed", 0))
+    sampling = _section(cfg, "sampling")
+    samples = args.samples if args.samples is not None else _read(
+        sampling, "n_noise_samples", 20_000, int)
+    seed = args.seed if args.seed is not None else _read(
+        sampling, "seed", 0, int)
     if samples < rates.MIN_NOISE_SAMPLES:
         raise ConfigError(
             f"n_noise_samples must be >= {rates.MIN_NOISE_SAMPLES}")
     return samples, seed
-
-
-def worker_count(args) -> int:
-    if args.workers is not None:
-        return max(1, args.workers)
-    env = os.environ.get(WORKERS_ENV)
-    return max(1, int(env)) if env else 1
 
 
 # ---------------------------------------------------------------------------
@@ -121,12 +130,12 @@ def worker_count(args) -> int:
 def cmd_design(cfg: Mapping, args) -> int:
     spec = spec_from_config(cfg)
     samples, seed = sampling_params(cfg, args)
-    section = cfg.get("design", {})
-    cap = int(section.get("max_sub_block_order", scheme.DEFAULT_ORDER_CAP))
+    section = _section(cfg, "design")
     result = scheme.design_search(
         spec, section.get("weights"), orders=section.get("orders"),
-        max_sub_block_order=cap,
-        pareto_only=bool(section.get("pareto_only", True)))
+        max_sub_block_order=_read(section, "max_sub_block_order",
+                                  scheme.DEFAULT_ORDER_CAP, int),
+        pareto_only=_read(section, "pareto_only", True, bool))
 
     header = (["build_id", "seed", "n_noise_samples", "rank", "orders",
                "weighted_sum", "feasible", "min_order_slack"]
@@ -147,8 +156,8 @@ def cmd_design(cfg: Mapping, args) -> int:
     _write_csv(args.out, header, rows)
     if args.plan_out and result.candidates:
         with open(args.plan_out, "w") as fh:
-            json.dump(result.candidates[0].plan.to_dict(), fh, indent=2,
-                      sort_keys=True)
+            plan = scheme.assign_power(result.candidates[0].orders, spec)
+            json.dump(plan.to_dict(), fh, indent=2, sort_keys=True)
     if not result.candidates:
         print(result.explanation or "no feasible design", file=sys.stderr)
         return EXIT_NO_DESIGN
@@ -227,13 +236,13 @@ def cmd_rate_region(cfg: Mapping, args, benchmarks_only: bool = False) -> int:
     spec = spec_from_config(cfg)
     layout = scheme.build_layout(spec)
     samples, seed = sampling_params(cfg, args)
-    section = cfg.get("rate_region", {})
-    steps = int(section.get("power_steps", 17))
+    section = _section(cfg, "rate_region")
+    steps = _read(section, "power_steps", 17, int)
     if steps < 2:
         raise ConfigError("rate_region.power_steps must be >= 2")
-    cap = int(section.get("max_sub_block_order", scheme.DEFAULT_ORDER_CAP))
-    include_qam = not benchmarks_only and bool(section.get("include_qam", True))
-    workers = worker_count(args)
+    cap = _read(section, "max_sub_block_order", scheme.DEFAULT_ORDER_CAP, int)
+    include_qam = not benchmarks_only and _read(section, "include_qam", True,
+                                                bool)
 
     header = (["build_id", "seed", "n_noise_samples", "point_type", "param",
                "orders"]
@@ -253,29 +262,17 @@ def cmd_rate_region(cfg: Mapping, args, benchmarks_only: bool = False) -> int:
                          _orders_str(cand.orders)]
                         + list(cand.rate_result.rates))
 
-    splits = list(_power_splits(spec, layout, steps))
-
-    def bench_rows(powers):
-        local = []
+    for powers in _power_splits(spec, layout, steps):
         for mode in ("sic", "tin"):
             gauss = rates.bc_gaussian_rates(spec, layout, powers, mode=mode)
-            local.append([bid, seed, samples, f"gauss_{mode}",
-                          _param_str(powers), ""]
-                         + [r.rate for r in gauss])
+            rows.append([bid, seed, samples, f"gauss_{mode}",
+                         _param_str(powers), ""]
+                        + [r.rate for r in gauss])
         shell = rates.bc_shell_rates(spec, layout, powers, mode="sic")
         if all(r is not None for r in shell):
-            local.append([bid, seed, samples, "shell_sic",
-                          _param_str(powers), ""]
-                         + [r.rate for r in shell])
-        return local
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for chunk in pool.map(bench_rows, splits):
-                rows.extend(chunk)
-    else:
-        for powers in splits:
-            rows.extend(bench_rows(powers))
+            rows.append([bid, seed, samples, "shell_sic",
+                         _param_str(powers), ""]
+                        + [r.rate for r in shell])
 
     _write_csv(args.out, header, rows)
     return EXIT_OK
@@ -292,11 +289,11 @@ def cmd_benchmark(cfg: Mapping, args) -> int:
 def cmd_simulate(cfg: Mapping, args) -> int:
     spec = spec_from_config(cfg)
     samples, seed = sampling_params(cfg, args)
-    section = cfg.get("simulate", {})
+    section = _section(cfg, "simulate")
     orders = section.get("orders")
     if orders is None:
         raise ConfigError("simulate requires simulate.orders")
-    n_frames = int(section.get("n_frames", 50))
+    n_frames = _read(section, "n_frames", 50, int)
     if n_frames <= 0:
         raise ConfigError("simulate.n_frames must be positive")
     try:
@@ -482,7 +479,7 @@ def _accounting_ok(plan, tol: float = 1e-9) -> bool:
 
 def cmd_validate(cfg: Mapping, args) -> int:
     samples, seed = sampling_params(cfg, args)
-    plan_path = cfg.get("validate", {}).get("plan")
+    plan_path = _section(cfg, "validate").get("plan")
     rows = []
     bid = build_id()
     if plan_path:
@@ -526,7 +523,8 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--out", required=needs_out)
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--samples", type=int, default=None)
-        p.add_argument("--workers", type=int, default=None)
+        p.add_argument("--workers", type=int, default=None,
+                       help="ignored; every command runs in one thread")
         if name == "design":
             p.add_argument("--plan-out", default=None)
     return parser

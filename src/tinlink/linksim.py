@@ -108,11 +108,11 @@ def tin_llr(y: np.ndarray, user: int, sub_block: int, plan: SchemePlan,
     if h is None:
         h = plan.spec.users[user].h
     g, coords = _rotated(y, h)
-    entry = plan.entries[(user, sub_block)]
+    shape = plan.entries[(user, sub_block)].shape
     reduce = np.max if max_log else log_sum_exp
     cols = []
     for yd, n_bits, (levels, sums) in zip(
-            coords, entry.shape, dimension_levels(plan, user, sub_block)):
+            coords, shape, dimension_levels(plan.parts(sub_block), user)):
         if n_bits == 0:
             continue
         ll = tin_loglik(yd, g, levels, sums, max_log=max_log)
@@ -175,7 +175,7 @@ def information_densities(frame: ReceivedFrame, user: int, sub_block: int,
     dens = np.zeros(sent.size)
     for yd, unit, (levels, sums) in zip(
             coords, (sent.real, sent.imag),
-            dimension_levels(plan, user, sub_block)):
+            dimension_levels(plan.parts(sub_block), user)):
         idx = np.rint(unit + (levels.size - 1) / 2).astype(np.int64)
         dens += dimension_densities(yd, g, levels, sums, idx)
     return dens

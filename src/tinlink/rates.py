@@ -6,9 +6,10 @@ channel law is y = h x + z.  Every part is a Gray rectangular QAM stretched
 separately in I and Q, so after rotating y by conj(h)/|h| the information
 density splits into independent I and Q parts and I = I_I + I_Q,
 V = V_I + V_Q.  One per-dimension kernel, `tin_loglik`, gives the TIN
-likelihoods: `compute_plan_rates` takes (I, V) from it by Gauss-Hermite
-quadrature and `linksim` its LLRs and information densities.  Likelihood
-sums go through log-sum-exp, so values stay finite for any amplitudes.
+likelihoods: `sub_block_stats` takes (I, V) from it by Gauss-Hermite
+quadrature for `compute_plan_rates` and `scheme.design_search`, and
+`linksim` its LLRs and information densities.  Likelihood sums go through
+log-sum-exp, so values stay finite for any amplitudes.
 
 `estimate_mi_dispersion` (exact 2-D tuple enumeration, Monte Carlo over the
 noise from Philox substreams keyed by (seed, batch index)) and
@@ -263,23 +264,22 @@ def quadrature_mi(points, h, n_nodes: int = 64) -> float:
 # Per-dimension TIN kernel
 # ---------------------------------------------------------------------------
 
-def dimension_levels(plan, user: int, sub_block: int
+def dimension_levels(parts: Mapping, user: int
                      ) -> list[tuple[np.ndarray, np.ndarray]]:
     """(desired levels, interferer level sums) in I, then in Q.
 
+    parts maps every user co-scheduled in a sub-block to its (shape, amp_i,
+    amp_q), as `SchemePlan.parts` and `scheme.sub_block_parts` give them.
     Levels are in position order, the order `build_rect_qam` Gray-labels
     them in; a silent co-scheduled user adds the single level 0.
     """
-    def levels(entry, d):
-        n = 1 << entry.shape[d]
-        return (entry.amp_i, entry.amp_q)[d] * (np.arange(n) - (n - 1) / 2)
+    def levels(part, d):
+        n = 1 << part[0][d]
+        return part[1 + d] * (np.arange(n) - (n - 1) / 2)
 
-    entries = {u: plan.entries[(u, sub_block)]
-               for u in plan.layout.sub_blocks[sub_block].participants}
-    own = entries.pop(user)
-    return [(levels(own, d), _combo_sums([levels(e, d)
-                                          for e in entries.values()]))
-            for d in (0, 1)]
+    others = [p for u, p in parts.items() if u != user]
+    return [(levels(parts[user], d),
+             _combo_sums([levels(p, d) for p in others])) for d in (0, 1)]
 
 
 def log_sum_exp(a: np.ndarray, axis: int) -> np.ndarray:
@@ -433,14 +433,14 @@ def sinr(signal_power: float, interference_power: float) -> float:
     return signal_power / (interference_power + 1.0)
 
 
-def bc_gaussian_rates(spec, layout, powers: Mapping[tuple[int, int], float],
-                      mode: str = "sic") -> list[SecondOrderRate]:
-    """Gaussian-code benchmark rates for every user of a broadcast spec.
+def _bc_rates(spec, layout, powers: Mapping[tuple[int, int], float],
+              mode: str, link_stats) -> list[SecondOrderRate | None]:
+    """Benchmark rate of every user, None where it has none.
 
-    powers maps (user, sub_block) to the per-symbol power that user spends
-    there.  mode "tin" counts all co-scheduled powers as interference; mode
-    "sic" assumes each user perfectly cancels every weaker-channel user and
-    is only interfered by stronger-channel users.
+    link_stats(own power, interference power, |h|^2) gives the (I, V) of
+    one non-empty sub-block, or None when the user gets no rate.  mode "tin"
+    counts all co-scheduled powers as interference; mode "sic" only those of
+    stronger-channel users.
     """
     if mode not in ("sic", "tin"):
         raise RateEngineError(f"unknown benchmark mode {mode!r}")
@@ -451,7 +451,6 @@ def bc_gaussian_rates(spec, layout, powers: Mapping[tuple[int, int], float],
         for sb in layout.sub_blocks[:k + 1]:
             if sb.length == 0:
                 continue
-            p_own = powers.get((k, sb.index), 0.0)
             interf = 0.0
             for other in sb.participants:
                 if other == k:
@@ -459,48 +458,41 @@ def bc_gaussian_rates(spec, layout, powers: Mapping[tuple[int, int], float],
                 if mode == "sic" and abs(spec.users[other].h) <= abs(user.h):
                     continue
                 interf += powers.get((other, sb.index), 0.0)
-            g = sinr(p_own * gain, interf * gain)
-            mi, v = gaussian_stats(g)
+            stats = link_stats(powers.get((k, sb.index), 0.0), interf, gain)
+            if stats is None:
+                lengths = None
+                break
             lengths.append(sb.length)
-            mis.append(mi)
-            vs.append(v)
-        out.append(combine_second_order(lengths, mis, vs, user.eps, user.N))
+            mis.append(stats[0])
+            vs.append(stats[1])
+        out.append(None if lengths is None else combine_second_order(
+            lengths, mis, vs, user.eps, user.N))
     return out
+
+
+def bc_gaussian_rates(spec, layout, powers: Mapping[tuple[int, int], float],
+                      mode: str = "sic") -> list[SecondOrderRate]:
+    """Gaussian-code benchmark rates for every user of a broadcast spec.
+
+    powers maps (user, sub_block) to the per-symbol power that user spends
+    there.  mode "tin" counts all co-scheduled powers as interference; mode
+    "sic" assumes each user perfectly cancels every weaker-channel user and
+    is only interfered by stronger-channel users.
+    """
+    return _bc_rates(spec, layout, powers, mode, lambda p, i, gain:
+                     gaussian_stats(sinr(p * gain, i * gain)))
+
+
+def _shell_link(p: float, interf: float, gain: float):
+    if p > 0.0 and interf > 0.0:
+        return None
+    return shell_stats(p * gain) if interf == 0.0 else (0.0, 0.0)
 
 
 def bc_shell_rates(spec, layout, powers: Mapping[tuple[int, int], float],
                    mode: str = "sic") -> list[SecondOrderRate | None]:
     """Shell-code benchmark rates; None for users that see any interference."""
-    if mode not in ("sic", "tin"):
-        raise RateEngineError(f"unknown benchmark mode {mode!r}")
-    out = []
-    for k, user in enumerate(spec.users):
-        lengths, mis, vs = [], [], []
-        gain = abs(user.h) ** 2
-        clean = True
-        for sb in layout.sub_blocks[:k + 1]:
-            if sb.length == 0:
-                continue
-            p_own = powers.get((k, sb.index), 0.0)
-            interf = 0.0
-            for other in sb.participants:
-                if other == k:
-                    continue
-                if mode == "sic" and abs(spec.users[other].h) <= abs(user.h):
-                    continue
-                interf += powers.get((other, sb.index), 0.0)
-            if p_own > 0.0 and interf > 0.0:
-                clean = False
-                break
-            mi, v = shell_stats(p_own * gain) if interf == 0.0 else (0.0, 0.0)
-            lengths.append(sb.length)
-            mis.append(mi)
-            vs.append(v)
-        if not clean:
-            out.append(None)
-            continue
-        out.append(combine_second_order(lengths, mis, vs, user.eps, user.N))
-    return out
+    return _bc_rates(spec, layout, powers, mode, _shell_link)
 
 
 # ---------------------------------------------------------------------------
@@ -531,16 +523,17 @@ class RateResult:
         return tuple(u.rate for u in self.users)
 
 
-def _sub_block_stats(plan, user: int, sub_block: int) -> SubBlockRateStats:
-    """(I, V) of one (user, sub-block) as the sums of its I and Q parts.
+def sub_block_stats(g: float, parts: Mapping, user: int) -> SubBlockRateStats:
+    """(I, V) of one user in one sub-block as the sums of its I and Q parts.
 
-    In each dimension every (level, interferer sum) pair is equally likely,
-    and the noise N(0, 1/2) is integrated by the GH_NODES-point rule.
+    g is the user's |h| and parts the sub-block's (shape, amp_i, amp_q) per
+    user (see `dimension_levels`).  In each dimension every (level,
+    interferer sum) pair is equally likely, and the noise N(0, 1/2) is
+    integrated by the GH_NODES-point rule.
     """
-    g = abs(plan.spec.users[user].h)
     nodes, weights = _hermite_rule(GH_NODES)
     mi = dispersion = 0.0
-    for levels, sums in dimension_levels(plan, user, sub_block):
+    for levels, sums in dimension_levels(parts, user):
         pairs = levels.size * sums.size
         y = (g * (levels[:, None] + sums[None, :]))[:, :, None] + nodes
         sent = np.repeat(np.arange(levels.size), sums.size * nodes.size)
@@ -552,36 +545,28 @@ def _sub_block_stats(plan, user: int, sub_block: int) -> SubBlockRateStats:
     return SubBlockRateStats(mi, dispersion, 0, 0.0, 0.0)
 
 
-def compute_plan_rates(plan, *, stats_cache: dict | None = None) -> RateResult:
+def rate_result(spec, layout, stats) -> RateResult:
+    """Every user's second-order rate from stats[k][j], user k's (I, V) in
+    sub-block j (ZERO_STATS where the user is silent or the block empty)."""
+    users = []
+    for k, user in enumerate(spec.users):
+        lengths = tuple(sb.length for sb in layout.sub_blocks[:k + 1])
+        result = second_order_rate(lengths, stats[k], user.eps, user.N)
+        users.append(UserRate(
+            user=k, rate=result.rate, nonpositive=result.nonpositive,
+            eps=user.eps, n_symbols=user.N, lengths=lengths,
+            stats=tuple(stats[k])))
+    return RateResult(users=tuple(users))
+
+
+def compute_plan_rates(plan) -> RateResult:
     """Evaluate every user's second-order rate for a transmission plan.
 
     Per-(user, sub-block) (I, V) come from the per-dimension quadrature
-    kernel.  They are cached by the sub-block's rank order vector and the
-    user's rank inside it, which is what they depend on for a fixed spec;
-    pass a shared dict to reuse them across plans, e.g. during a design
-    search.
+    kernel `sub_block_stats`.
     """
-    spec = plan.spec
-    layout = plan.layout
-    cache = {} if stats_cache is None else stats_cache
-    users = []
-    for k, user in enumerate(spec.users):
-        lengths = []
-        stats = []
-        for sb in layout.sub_blocks[:k + 1]:
-            lengths.append(sb.length)
-            order = plan.orders[k][sb.index]
-            if sb.length == 0 or order == 0:
-                stats.append(ZERO_STATS)
-                continue
-            rank_orders = tuple(plan.orders[u][sb.index] for u in sb.ranks)
-            key = (sb.index, rank_orders, sb.ranks.index(k))
-            if key not in cache:
-                cache[key] = _sub_block_stats(plan, k, sb.index)
-            stats.append(cache[key])
-        result = second_order_rate(lengths, stats, user.eps, user.N)
-        users.append(UserRate(
-            user=k, rate=result.rate, nonpositive=result.nonpositive,
-            eps=user.eps, n_symbols=user.N, lengths=tuple(lengths),
-            stats=tuple(stats)))
-    return RateResult(users=tuple(users))
+    stats = [[sub_block_stats(abs(user.h), plan.parts(sb.index), k)
+              if sb.length and plan.orders[k][sb.index] else ZERO_STATS
+              for sb in plan.layout.sub_blocks[:k + 1]]
+             for k, user in enumerate(plan.spec.users)]
+    return rate_result(plan.spec, plan.layout, stats)

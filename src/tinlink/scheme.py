@@ -103,12 +103,13 @@ class SystemSpec:
     @classmethod
     def from_dict(cls, data: Mapping) -> "SystemSpec":
         try:
-            users = [UserSpec(N=int(u["N"]), eps=float(u["eps"]),
+            users = [UserSpec(N=operator.index(u["N"]), eps=float(u["eps"]),
                               h=complex(float(u["h_re"]), float(u["h_im"])))
                      for u in data["users"]]
-            return cls.create(float(data["P"]), users)
-        except (KeyError, TypeError) as exc:
+            P = float(data["P"])
+        except (KeyError, TypeError, ValueError) as exc:
             raise SpecError(f"malformed system spec: {exc}") from exc
+        return cls.create(P, users)
 
     def to_dict(self) -> dict:
         return {
@@ -253,6 +254,19 @@ def sub_block_geometry(mv: Sequence[int]
     return shapes, factors, 1.0 / math.sqrt(grid_energy(ti, tq))
 
 
+def sub_block_parts(mv: Sequence[int], P: float
+                    ) -> list[tuple[tuple[int, int], float, float]]:
+    """(shape, amp_i, amp_q) of every rank of one sub-block at power P.
+
+    The one place the per-dimension amplitudes are computed: the normaliser
+    and sub-block power times each rank's stretch factors.
+    """
+    shapes, factors, eta = sub_block_geometry(mv)
+    root = eta * math.sqrt(P)
+    return [(shape, root * fi, root * fq)
+            for shape, (fi, fq) in zip(shapes, factors)]
+
+
 def _sub_block_rows(mv: Sequence[int], ranks: Sequence[int], sub_block: int,
                     spec: SystemSpec) -> list[ConstraintRow]:
     """Feasibility rows for one sub-block's rank-ordered order vector."""
@@ -369,13 +383,12 @@ class SchemePlan:
                 interferers.append(entry.tx_points)
         return desired, interferers
 
-    def user_power(self, user: int) -> float:
-        """Average per-symbol power of the user's packet."""
-        n = self.spec.users[user].N
-        total = 0.0
-        for sb in self.layout.sub_blocks[:user + 1]:
-            total += sb.length * self.entries[(user, sb.index)].power
-        return total / n
+    def parts(self, sub_block: int
+              ) -> dict[int, tuple[tuple[int, int], float, float]]:
+        """(shape, amp_i, amp_q) of each participant, in user order."""
+        entries = (self.entries[(u, sub_block)]
+                   for u in self.layout.sub_blocks[sub_block].participants)
+        return {e.user: (e.shape, e.amp_i, e.amp_q) for e in entries}
 
     def to_dict(self) -> dict:
         return {
@@ -440,20 +453,17 @@ def assign_power(orders, spec: SystemSpec,
     powers = []
     for sb in layout.sub_blocks:
         mv = [orders[u][sb.index] for u in sb.ranks]
-        shapes, factors, eta = sub_block_geometry(mv)
-        S = spec.P if eta > 0 else 0.0
-        root = eta * math.sqrt(S)
+        _, factors, eta = sub_block_geometry(mv)
         etas.append(eta)
-        powers.append(S)
-        for rank, user in enumerate(sb.ranks):
+        powers.append(spec.P if eta > 0 else 0.0)
+        for rank, (user, (shape, amp_i, amp_q)) in enumerate(
+                zip(sb.ranks, sub_block_parts(mv, spec.P))):
             fi, fq = factors[rank]
-            amp_i = root * fi
-            amp_q = root * fq
-            part = silent() if mv[rank] == 0 else build_rect_qam(*shapes[rank])
+            part = silent() if mv[rank] == 0 else build_rect_qam(*shape)
             tx = amp_i * part.points.real + 1j * (amp_q * part.points.imag)
             entries[(user, sb.index)] = PlanEntry(
                 user=user, sub_block=sb.index, order=mv[rank], rank=rank,
-                shape=shapes[rank], part=part, factor_i=fi, factor_q=fq,
+                shape=shape, part=part, factor_i=fi, factor_q=fq,
                 amp_i=amp_i, amp_q=amp_q, tx_points=tx,
                 power=float(np.mean(np.abs(tx) ** 2)))
     n_k = codeword_lengths(orders, layout)
@@ -591,7 +601,6 @@ def build_frame(symbols: Mapping[int, np.ndarray], plan: SchemePlan
 @dataclass(frozen=True)
 class DesignCandidate:
     orders: tuple[tuple[int, ...], ...]
-    plan: SchemePlan
     rate_result: rates.RateResult
     weighted_sum: float
     info_bits: tuple[int, ...]
@@ -606,23 +615,11 @@ class DesignSearchResult:
 
 
 def _enumerate_rank_vectors(ranks, sub_block, spec, cap):
-    """All feasible rank-order vectors for one sub-block, budget included."""
-    n = len(ranks)
-    found = []
-
-    def recurse(prefix):
-        if len(prefix) == n:
-            mv = list(prefix)
+    """All feasible rank-order vectors for one sub-block, budget included,
+    in lexicographic order."""
+    return [mv for mv in itertools.product(range(cap + 1), repeat=len(ranks))
             if sum(mv) <= cap and all(
-                    r.passed for r in _sub_block_rows(mv, ranks, sub_block, spec)):
-                found.append(tuple(mv))
-            return
-        budget = cap - sum(prefix)
-        for m in range(budget + 1):
-            recurse(prefix + (m,))
-
-    recurse(())
-    return found
+                r.passed for r in _sub_block_rows(mv, ranks, sub_block, spec))]
 
 
 def design_search(spec: SystemSpec, weights: Sequence[float] | None = None, *,
@@ -636,10 +633,10 @@ def design_search(spec: SystemSpec, weights: Sequence[float] | None = None, *,
     are Pareto-filtered over the users with positive weight (unless
     pareto_only=False).  Passing `orders` scores exactly those matrices
     instead: a malformed matrix raises SpecError, infeasible ones are skipped,
-    and none is Pareto-filtered.  Each candidate's per-user rates come from
-    the per-dimension quadrature kernel, with statistics cached per
-    (sub-block, rank orders, rank) so shared sub-block designs are only
-    evaluated once.
+    and none is Pareto-filtered.  A user's (I, V) in a sub-block depends only
+    on that sub-block's rank-order vector, so the kernel fills one table keyed
+    by (sub-block, rank-order vector, user) and every candidate's rates come
+    from table lookups through the second-order combiner; no plan is built.
     Candidates are sorted by descending weighted sum, ties broken by the
     lexicographically smaller order matrix.
     """
@@ -657,8 +654,10 @@ def design_search(spec: SystemSpec, weights: Sequence[float] | None = None, *,
 
     if orders is not None:
         matrices = [_normalize_orders(o, spec.K) for o in orders]
-        matrices = [o for o in matrices
-                    if check_modulation_constraints(o, spec, layout).feasible]
+        combos = [tuple(tuple(o[u][sb.index] for u in sb.ranks)
+                        for sb in layout.sub_blocks)
+                  for o in matrices
+                  if check_modulation_constraints(o, spec, layout).feasible]
         none_left = "no feasible plan among the configured order matrices"
     else:
         per_block: list[list[tuple[int, ...]]] = []
@@ -676,39 +675,43 @@ def design_search(spec: SystemSpec, weights: Sequence[float] | None = None, *,
                     explanation=(f"no feasible order vector for sub-block "
                                  f"{sb.index} under the modulation constraints"))
             per_block.append(vectors)
-        matrices = (_orders_from_rank_vectors(combo, layout, spec.K)
-                    for combo in itertools.product(*per_block)
-                    if any(m for vec in combo for m in vec))
+        combos = [combo for combo in itertools.product(*per_block)
+                  if any(m for vec in combo for m in vec)]
         none_left = ("only the all-silent order matrix is feasible "
                      "at this power budget")
-
-    cache: dict = {}
-    scored = []
-    for matrix in matrices:
-        plan = assign_power(matrix, spec, layout, check=False)
-        result = rates.compute_plan_rates(plan, stats_cache=cache)
-        # plans are rebuilt for the surviving candidates only
-        scored.append((matrix, result))
-    if not scored:
+    if not combos:
         return DesignSearchResult(candidates=(), explanation=none_left)
 
+    table = {}
+    for sb in layout.sub_blocks:
+        for mv in {combo[sb.index] for combo in combos}:
+            by_rank = dict(zip(sb.ranks, sub_block_parts(mv, spec.P)))
+            parts = {u: by_rank[u] for u in sb.participants}
+            for m, user in zip(mv, sb.ranks):
+                if sb.length and m:
+                    table[(sb.index, mv, user)] = rates.sub_block_stats(
+                        abs(spec.users[user].h), parts, user)
+    results = [rates.rate_result(spec, layout, [
+        [table.get((j, combo[j], k), rates.ZERO_STATS) for j in range(k + 1)]
+        for k in range(spec.K)]) for combo in combos]
+
     if orders is not None:
-        pareto_flags = [True] * len(scored)
+        pareto_flags = [True] * len(results)
     else:
         pareto_flags = _pareto_flags(
-            [s[1].rates for s in scored],
+            [r.rates for r in results],
             [k for k in range(spec.K) if weights[k] > 0])
     candidates = []
-    for (matrix, result), is_pareto in zip(scored, pareto_flags):
+    for combo, result, is_pareto in zip(combos, results, pareto_flags):
         if pareto_only and not is_pareto:
             continue
-        plan = assign_power(matrix, spec, layout, check=False)
+        matrix = _orders_from_rank_vectors(combo, layout, spec.K)
         ws = sum(w * r for w, r in zip(weights, result.rates))
         info = tuple(max(0, math.floor(u.rate * u.n_symbols))
                      for u in result.users)
         candidates.append(DesignCandidate(
-            orders=matrix, plan=plan, rate_result=result, weighted_sum=ws,
-            info_bits=info, codeword_bits=plan.codeword_lengths,
+            orders=matrix, rate_result=result, weighted_sum=ws,
+            info_bits=info, codeword_bits=codeword_lengths(matrix, layout),
             pareto=is_pareto))
     candidates.sort(key=lambda c: (-c.weighted_sum, _flat(c.orders)))
     return DesignSearchResult(candidates=tuple(candidates))
@@ -726,19 +729,21 @@ def _orders_from_rank_vectors(combo, layout, K):
     return tuple(tuple(r) for r in rows)
 
 
-def _pareto_flags(rate_tuples, dims):
-    """Non-domination flags over the given rate dimensions."""
-    if not dims:
-        return [True] * len(rate_tuples)
-    flags = []
-    for i, ri in enumerate(rate_tuples):
-        dominated = False
-        for j, rj in enumerate(rate_tuples):
-            if i == j:
-                continue
-            if all(rj[d] >= ri[d] for d in dims) and any(
-                    rj[d] > ri[d] for d in dims):
-                dominated = True
-                break
-        flags.append(not dominated)
+def _pareto_flags(rate_tuples, dims) -> list[bool]:
+    """Non-domination flags over the given rate dimensions.
+
+    Points are visited in descending lexicographic order, so every point
+    that dominates another is visited before it, and a point is dominated
+    exactly when some point on the front found so far dominates it.
+    """
+    pts = np.asarray(rate_tuples, dtype=float)[:, list(dims)]
+    front = np.empty_like(pts)
+    size = 0
+    flags = [False] * len(pts)
+    for i in np.lexsort(-pts.T[::-1]):
+        p, seen = pts[i], front[:size]
+        if not np.any((seen >= p).all(axis=1) & (seen > p).any(axis=1)):
+            front[size] = p
+            size += 1
+            flags[i] = True
     return flags

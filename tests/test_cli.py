@@ -159,17 +159,6 @@ class TestRateRegion:
                      "--workers", "4"]) == EXIT_OK
         assert serial.read_bytes() == pooled.read_bytes()
 
-    def test_worker_env_override(self, tmp_path, monkeypatch):
-        cfg = self.region_config(tmp_path)
-        serial = tmp_path / "serial.csv"
-        enved = tmp_path / "enved.csv"
-        assert main(["rate-region", "--config", str(cfg),
-                     "--out", str(serial)]) == EXIT_OK
-        monkeypatch.setenv("TINLINK_WORKERS", "3")
-        assert main(["rate-region", "--config", str(cfg),
-                     "--out", str(enved)]) == EXIT_OK
-        assert serial.read_bytes() == enved.read_bytes()
-
     @pytest.mark.parametrize("command", ["rate-region", "benchmark"])
     def test_single_power_step_exits_2(self, tmp_path, command):
         cfg = write_config(tmp_path, rate_region={"power_steps": 1})
@@ -281,3 +270,44 @@ class TestConfigHandling:
             "P": 1.0, "users": [{"N": 64, "eps": 0.9, "h_re": 1.0, "h_im": 0.0}]})
         assert main(["design", "--config", str(cfg),
                      "--out", str(tmp_path / "o.csv")]) == EXIT_BAD_CONFIG
+
+    SYSTEM = {"P": 1.0, "users": [
+        {"N": 24, "eps": 1e-5, "h_re": 9.0, "h_im": 0.0},
+        {"N": 32, "eps": 1e-4, "h_re": 4.0, "h_im": 0.0}]}
+
+    # each value used to raise out of main (exit 1, which also means a failed
+    # check) or to be read as something else (2.7 -> 2 frames, true -> 1
+    # frame, N 128.9 -> 128, "false" -> filter anyway)
+    @pytest.mark.parametrize("command, overrides, key", [
+        ("design", {"design": {"max_sub_block_order": "abc"}},
+         "max_sub_block_order"),
+        ("design", {"design": {"max_sub_block_order": None}},
+         "max_sub_block_order"),
+        ("design", {"sampling": {"n_noise_samples": "many"}},
+         "n_noise_samples"),
+        ("design", {"sampling": {"seed": "x"}}, "seed"),
+        ("simulate", {"simulate": {"orders": [[2], [2, 2]],
+                                   "n_frames": "ten"}}, "n_frames"),
+        ("rate-region", {"rate_region": {"power_steps": None}},
+         "power_steps"),
+        ("design", {"design": [2, 4]}, "design"),
+        ("design", {"sampling": [2000, 1]}, "sampling"),
+        ("design", {"system": {**SYSTEM, "P": "x"}}, "x"),
+        ("simulate", {"simulate": {"orders": [[2], [2, 2]],
+                                   "n_frames": 2.7}}, "n_frames"),
+        ("simulate", {"simulate": {"orders": [[2], [2, 2]],
+                                   "n_frames": True}}, "n_frames"),
+        ("design", {"system": {**SYSTEM, "users": [
+            {**SYSTEM["users"][0], "N": 128.9}, SYSTEM["users"][1]]}},
+         "malformed system spec"),
+        ("design", {"design": {"pareto_only": "false"}}, "pareto_only"),
+    ])
+    def test_malformed_value_exits_2(self, tmp_path, capsys, command,
+                                     overrides, key):
+        cfg = write_config(tmp_path, **{"system": self.SYSTEM,
+                                        "design": {"max_sub_block_order": 4},
+                                        **overrides})
+        assert main([command, "--config", str(cfg),
+                     "--out", str(tmp_path / "o.csv")]) == EXIT_BAD_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and key in err

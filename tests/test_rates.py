@@ -314,20 +314,6 @@ class TestPlanRates:
                 assert -1e-9 <= st.mi <= order + 1e-9
                 assert st.dispersion >= 0.0
 
-    def test_cache_shared_across_plans(self):
-        from tinlink.scheme import SystemSpec, UserSpec, assign_power
-        from tinlink.rates import compute_plan_rates
-        spec = SystemSpec.create(1.0, [UserSpec(24, 1e-6, 9.0),
-                                       UserSpec(32, 1e-4, 4.0)])
-        cache = {}
-        plan_a = assign_power([[2], [2, 2]], spec)
-        plan_b = assign_power([[2], [2, 4]], spec)  # same first sub-block
-        compute_plan_rates(plan_a, stats_cache=cache)
-        size_after_a = len(cache)
-        compute_plan_rates(plan_b, stats_cache=cache)
-        # sub-block 0 stats are reused; only user 1's new tail is added
-        assert len(cache) == size_after_a + 1
-
 
 def random_plan(rng, k):
     """Random feasible k-user plan with orders 0..3, every sub-block active

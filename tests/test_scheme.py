@@ -1,10 +1,13 @@
 """Layout, feasibility, power assignment, mapping, frames, and design search."""
 import itertools
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from tinlink import rates, scheme
 from tinlink.constellations import (
     ConstellationError,
     build_rect_qam,
@@ -23,7 +26,9 @@ from tinlink.scheme import (
     codeword_lengths,
     design_search,
     map_bits,
+    _pareto_flags,
     part_shapes,
+    plan_from_dict,
     sub_block_geometry,
     verify_min_distances,
 )
@@ -259,12 +264,31 @@ class TestPowerAssignment:
             assert np.array_equal(pa.entries[key].tx_points,
                                   pb.entries[key].tx_points)
 
-    def test_plan_json_roundtrip(self):
-        from tinlink.scheme import plan_from_dict
-        plan = assign_power([[2], [4, 4]], two_user_spec())
-        again = plan_from_dict(plan.to_dict())
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_plan_json_roundtrip(self, data):
+        k = data.draw(st.integers(1, 3))
+        lengths = sorted(data.draw(st.lists(st.integers(1, 64),
+                                            min_size=k, max_size=k)))
+        gains = data.draw(st.lists(st.integers(3, 40), min_size=k,
+                                   max_size=k, unique=True))
+        phases = data.draw(st.lists(st.floats(-math.pi, math.pi),
+                                    min_size=k, max_size=k))
+        spec = SystemSpec.create(
+            data.draw(st.floats(1.0, 10.0)),
+            [UserSpec(n, data.draw(st.floats(1e-7, 0.4)),
+                      g * complex(math.cos(a), math.sin(a)))
+             for n, g, a in zip(lengths, gains, phases)])
+        orders = [data.draw(st.lists(st.integers(0, 3), min_size=i + 1,
+                                     max_size=i + 1)) for i in range(k)]
+        assume(check_modulation_constraints(orders, spec).feasible)
+        plan = assign_power(orders, spec)
+        again = plan_from_dict(json.loads(json.dumps(plan.to_dict())))
+        assert again.to_dict() == plan.to_dict()
         assert again.orders == plan.orders
-        assert again.eta == plan.eta
+        for key, entry in plan.entries.items():
+            assert np.array_equal(again.entries[key].tx_points,
+                                  entry.tx_points)
 
     def test_corrupt_plan_dict_rejected(self):
         from tinlink.scheme import plan_from_dict
@@ -448,3 +472,74 @@ class TestDesignSearch:
         assert all(c.pareto for c in res.candidates)
         sums = [c.weighted_sum for c in res.candidates]
         assert sums == sorted(sums, reverse=True)
+
+    @staticmethod
+    def three_user_spec():
+        # users 1 and 2 share a blocklength, so sub-block 2 is empty
+        return SystemSpec.create(1.0, [UserSpec(24, 1e-6, 9.0),
+                                       UserSpec(32, 1e-5, 6.0 + 1j),
+                                       UserSpec(32, 1e-4, 3.0)])
+
+    def test_rates_match_plan_rates_bit_for_bit(self):
+        spec = self.three_user_spec()
+        res = design_search(spec, max_sub_block_order=3, pareto_only=False)
+        assert len(res.candidates) > 50
+        for cand in res.candidates:
+            plan = assign_power(cand.orders, spec)
+            assert cand.rate_result == rates.compute_plan_rates(plan)
+            assert cand.codeword_bits == plan.codeword_lengths
+
+    def test_kernel_once_per_table_key(self, monkeypatch):
+        spec = self.three_user_spec()
+        layout = build_layout(spec)
+        calls = []
+        kernel = rates.sub_block_stats
+
+        def counting(g, parts, user):
+            calls.append(user)
+            return kernel(g, parts, user)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("design_search must not build or rate plans")
+
+        monkeypatch.setattr(rates, "sub_block_stats", counting)
+        monkeypatch.setattr(rates, "compute_plan_rates", forbidden)
+        monkeypatch.setattr(scheme, "assign_power", forbidden)
+        res = design_search(spec, max_sub_block_order=3, pareto_only=False)
+        keys = {(sb.index, tuple(c.orders[u][sb.index] for u in sb.ranks), k)
+                for c in res.candidates for k in range(spec.K)
+                for sb in layout.sub_blocks[:k + 1]
+                if sb.length and c.orders[k][sb.index]}
+        assert len(calls) == len(keys) < len(res.candidates)
+
+
+def pareto_reference(rate_tuples, dims):
+    """The quadratic double loop that the sort-based filter replaced."""
+    flags = []
+    for i, ri in enumerate(rate_tuples):
+        dominated = False
+        for j, rj in enumerate(rate_tuples):
+            if i == j:
+                continue
+            if all(rj[d] >= ri[d] for d in dims) and any(
+                    rj[d] > ri[d] for d in dims):
+                dominated = True
+                break
+        flags.append(not dominated)
+    return flags
+
+
+class TestParetoFilter:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_matches_double_loop(self, data):
+        k = data.draw(st.integers(1, 4))
+        # a few shared values make ties in single dimensions common
+        value = st.one_of(st.sampled_from([0.0, 0.5, 1.0]),
+                          st.floats(-2.0, 2.0, allow_nan=False))
+        rows = data.draw(st.lists(st.tuples(*[value] * k), min_size=1,
+                                  max_size=40))
+        rows += data.draw(st.lists(st.sampled_from(rows), max_size=6))
+        rows = data.draw(st.permutations(rows))
+        dims = sorted(data.draw(st.sets(st.integers(0, k - 1), min_size=1)))
+        assert _pareto_flags(rows, dims) == pareto_reference(rows, dims)
