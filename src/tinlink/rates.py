@@ -15,16 +15,19 @@ log-sum-exp, so values stay finite for any amplitudes.
 noise from Philox substreams keyed by (seed, batch index)) and
 `quadrature_mi` (2-D Gauss-Hermite, interference-free) stay as the kernel's
 independent oracles.
+
+Q comes from `math.erfc` and Q^{-1} from `statistics.NormalDist`, so numpy
+is the only third-party package the rate engine, and tinlink, imports.
 """
 from __future__ import annotations
 
 import functools
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.special import erfc, ndtri
 
 LN2 = math.log(2.0)
 LOG2E = 1.0 / LN2
@@ -35,6 +38,9 @@ GH_NODES = 128
 
 _BATCH = 4096
 _ELEM_BUDGET = 1 << 23
+
+_STD_NORMAL = NormalDist()
+_erfc = np.vectorize(math.erfc, otypes=[float])
 
 
 class RateEngineError(ValueError):
@@ -49,17 +55,17 @@ def qfunc(x):
     """Gaussian tail probability Q(x); accepts scalars or arrays."""
     if np.ndim(x) == 0:
         return 0.5 * math.erfc(float(x) / math.sqrt(2.0))
-    return 0.5 * erfc(np.asarray(x, dtype=float) / math.sqrt(2.0))
+    return 0.5 * _erfc(np.asarray(x, dtype=float) / math.sqrt(2.0))
 
 
 def qfunc_inv(p: float) -> float:
-    """Inverse of the Q function on (0, 0.5], as -Phi^{-1}(p) in closed form."""
+    """Q^{-1}(p) = -Phi^{-1}(p) on (0, 0.5], by Wichura's AS241."""
     p = float(p)
     if not 0.0 < p <= 0.5:
         raise RateEngineError(f"qfunc_inv requires p in (0, 0.5], got {p}")
     if p == 0.5:
         return 0.0
-    return float(-ndtri(p))
+    return -_STD_NORMAL.inv_cdf(p)
 
 
 # ---------------------------------------------------------------------------

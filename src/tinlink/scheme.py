@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
+import numbers
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -46,6 +46,22 @@ class InfeasiblePlanError(ValueError):
         self.report = report
         bad = [r for r in report.rows if not r.passed]
         super().__init__(f"{len(bad)} constraint(s) violated")
+
+
+def _number(value, what: str, integer: bool = False):
+    """`value` as a float (an int if `integer`), which it must already be:
+    strings, booleans, NaN and infinities are rejected, never converted."""
+    kind, name = ((numbers.Integral, "an integer") if integer
+                  else (numbers.Real, "a finite number"))
+    valid = not isinstance(value, bool) and isinstance(value, kind)
+    if valid and not integer:
+        try:
+            valid = math.isfinite(value)
+        except OverflowError:  # an integer beyond the float range
+            valid = False
+    if not valid:
+        raise SpecError(f"{what} must be {name}, got {value!r}")
+    return int(value) if integer else float(value)
 
 
 # ---------------------------------------------------------------------------
@@ -103,11 +119,13 @@ class SystemSpec:
     @classmethod
     def from_dict(cls, data: Mapping) -> "SystemSpec":
         try:
-            users = [UserSpec(N=operator.index(u["N"]), eps=float(u["eps"]),
-                              h=complex(float(u["h_re"]), float(u["h_im"])))
+            users = [UserSpec(N=_number(u["N"], "N", integer=True),
+                              eps=_number(u["eps"], "eps"),
+                              h=complex(_number(u["h_re"], "h_re"),
+                                        _number(u["h_im"], "h_im")))
                      for u in data["users"]]
-            P = float(data["P"])
-        except (KeyError, TypeError, ValueError) as exc:
+            P = _number(data["P"], "P")
+        except (KeyError, TypeError, SpecError) as exc:
             raise SpecError(f"malformed system spec: {exc}") from exc
         return cls.create(P, users)
 
@@ -220,7 +238,8 @@ def _normalize_orders(orders, K: int) -> tuple[tuple[int, ...], ...]:
     try:
         if len(orders) != K:
             raise SpecError(f"orders must have {K} rows")
-        raw = [tuple(operator.index(m) for m in row) for row in orders]
+        raw = [tuple(_number(m, "modulation order", integer=True)
+                     for m in row) for row in orders]
     except TypeError as exc:
         raise SpecError(f"malformed order matrix {orders!r}: {exc}") from exc
     for k, row in enumerate(raw):
@@ -629,8 +648,8 @@ def design_search(spec: SystemSpec, weights: Sequence[float] | None = None, *,
     """Score order matrices and rank them by weighted-sum rate.
 
     By default every sub-block's feasible rank-order vectors (budget capped at
-    max_sub_block_order) are combined across sub-blocks, and the candidates
-    are Pareto-filtered over the users with positive weight (unless
+    max_sub_block_order, at least 1) are combined across sub-blocks, and the
+    candidates are Pareto-filtered over the users with positive weight (unless
     pareto_only=False).  Passing `orders` scores exactly those matrices
     instead: a malformed matrix raises SpecError, infeasible ones are skipped,
     and none is Pareto-filtered.  A user's (I, V) in a sub-block depends only
@@ -644,13 +663,16 @@ def design_search(spec: SystemSpec, weights: Sequence[float] | None = None, *,
     if weights is None:
         weights = [1.0] * spec.K
     try:
-        weights = [float(w) for w in weights]
-    except (TypeError, ValueError) as exc:
+        weights = [_number(w, "weight") for w in weights]
+    except (TypeError, SpecError) as exc:
         raise SpecError(f"malformed weights: {exc}") from exc
     if len(weights) != spec.K or any(w < 0 for w in weights):
         raise SpecError("weights must be non-negative, one per user")
     if not any(w > 0 for w in weights):
         raise SpecError("at least one weight must be positive")
+    if max_sub_block_order < 1:
+        raise SpecError(f"max_sub_block_order must be >= 1, "
+                        f"got {max_sub_block_order}")
 
     if orders is not None:
         matrices = [_normalize_orders(o, spec.K) for o in orders]

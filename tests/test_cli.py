@@ -2,6 +2,11 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -78,7 +83,7 @@ class TestDesign:
                      "--out", str(tmp_path / "d.csv")]) == EXIT_BAD_CONFIG
 
     @pytest.mark.parametrize("bad", [[[2], [4]], [[2], [4, -1]],
-                                     [[2.5], [4, 4]]])
+                                     [[2.5], [4, 4]], [[True], [4, 4]]])
     def test_explicit_malformed_orders_exit_2(self, tmp_path, bad):
         cfg = write_config(tmp_path, design={"orders": [[[2], [4, 4]], bad]})
         assert main(["design", "--config", str(cfg),
@@ -301,6 +306,36 @@ class TestConfigHandling:
             {**SYSTEM["users"][0], "N": 128.9}, SYSTEM["users"][1]]}},
          "malformed system spec"),
         ("design", {"design": {"pareto_only": "false"}}, "pareto_only"),
+        # wrong JSON types used to be read as values: true -> N = 1, strings
+        # parsed as numbers, weights [true, 1] -> [1.0, 1.0]
+        ("design", {"system": {**SYSTEM, "users": [
+            {**SYSTEM["users"][0], "N": True}, SYSTEM["users"][1]]}}, "N"),
+        ("design", {"system": {**SYSTEM, "users": [
+            {**SYSTEM["users"][0], "eps": "1e-06"}, SYSTEM["users"][1]]}},
+         "eps"),
+        ("design", {"system": {**SYSTEM, "P": "1.0"}}, "P"),
+        ("design", {"system": {**SYSTEM, "users": [
+            {**SYSTEM["users"][0], "h_im": True}, SYSTEM["users"][1]]}},
+         "h_im"),
+        ("design", {"design": {"max_sub_block_order": 4,
+                               "weights": [True, 1]}}, "weight"),
+        # NaN and Infinity, which Python's json reads: P = Infinity or an
+        # integer beyond the float range raised OverflowError, h_re = NaN
+        # and a NaN weight gave rows
+        ("design", {"system": {**SYSTEM, "P": math.inf}}, "P"),
+        ("design", {"system": {**SYSTEM, "P": 10 ** 400}}, "P"),
+        ("design", {"system": {**SYSTEM, "users": [
+            {**SYSTEM["users"][0], "h_re": math.nan}, SYSTEM["users"][1]]}},
+         "h_re"),
+        ("design", {"design": {"max_sub_block_order": 4,
+                               "weights": [math.nan, 1]}}, "weight"),
+        # an order cap below 1 used to exit 3, as if the system were
+        # infeasible
+        ("design", {"design": {"max_sub_block_order": -1}},
+         "max_sub_block_order"),
+        ("rate-region", {"rate_region": {"power_steps": 2,
+                                         "max_sub_block_order": 0}},
+         "max_sub_block_order"),
     ])
     def test_malformed_value_exits_2(self, tmp_path, capsys, command,
                                      overrides, key):
@@ -311,3 +346,59 @@ class TestConfigHandling:
                      "--out", str(tmp_path / "o.csv")]) == EXIT_BAD_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("error:") and key in err
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# Runs every command on small inputs from the bundled configs in one fresh
+# interpreter, then lists the SciPy modules loaded after each command.
+_NO_SCIPY_SCRIPT = textwrap.dedent("""
+    import json, sys
+    from tinlink.cli import main
+
+    tmp, configs = sys.argv[1], sys.argv[2]
+
+    def config(command, name, **sections):
+        with open(f"{configs}/{name}") as fh:
+            cfg = json.load(fh)
+        cfg.update(sections)
+        with open(f"{tmp}/{command}.json", "w") as fh:
+            json.dump(cfg, fh)
+        return ["--config", f"{tmp}/{command}.json",
+                "--out", f"{tmp}/{command}.csv"]
+
+    runs = {
+        "design": config("design", "two_user_search.json", design={
+            "max_sub_block_order": 4}) + ["--samples", "1000",
+                                          "--plan-out", f"{tmp}/plan.json"],
+        "rate-region": config(
+            "rate-region", "two_user_equal_blocklength.json", rate_region={
+                "power_steps": 3, "max_sub_block_order": 4}),
+        "benchmark": config("benchmark", "three_user.json", rate_region={
+            "power_steps": 2}),
+        "simulate": config("simulate", "three_user.json", simulate={
+            "orders": [[2], [2, 4], [2, 4, 2]], "n_frames": 2}),
+        "validate": config("validate", "two_user_urllc.json") + [
+            "--samples", "1000"],
+    }
+    loaded = {}
+    for command, args in runs.items():
+        code = main([command, *args])
+        loaded[command] = [code, sorted(
+            m for m in sys.modules if m == "scipy" or m.startswith("scipy."))]
+    print(json.dumps(loaded))
+""")
+
+
+def test_commands_load_no_scipy(tmp_path):
+    """numpy is tinlink's only third-party runtime dependency."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_SCIPY_SCRIPT, str(tmp_path),
+         str(ROOT / "configs")],
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert loaded == {command: [EXIT_OK, []] for command in
+                      ("design", "rate-region", "benchmark", "simulate",
+                       "validate")}

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import erfc, ndtri
 
 from tinlink import rates
 from tinlink.constellations import (
@@ -70,6 +71,25 @@ class TestQFunction:
         x = qfunc_inv(p)
         assert abs(qfunc(x) - p) <= 1e-12 * p
         assert x == pytest.approx(bisect_qinv(p), rel=1e-14, abs=1e-14)
+
+    def test_inverse_matches_ndtri(self):
+        # SciPy is a test-side oracle only; Q^{-1} comes from the standard
+        # library's NormalDist (AS241)
+        for p in np.geomspace(1e-15, 0.5, 400):
+            ref = -float(ndtri(p))
+            assert abs(qfunc_inv(float(p)) - ref) <= 8 * math.ulp(ref)
+
+    def test_array_form(self):
+        x = np.linspace(-10.0, 37.0, 941).reshape(-1, 1)
+        q = qfunc(x)
+        assert q.shape == x.shape
+        assert q.ravel().tolist() == [qfunc(float(v)) for v in x.ravel()]
+        # SciPy's erfc drifts from the correctly rounded value in the tail
+        # (5.7e-14 relative at x = 37 against a 40-digit mpmath erfc, where
+        # math.erfc stays within 3e-16), so compare on the body only
+        body = x[x <= 2.5]
+        ref = 0.5 * erfc(body / math.sqrt(2.0))
+        assert np.all(np.abs(qfunc(body) - ref) <= 1e-15 * ref)
 
     def test_against_bisection_oracle(self):
         x = qfunc_inv(1e-6)
