@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
-import itertools
 import json
 import math
 import sys
@@ -168,68 +167,49 @@ def cmd_design(cfg: Mapping, args) -> int:
 # rate-region and benchmark sweeps
 # ---------------------------------------------------------------------------
 
-def _power_splits(spec: scheme.SystemSpec, layout, steps: int):
-    """Grid over benchmark power allocations (user, sub_block) -> power.
+def _power_splits(spec: scheme.SystemSpec, layout, steps: int
+                  ) -> dict[tuple[int, int], np.ndarray]:
+    """Grid over benchmark power allocations: (user, sub_block) -> power,
+    with one array entry per split.
 
     Free parameters are the per-sub-block totals (under the frame-average
     total power constraint) and the within-sub-block shares; each is swept
-    over `steps` points.
+    over `steps` points.  Splits run in product order, the totals slowest
+    and then each active sub-block's shares.
     """
-    lengths = [sb.length for sb in layout.sub_blocks]
-    n_total = layout.boundaries[-1]
-    active = [j for j, L in enumerate(lengths) if L > 0]
+    active = [sb for sb in layout.sub_blocks if sb.length > 0]
+    axes = [_simplex_grid(len(active), steps,
+                          layout.boundaries[-1] * spec.P)]
+    axes += [_simplex_grid(len(sb.participants), steps, 1.0) for sb in active]
+    index = np.indices([len(a) for a in axes]).reshape(len(axes), -1)
+    powers = {}
+    for a, sb in enumerate(active):
+        per_symbol = axes[0][index[0], a] / sb.length
+        shares = axes[a + 1][index[a + 1]]
+        for i, user in enumerate(sb.participants):
+            powers[(user, sb.index)] = per_symbol * shares[:, i]
+    return powers
+
+
+def _simplex_grid(dims: int, steps: int, total: float) -> np.ndarray:
+    """Splits of `total` into `dims` parts, one row each: every part but the
+    last takes one of `steps` evenly spaced fractions of what is left."""
     grid = np.linspace(0.0, 1.0, steps)
-
-    def total_combos(index, remaining):
-        if index == len(active) - 1:
-            yield {active[index]: remaining}
-            return
-        j = active[index]
-        for frac in grid:
-            spent = frac * remaining
-            rest = remaining - spent
-            for tail in total_combos(index + 1, rest):
-                combo = {j: spent}
-                combo.update(tail)
-                yield combo
-
-    budget = n_total * spec.P
-    for totals_raw in total_combos(0, budget):
-        totals = {j: totals_raw[j] / lengths[j] for j in active}
-        share_axes = []
-        for j in active:
-            participants = layout.sub_blocks[j].participants
-            if len(participants) == 1:
-                share_axes.append([(1.0,)])
-            else:
-                share_axes.append(_simplex_grid(len(participants), steps))
-        for shares in itertools.product(*share_axes):
-            powers = {}
-            for j, share in zip(active, shares):
-                for user, frac in zip(layout.sub_blocks[j].participants, share):
-                    powers[(user, j)] = totals[j] * frac
-            yield powers
+    parts = np.empty((1, 0))
+    remaining = np.array([total])
+    for _ in range(dims - 1):
+        spent = grid * remaining[:, None]
+        parts = np.column_stack([np.repeat(parts, steps, axis=0),
+                                 spent.ravel()])
+        remaining = (remaining[:, None] - spent).ravel()
+    return np.column_stack([parts, remaining])
 
 
-def _simplex_grid(dims: int, steps: int):
-    """Fractions over a simplex with `steps` points per axis."""
-    grid = np.linspace(0.0, 1.0, steps)
-    out = []
-
-    def recurse(prefix, remaining):
-        if len(prefix) == dims - 1:
-            out.append(tuple(prefix) + (remaining,))
-            return
-        for frac in grid:
-            recurse(prefix + [frac * remaining], remaining - frac * remaining)
-
-    recurse([], 1.0)
-    return out
-
-
-def _param_str(powers: Mapping[tuple[int, int], float]) -> str:
-    items = sorted(powers.items())
-    return ";".join(f"{u + 1}.{j + 1}={p:.6g}" for (u, j), p in items)
+def _param_strs(powers: Mapping[tuple[int, int], np.ndarray]) -> list[str]:
+    """Each split's `user.subblock=power` items, in (user, sub_block) order."""
+    columns = [[f"{u + 1}.{j + 1}={p:.6g}" for p in column.tolist()]
+               for (u, j), column in sorted(powers.items())]
+    return [";".join(items) for items in zip(*columns)]
 
 
 def cmd_rate_region(cfg: Mapping, args, benchmarks_only: bool = False) -> int:
@@ -241,6 +221,9 @@ def cmd_rate_region(cfg: Mapping, args, benchmarks_only: bool = False) -> int:
     if steps < 2:
         raise ConfigError("rate_region.power_steps must be >= 2")
     cap = _read(section, "max_sub_block_order", scheme.DEFAULT_ORDER_CAP, int)
+    if cap < 1:
+        raise ConfigError(
+            f"rate_region.max_sub_block_order must be >= 1, got {cap}")
     include_qam = not benchmarks_only and _read(section, "include_qam", True,
                                                 bool)
 
@@ -262,17 +245,23 @@ def cmd_rate_region(cfg: Mapping, args, benchmarks_only: bool = False) -> int:
                          _orders_str(cand.orders)]
                         + list(cand.rate_result.rates))
 
-    for powers in _power_splits(spec, layout, steps):
-        for mode in ("sic", "tin"):
-            gauss = rates.bc_gaussian_rates(spec, layout, powers, mode=mode)
-            rows.append([bid, seed, samples, f"gauss_{mode}",
-                         _param_str(powers), ""]
-                        + [r.rate for r in gauss])
-        shell = rates.bc_shell_rates(spec, layout, powers, mode="sic")
-        if all(r is not None for r in shell):
-            rows.append([bid, seed, samples, "shell_sic",
-                         _param_str(powers), ""]
-                        + [r.rate for r in shell])
+    powers = _power_splits(spec, layout, steps)
+    gauss_sic = rates.bc_gaussian_rates(spec, layout, powers, mode="sic")
+    gauss_tin = rates.bc_gaussian_rates(spec, layout, powers, mode="tin")
+    shell = rates.bc_shell_rates(spec, layout, powers, mode="sic")
+    has_shell = ~np.isnan(shell).any(axis=1)
+    # rows are converted one at a time: whole-array lists would be held
+    # alongside the finished rows
+    for param, r_sic, r_tin, r_shell, shell_row in zip(
+            _param_strs(powers), gauss_sic, gauss_tin, shell,
+            has_shell.tolist()):
+        rows.append([bid, seed, samples, "gauss_sic", param, ""]
+                    + r_sic.tolist())
+        rows.append([bid, seed, samples, "gauss_tin", param, ""]
+                    + r_tin.tolist())
+        if shell_row:
+            rows.append([bid, seed, samples, "shell_sic", param, ""]
+                        + r_shell.tolist())
 
     _write_csv(args.out, header, rows)
     return EXIT_OK

@@ -11,6 +11,12 @@ quadrature for `compute_plan_rates` and `scheme.design_search`, and
 `linksim` its LLRs and information densities.  Likelihood sums go through
 log-sum-exp, so values stay finite for any amplitudes.
 
+One array combiner, `combine_second_order`, turns per-sub-block (I, V) into
+second-order rates over a leading batch axis: every design candidate at
+once (`second_order_rates`, with `compute_plan_rates` the one-row case) and
+every benchmark power split at once (`bc_gaussian_rates`,
+`bc_shell_rates`).
+
 `estimate_mi_dispersion` (exact 2-D tuple enumeration, Monte Carlo over the
 noise from Philox substreams keyed by (seed, batch index)) and
 `quadrature_mi` (2-D Gauss-Hermite, interference-free) stay as the kernel's
@@ -338,7 +344,8 @@ def _hermite_rule(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class SecondOrderRate:
-    """Normal-approximation achievable rate, bits per complex symbol."""
+    """Normal-approximation achievable rate, bits per complex symbol; the
+    fields are arrays over the batch axes when the combiner got a batch."""
 
     rate: float
     first_order: float
@@ -348,15 +355,21 @@ class SecondOrderRate:
 
 def combine_second_order(lengths, mis, dispersions, eps: float,
                          n_total: int) -> SecondOrderRate:
-    """General sub-block combiner: (sum L_j I_j - sqrt(sum L_j V_j) Qinv) / N."""
+    """(sum_j L_j I_j - sqrt(sum_j L_j V_j) Q^{-1}(eps)) / N, the one combiner.
+
+    mis and dispersions hold the sub-blocks on their last axis; any leading
+    axes (power splits, design candidates) carry over to the fields of the
+    result, and 1-D inputs give scalars.  `np.vecdot` sums each row exactly
+    as the 1-D `lengths @ mis` does, so a batch row equals its one-row
+    result bit for bit.
+    """
     lengths = np.asarray(lengths, dtype=float)
     mis = np.asarray(mis, dtype=float)
     dispersions = np.asarray(dispersions, dtype=float)
     if np.any(dispersions < 0):
         raise RateEngineError("negative dispersion")
-    first = float(lengths @ mis)
-    radicand = float(lengths @ dispersions)
-    penalty = math.sqrt(radicand) * qfunc_inv(eps)
+    first = np.vecdot(lengths, mis)
+    penalty = np.sqrt(np.vecdot(lengths, dispersions)) * qfunc_inv(eps)
     rate = (first - penalty) / n_total
     return SecondOrderRate(rate, first / n_total, penalty / n_total, rate <= 0.0)
 
@@ -404,22 +417,36 @@ def berry_esseen_diagnostic(lengths, stats: Sequence[SubBlockRateStats],
 # Gaussian and shell benchmarks (complex channel)
 # ---------------------------------------------------------------------------
 
-def gaussian_stats(sinr: float) -> tuple[float, float]:
-    """Capacity and dispersion of i.i.d. Gaussian codes at the given SINR."""
-    if sinr < 0:
+def _log2(x) -> np.ndarray:
+    """math.log2 of every element.  np.log2 differs from it in the last bit
+    on about 0.1% of inputs, which would move printed benchmark rates."""
+    x = np.asarray(x, dtype=float)
+    return np.fromiter(map(math.log2, x.ravel().tolist()), float,
+                       x.size).reshape(x.shape)
+
+
+def gaussian_stats(sinr):
+    """Capacity and dispersion of i.i.d. Gaussian codes at the given SINR,
+    a scalar or an array."""
+    sinr = np.asarray(sinr, dtype=float)
+    if np.any(sinr < 0):
         raise RateEngineError("negative SINR")
-    mi = math.log2(1.0 + sinr)
+    mi = _log2(1.0 + sinr)
     v = 2.0 * LOG2E ** 2 * sinr / (sinr + 1.0)
-    return mi, v
+    return mi[()], v[()]
 
 
-def shell_stats(p_eff: float) -> tuple[float, float]:
-    """Capacity and dispersion of shell codes at the given receive SNR."""
-    if p_eff < 0:
+def shell_stats(p_eff):
+    """Capacity and dispersion of shell codes at the given receive SNR, a
+    scalar or an array."""
+    p_eff = np.asarray(p_eff, dtype=float)
+    if np.any(p_eff < 0):
         raise RateEngineError("negative power")
-    mi = math.log2(1.0 + p_eff)
-    v = LOG2E ** 2 * p_eff * (p_eff + 2.0) / (p_eff + 1.0) ** 2
-    return mi, v
+    mi = _log2(1.0 + p_eff)
+    # float_power calls pow() like Python's float **; numpy's ** squares,
+    # which differs in the last bit on some inputs
+    v = LOG2E ** 2 * p_eff * (p_eff + 2.0) / np.float_power(p_eff + 1.0, 2)
+    return mi[()], v[()]
 
 
 def gaussian_benchmark(sinrs, lengths, eps: float, n_total: int) -> SecondOrderRate:
@@ -439,65 +466,65 @@ def sinr(signal_power: float, interference_power: float) -> float:
     return signal_power / (interference_power + 1.0)
 
 
-def _bc_rates(spec, layout, powers: Mapping[tuple[int, int], float],
-              mode: str, link_stats) -> list[SecondOrderRate | None]:
-    """Benchmark rate of every user, None where it has none.
+def _bc_rates(spec, layout, powers: Mapping[tuple[int, int], np.ndarray],
+              mode: str, link_stats) -> np.ndarray:
+    """Benchmark rate of every user at every power split, NaN where it has
+    none; shape (..., K) for power arrays of shape (...).
 
-    link_stats(own power, interference power, |h|^2) gives the (I, V) of
-    one non-empty sub-block, or None when the user gets no rate.  mode "tin"
-    counts all co-scheduled powers as interference; mode "sic" only those of
-    stronger-channel users.
+    link_stats(own power, interference power, |h|^2) gives the (I, V) arrays
+    of one non-empty sub-block, with I NaN where the user gets no rate.  mode
+    "tin" counts all co-scheduled powers as interference; mode "sic" only
+    those of stronger-channel users.  Every split goes through one numpy
+    pass per user.
     """
     if mode not in ("sic", "tin"):
         raise RateEngineError(f"unknown benchmark mode {mode!r}")
     out = []
     for k, user in enumerate(spec.users):
-        lengths, mis, vs = [], [], []
-        gain = abs(user.h) ** 2
-        for sb in layout.sub_blocks[:k + 1]:
-            if sb.length == 0:
-                continue
+        blocks = [sb for sb in layout.sub_blocks[:k + 1] if sb.length]
+        mis, vs = [], []
+        for sb in blocks:
             interf = 0.0
             for other in sb.participants:
-                if other == k:
-                    continue
-                if mode == "sic" and abs(spec.users[other].h) <= abs(user.h):
-                    continue
-                interf += powers.get((other, sb.index), 0.0)
-            stats = link_stats(powers.get((k, sb.index), 0.0), interf, gain)
-            if stats is None:
-                lengths = None
-                break
-            lengths.append(sb.length)
-            mis.append(stats[0])
-            vs.append(stats[1])
-        out.append(None if lengths is None else combine_second_order(
-            lengths, mis, vs, user.eps, user.N))
-    return out
+                if other != k and (mode == "tin" or abs(spec.users[other].h)
+                                   > abs(user.h)):
+                    interf = interf + powers.get((other, sb.index), 0.0)
+            mi, v = link_stats(powers.get((k, sb.index), 0.0), interf,
+                               abs(user.h) ** 2)
+            mis.append(mi)
+            vs.append(v)
+        out.append(combine_second_order(
+            [sb.length for sb in blocks],
+            np.stack(np.broadcast_arrays(*mis), axis=-1),
+            np.stack(np.broadcast_arrays(*vs), axis=-1),
+            user.eps, user.N).rate)
+    return np.stack(np.broadcast_arrays(*out), axis=-1)
 
 
-def bc_gaussian_rates(spec, layout, powers: Mapping[tuple[int, int], float],
-                      mode: str = "sic") -> list[SecondOrderRate]:
+def bc_gaussian_rates(spec, layout, powers: Mapping[tuple[int, int], np.ndarray],
+                      mode: str = "sic") -> np.ndarray:
     """Gaussian-code benchmark rates for every user of a broadcast spec.
 
     powers maps (user, sub_block) to the per-symbol power that user spends
-    there.  mode "tin" counts all co-scheduled powers as interference; mode
-    "sic" assumes each user perfectly cancels every weaker-channel user and
-    is only interfered by stronger-channel users.
+    there: a scalar, or an array with one entry per power split (absent
+    entries are 0).  Returns the rates with a last axis over the users.
+    mode "tin" counts all co-scheduled powers as interference; mode "sic"
+    assumes each user perfectly cancels every weaker-channel user and is
+    only interfered by stronger-channel users.
     """
     return _bc_rates(spec, layout, powers, mode, lambda p, i, gain:
                      gaussian_stats(sinr(p * gain, i * gain)))
 
 
-def _shell_link(p: float, interf: float, gain: float):
-    if p > 0.0 and interf > 0.0:
-        return None
-    return shell_stats(p * gain) if interf == 0.0 else (0.0, 0.0)
+def _shell_link(p, interf, gain):
+    mi, v = shell_stats(np.where(interf == 0.0, p * gain, 0.0))
+    return np.where((p > 0.0) & (interf > 0.0), np.nan, mi), v
 
 
-def bc_shell_rates(spec, layout, powers: Mapping[tuple[int, int], float],
-                   mode: str = "sic") -> list[SecondOrderRate | None]:
-    """Shell-code benchmark rates; None for users that see any interference."""
+def bc_shell_rates(spec, layout, powers: Mapping[tuple[int, int], np.ndarray],
+                   mode: str = "sic") -> np.ndarray:
+    """Shell-code benchmark rates, laid out as `bc_gaussian_rates`; NaN for
+    a user that sees interference where it carries power."""
     return _bc_rates(spec, layout, powers, mode, _shell_link)
 
 
@@ -551,28 +578,41 @@ def sub_block_stats(g: float, parts: Mapping, user: int) -> SubBlockRateStats:
     return SubBlockRateStats(mi, dispersion, 0, 0.0, 0.0)
 
 
-def rate_result(spec, layout, stats) -> RateResult:
-    """Every user's second-order rate from stats[k][j], user k's (I, V) in
+def second_order_rates(spec, layout, mi, dispersion) -> np.ndarray:
+    """Every user's second-order rate for a batch of candidates, (n, K).
+
+    mi[k] and dispersion[k] are (n, k + 1) arrays of user k's (I, V) in each
+    sub-block up to its own, 0 where it is silent or the block is empty.
+    """
+    return np.stack([combine_second_order(
+        [sb.length for sb in layout.sub_blocks[:k + 1]], mi[k], dispersion[k],
+        user.eps, user.N).rate for k, user in enumerate(spec.users)], axis=-1)
+
+
+def rate_result(spec, layout, stats, rates) -> RateResult:
+    """One candidate's rates with their ingredients: rates[k] is user k's
+    rate (a row of `second_order_rates`) and stats[k][j] its (I, V) in
     sub-block j (ZERO_STATS where the user is silent or the block empty)."""
-    users = []
-    for k, user in enumerate(spec.users):
-        lengths = tuple(sb.length for sb in layout.sub_blocks[:k + 1])
-        result = second_order_rate(lengths, stats[k], user.eps, user.N)
-        users.append(UserRate(
-            user=k, rate=result.rate, nonpositive=result.nonpositive,
-            eps=user.eps, n_symbols=user.N, lengths=lengths,
-            stats=tuple(stats[k])))
-    return RateResult(users=tuple(users))
+    return RateResult(users=tuple(
+        UserRate(user=k, rate=rate, nonpositive=rate <= 0.0, eps=user.eps,
+                 n_symbols=user.N,
+                 lengths=tuple(sb.length for sb in layout.sub_blocks[:k + 1]),
+                 stats=tuple(stats[k]))
+        for k, (user, rate) in enumerate(zip(spec.users, map(float, rates)))))
 
 
 def compute_plan_rates(plan) -> RateResult:
     """Evaluate every user's second-order rate for a transmission plan.
 
     Per-(user, sub-block) (I, V) come from the per-dimension quadrature
-    kernel `sub_block_stats`.
+    kernel `sub_block_stats`; the rates are the one-row case of
+    `second_order_rates`.
     """
     stats = [[sub_block_stats(abs(user.h), plan.parts(sb.index), k)
               if sb.length and plan.orders[k][sb.index] else ZERO_STATS
               for sb in plan.layout.sub_blocks[:k + 1]]
              for k, user in enumerate(plan.spec.users)]
-    return rate_result(plan.spec, plan.layout, stats)
+    rates = second_order_rates(
+        plan.spec, plan.layout, [[[s.mi for s in row]] for row in stats],
+        [[[s.dispersion for s in row]] for row in stats])
+    return rate_result(plan.spec, plan.layout, stats, rates[0])

@@ -654,8 +654,10 @@ def design_search(spec: SystemSpec, weights: Sequence[float] | None = None, *,
     instead: a malformed matrix raises SpecError, infeasible ones are skipped,
     and none is Pareto-filtered.  A user's (I, V) in a sub-block depends only
     on that sub-block's rank-order vector, so the kernel fills one table keyed
-    by (sub-block, rank-order vector, user) and every candidate's rates come
-    from table lookups through the second-order combiner; no plan is built.
+    by (sub-block, rank-order vector, user).  The table is gathered into
+    per-user (candidates, sub-blocks) I and V arrays, and one combiner pass
+    gives every candidate's rates; no plan is built, and rate results are
+    packaged only for the candidates returned.
     Candidates are sorted by descending weighted sum, ties broken by the
     lexicographically smaller order matrix.
     """
@@ -704,29 +706,49 @@ def design_search(spec: SystemSpec, weights: Sequence[float] | None = None, *,
     if not combos:
         return DesignSearchResult(candidates=(), explanation=none_left)
 
+    # one kernel call per (sub-block, rank-order vector, user); index[i, j]
+    # is candidate i's vector in sub-block j
     table = {}
+    index = np.empty((len(combos), spec.K), dtype=np.intp)
+    vectors = []
     for sb in layout.sub_blocks:
-        for mv in {combo[sb.index] for combo in combos}:
+        seen: dict[tuple[int, ...], int] = {}
+        index[:, sb.index] = [seen.setdefault(combo[sb.index], len(seen))
+                              for combo in combos]
+        vectors.append(list(seen))
+        for mv in seen:
             by_rank = dict(zip(sb.ranks, sub_block_parts(mv, spec.P)))
             parts = {u: by_rank[u] for u in sb.participants}
             for m, user in zip(mv, sb.ranks):
                 if sb.length and m:
                     table[(sb.index, mv, user)] = rates.sub_block_stats(
                         abs(spec.users[user].h), parts, user)
-    results = [rates.rate_result(spec, layout, [
-        [table.get((j, combo[j], k), rates.ZERO_STATS) for j in range(k + 1)]
-        for k in range(spec.K)]) for combo in combos]
+
+    def stats_of(k, j, mv):
+        return table.get((j, mv, k), rates.ZERO_STATS)
+
+    def gathered(k, field):
+        return np.stack([np.array([getattr(stats_of(k, j, mv), field)
+                                   for mv in vectors[j]])[index[:, j]]
+                         for j in range(k + 1)], axis=-1)
+
+    user_rates = rates.second_order_rates(
+        spec, layout, [gathered(k, "mi") for k in range(spec.K)],
+        [gathered(k, "dispersion") for k in range(spec.K)])
 
     if orders is not None:
-        pareto_flags = [True] * len(results)
+        pareto_flags = [True] * len(combos)
     else:
         pareto_flags = _pareto_flags(
-            [r.rates for r in results],
-            [k for k in range(spec.K) if weights[k] > 0])
+            user_rates, [k for k in range(spec.K) if weights[k] > 0])
     candidates = []
-    for combo, result, is_pareto in zip(combos, results, pareto_flags):
+    for combo, row, is_pareto in zip(combos, user_rates.tolist(),
+                                     pareto_flags):
         if pareto_only and not is_pareto:
             continue
+        result = rates.rate_result(spec, layout, [
+            [stats_of(k, j, combo[j]) for j in range(k + 1)]
+            for k in range(spec.K)], row)
         matrix = _orders_from_rank_vectors(combo, layout, spec.K)
         ws = sum(w * r for w, r in zip(weights, result.rates))
         info = tuple(max(0, math.floor(u.rate * u.n_symbols))

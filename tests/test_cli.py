@@ -8,8 +8,10 @@ import sys
 import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from tinlink import cli
 from tinlink.cli import (
     EXIT_BAD_CONFIG,
     EXIT_CHECK_FAILED,
@@ -17,6 +19,9 @@ from tinlink.cli import (
     EXIT_OK,
     main,
 )
+from tinlink.scheme import SystemSpec, UserSpec, build_layout
+
+from oracles import param_str_reference, power_splits_reference
 
 
 def write_config(tmp_path, name="config.json", **overrides):
@@ -169,6 +174,35 @@ class TestRateRegion:
         cfg = write_config(tmp_path, rate_region={"power_steps": 1})
         assert main([command, "--config", str(cfg),
                      "--out", str(tmp_path / "r.csv")]) == EXIT_BAD_CONFIG
+
+    # benchmark reads the cap without using it and used to exit 0
+    @pytest.mark.parametrize("command", ["rate-region", "benchmark"])
+    def test_negative_order_cap_exits_2(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path, rate_region={
+            "power_steps": 2, "max_sub_block_order": -1})
+        assert main([command, "--config", str(cfg),
+                     "--out", str(tmp_path / "r.csv")]) == EXIT_BAD_CONFIG
+        assert "max_sub_block_order" in capsys.readouterr().err
+
+    # [32, 32] and [24, 24, 48] leave a sub-block empty
+    @pytest.mark.parametrize("lengths", [[40], [24, 32], [32, 32],
+                                         [24, 32, 48], [24, 24, 48],
+                                         [24, 32, 32]])
+    def test_split_grid_matches_recursion(self, lengths):
+        """Same splits, in the same order, with bit-equal powers and the
+        same param strings as the recursive generators."""
+        spec = SystemSpec.create(1.5, [UserSpec(n, 1e-5, 2.0 + 1.5 * k)
+                                       for k, n in enumerate(lengths)])
+        layout = build_layout(spec)
+        for steps in range(2, 8):
+            powers = cli._power_splits(spec, layout, steps)
+            reference = list(power_splits_reference(spec, layout, steps))
+            assert all(split.keys() == powers.keys() for split in reference)
+            for key, column in powers.items():
+                assert column.tobytes() == np.array(
+                    [split[key] for split in reference]).tobytes()
+            assert cli._param_strs(powers) == [
+                param_str_reference(split) for split in reference]
 
     def test_benchmark_only_command(self, tmp_path):
         cfg = self.region_config(tmp_path)

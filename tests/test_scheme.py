@@ -33,6 +33,8 @@ from tinlink.scheme import (
     verify_min_distances,
 )
 
+from oracles import bits, scalar_second_order
+
 SNR18 = math.sqrt(10 ** 1.8)
 SNR5 = math.sqrt(10 ** 0.5)
 
@@ -511,6 +513,38 @@ class TestDesignSearch:
                 for sb in layout.sub_blocks[:k + 1]
                 if sb.length and c.orders[k][sb.index]}
         assert len(calls) == len(keys) < len(res.candidates)
+
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_array_rates_match_scalar_combiner(self, data):
+        """Every returned candidate's rates equal the one-user `@` combiner
+        on its own table statistics at 0 ulp, and pareto_only returns
+        exactly the front of all candidates."""
+        k = data.draw(st.integers(1, 3))
+        lengths = sorted(data.draw(st.lists(st.sampled_from([16, 24, 32]),
+                                            min_size=k, max_size=k)))
+        mags = data.draw(st.lists(st.floats(1.5, 12.0), min_size=k,
+                                  max_size=k, unique=True))
+        users = [UserSpec(n, data.draw(st.floats(1e-7, 0.4)), m)
+                 for n, m in zip(lengths, mags)]
+        try:
+            spec = SystemSpec.create(
+                data.draw(st.sampled_from([0.5, 1.0, 4.0])), users)
+        except SpecError:  # magnitudes too close
+            assume(False)
+        full = design_search(spec, max_sub_block_order=3, pareto_only=False)
+        front = design_search(spec, max_sub_block_order=3)
+        for cand in full.candidates + front.candidates:
+            for u in cand.rate_result.users:
+                ref = scalar_second_order(
+                    u.lengths, [s.mi for s in u.stats],
+                    [s.dispersion for s in u.stats], u.eps, u.n_symbols)
+                assert bits(u.rate) == bits(ref.rate)
+                assert u.nonpositive == ref.nonpositive
+        flags = pareto_reference([c.rate_result.rates for c in full.candidates],
+                                 range(spec.K))
+        assert front.candidates == tuple(
+            c for c, on_front in zip(full.candidates, flags) if on_front)
 
 
 def pareto_reference(rate_tuples, dims):
