@@ -294,33 +294,35 @@ def cmd_simulate(cfg: Mapping, args) -> int:
     header = ["build_id", "seed", "n_noise_samples", "user", "n_frames",
               "n_bits", "bit_errors", "uncoded_ber", "mean_symbol_power",
               "zero_noise_roundtrip"]
-    rows = []
-    bid = build_id()
-    for k in range(spec.K):
-        n_bits = 0
-        n_err = 0
-        power_acc = 0.0
-        power_n = 0
-        clean_ok = True
-        for f in range(n_frames):
-            payloads = linksim.random_payloads(plan, seed + 7919 * f)
-            frame = linksim.simulate_frame(plan, payloads, seed + 104729 * f + 1)
-            llr = linksim.demap_frame(frame, k, plan)
+    # one pass over the frames: each is simulated once, demapped for every
+    # user and dropped, and the demapper set-up is built once per segment
+    demappers = linksim.plan_demappers(plan)
+    n_bits = [0] * spec.K
+    n_err = [0] * spec.K
+    clean_ok = [True] * spec.K
+    power_acc = 0.0
+    power_n = 0
+    for f in range(n_frames):
+        payloads = linksim.random_payloads(plan, seed + 7919 * f)
+        frame = linksim.simulate_frame(plan, payloads, seed + 104729 * f + 1)
+        power_acc += float(np.sum(np.abs(frame.x) ** 2))
+        power_n += frame.x.size
+        quiet = (linksim.simulate_frame(plan, payloads, seed, noise_scale=0.0)
+                 if f == 0 else None)
+        for k in range(spec.K):
             sent = _active_bits(payloads[k], k, plan)
-            errs = int(np.count_nonzero(linksim.hard_bits(llr) != sent))
-            n_err += errs
-            n_bits += sent.size
-            power_acc += float(np.sum(np.abs(frame.x) ** 2))
-            power_n += frame.x.size
-            if f == 0:
-                quiet = linksim.simulate_frame(plan, payloads, seed,
-                                               noise_scale=0.0)
-                llr0 = linksim.demap_frame(quiet, k, plan)
-                clean_ok = bool(np.array_equal(linksim.hard_bits(llr0), sent))
-        rows.append([bid, seed, samples, k + 1, n_frames, n_bits, n_err,
-                     (n_err / n_bits) if n_bits else 0.0,
-                     power_acc / power_n if power_n else 0.0,
-                     "yes" if clean_ok else "no"])
+            llr = linksim.demap_frame(frame, k, plan, demappers=demappers)
+            n_err[k] += int(np.count_nonzero(linksim.hard_bits(llr) != sent))
+            n_bits[k] += sent.size
+            if quiet is not None:
+                llr0 = linksim.demap_frame(quiet, k, plan, demappers=demappers)
+                clean_ok[k] = bool(np.array_equal(linksim.hard_bits(llr0),
+                                                  sent))
+    bid = build_id()
+    rows = [[bid, seed, samples, k + 1, n_frames, n_bits[k], n_err[k],
+             (n_err[k] / n_bits[k]) if n_bits[k] else 0.0,
+             power_acc / power_n if power_n else 0.0,
+             "yes" if clean_ok[k] else "no"] for k in range(spec.K)]
     _write_csv(args.out, header, rows)
     return EXIT_OK
 

@@ -9,9 +9,15 @@ codebooks.  After rotating y by conj(h)/|h| every likelihood factors into an
 I and a Q part, so LLRs and information densities come from the per-dimension
 kernel `rates.tin_loglik`: each I-bit LLR depends on the I coordinate only
 and each Q-bit LLR on the Q coordinate only (BICM demapping).
+
+`cli simulate` simulates each frame once, demaps it for every user and drops
+it before the next, so no run holds more than one frame (and the zero-noise
+frame); the per-(user, sub-block) demapper set-up (receive grids and Gray
+bit masks, `SegmentDemapper`) is built once per plan by `plan_demappers`.
 """
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -22,11 +28,11 @@ from .constellations import gray_sequence
 from .rates import (
     compute_plan_rates,
     dimension_densities,
-    dimension_levels,
     log_sum_exp,
+    receive_grids,
     tin_loglik,
 )
-from .scheme import SchemePlan, build_frame, map_bits
+from .scheme import SchemePlan, SubBlock, build_frame, map_bits
 
 
 class SimulationError(ValueError):
@@ -85,15 +91,62 @@ def simulate_frame(plan: SchemePlan, payloads: Mapping[int, np.ndarray],
 # Exact TIN LLR demapping
 # ---------------------------------------------------------------------------
 
-def _rotated(y: np.ndarray, h: complex
-             ) -> tuple[float, tuple[np.ndarray, np.ndarray]]:
-    """|h| and the I and Q coordinates of y conj(h)/|h| (of y if h = 0)."""
-    y = np.asarray(y, dtype=complex).ravel() * (np.conj(h) / abs(h) if h else 1)
-    return abs(h), (y.real, y.imag)
+def _rotation(h: complex) -> complex:
+    """conj(h)/|h|, which turns y = h x + z into |h| x + z' (1 if h = 0)."""
+    return np.conj(h) / abs(h) if h else 1
+
+
+def active_segments(plan: SchemePlan, user: int) -> list[SubBlock]:
+    """The user's non-empty sub-blocks that carry at least one of its bits,
+    in frame order: the segments a demapper reads."""
+    return [sb for sb in plan.layout.sub_blocks[:user + 1]
+            if sb.length > 0 and plan.entries[(user, sb.index)].order > 0]
+
+
+@dataclass(frozen=True)
+class SegmentDemapper:
+    """The demapper set-up of one user's sub-block segment.
+
+    rotation is `_rotation(h)`.  dims has one entry for I and one for Q
+    where the user's label has bits: the coordinate (0 for I, 1 for Q), the
+    receive grid from `rates.receive_grids`, and a (2 bits, levels / 2)
+    array whose row b lists the level positions with Gray label bit b equal
+    to 0 and row bits + b those with it equal to 1.
+    """
+
+    rotation: complex
+    dims: tuple[tuple[int, np.ndarray, np.ndarray], ...]
+
+
+def segment_demapper(plan: SchemePlan, user: int, sub_block: int,
+                     h: complex | None = None) -> SegmentDemapper:
+    """Build the set-up of one (user, sub-block) segment for channel h (the
+    user's own by default)."""
+    if h is None:
+        h = plan.spec.users[user].h
+    grids = receive_grids(abs(h), plan.parts(sub_block), user)
+    dims = []
+    for d, (n_bits, grid) in enumerate(
+            zip(plan.entries[(user, sub_block)].shape, grids)):
+        if n_bits == 0:
+            continue
+        shifts = np.arange(n_bits - 1, -1, -1)[:, None]
+        bit = (gray_sequence(n_bits) >> shifts) & 1
+        halves = np.nonzero(np.concatenate([bit == 0, bit == 1]))[1]
+        dims.append((d, grid, halves.reshape(2 * n_bits, -1)))
+    return SegmentDemapper(_rotation(h), tuple(dims))
+
+
+def plan_demappers(plan: SchemePlan
+                   ) -> dict[tuple[int, int], SegmentDemapper]:
+    """`segment_demapper` of every active (user, sub-block) segment."""
+    return {(k, sb.index): segment_demapper(plan, k, sb.index)
+            for k in range(plan.spec.K) for sb in active_segments(plan, k)}
 
 
 def tin_llr(y: np.ndarray, user: int, sub_block: int, plan: SchemePlan,
-            h: complex | None = None, *, max_log: bool = False) -> np.ndarray:
+            h: complex | None = None, *, max_log: bool = False,
+            demapper: SegmentDemapper | None = None) -> np.ndarray:
     """Exact per-bit LLRs for one user's sub-block segment under TIN.
 
     Interference enters only through its marginal law: the metric for each
@@ -103,25 +156,23 @@ def tin_llr(y: np.ndarray, user: int, sub_block: int, plan: SchemePlan,
     levels.  Returns an (n_symbols, m) array with the convention
     LLR = log P(bit=0 | y) / P(bit=1 | y) in nats, so the sign of the LLR at
     zero noise recovers the transmitted bit.  max_log replaces the sums with
-    maxima.
+    maxima.  demapper is `segment_demapper(plan, user, sub_block, h)`,
+    passed in to build it once for many segments; it is built here if None.
     """
-    if h is None:
-        h = plan.spec.users[user].h
-    g, coords = _rotated(y, h)
-    shape = plan.entries[(user, sub_block)].shape
+    if demapper is None:
+        demapper = segment_demapper(plan, user, sub_block, h)
+    y = np.asarray(y, dtype=complex).ravel() * demapper.rotation
+    coords = (y.real, y.imag)
     reduce = np.max if max_log else log_sum_exp
-    cols = []
-    for yd, n_bits, (levels, sums) in zip(
-            coords, shape, dimension_levels(plan.parts(sub_block), user)):
-        if n_bits == 0:
-            continue
-        ll = tin_loglik(yd, g, levels, sums, max_log=max_log)
-        labels = gray_sequence(n_bits)
-        for b in range(n_bits):
-            one = ((labels >> (n_bits - 1 - b)) & 1).astype(bool)
-            cols.append(reduce(ll[:, ~one], axis=1)
-                        - reduce(ll[:, one], axis=1))
-    return np.stack(cols, axis=1) if cols else np.zeros((coords[0].size, 0))
+    rows = []
+    for d, grid, halves in demapper.dims:
+        # ll is (levels, symbols), so each reduction over a half of the
+        # levels is an elementwise pass over contiguous symbols
+        ll = tin_loglik(coords[d], grid, max_log=max_log).T
+        per_half = reduce(ll[halves], axis=1)
+        n_bits = halves.shape[0] // 2
+        rows.append(per_half[:n_bits] - per_half[n_bits:])
+    return np.concatenate(rows).T if rows else np.zeros((y.size, 0))
 
 
 def hard_bits(llr: np.ndarray) -> np.ndarray:
@@ -130,14 +181,19 @@ def hard_bits(llr: np.ndarray) -> np.ndarray:
 
 
 def demap_frame(frame: ReceivedFrame, user: int, plan: SchemePlan, *,
-                max_log: bool = False) -> np.ndarray:
-    """Concatenated LLRs for every sub-block segment of one user."""
-    parts = []
-    for sb in plan.layout.sub_blocks[:user + 1]:
-        if sb.length == 0 or plan.entries[(user, sb.index)].order == 0:
-            continue
-        seg = frame.y[user][sb.start:sb.stop]
-        parts.append(tin_llr(seg, user, sb.index, plan).ravel())
+                max_log: bool = False,
+                demappers: Mapping[tuple[int, int], SegmentDemapper]
+                | None = None) -> np.ndarray:
+    """Concatenated LLRs for every active sub-block segment of one user.
+
+    demappers maps (user, sub-block) to its set-up, as `plan_demappers`
+    builds it once per plan; a segment without one builds its own.
+    """
+    demappers = demappers or {}
+    parts = [tin_llr(frame.y[user][sb.start:sb.stop], user, sb.index, plan,
+                     max_log=max_log,
+                     demapper=demappers.get((user, sb.index))).ravel()
+             for sb in active_segments(plan, user)]
     return np.concatenate(parts) if parts else np.zeros(0)
 
 
@@ -170,14 +226,14 @@ def information_densities(frame: ReceivedFrame, user: int, sub_block: int,
     if h is None:
         h = plan.spec.users[user].h
     sb = plan.layout.sub_blocks[sub_block]
-    g, coords = _rotated(frame.y[user][sb.start:sb.stop], h)
+    y = frame.y[user][sb.start:sb.stop] * _rotation(h)
     sent = frame.symbols[user][sb.start:sb.stop]
     dens = np.zeros(sent.size)
-    for yd, unit, (levels, sums) in zip(
-            coords, (sent.real, sent.imag),
-            dimension_levels(plan.parts(sub_block), user)):
-        idx = np.rint(unit + (levels.size - 1) / 2).astype(np.int64)
-        dens += dimension_densities(yd, g, levels, sums, idx)
+    for yd, unit, grid in zip((y.real, y.imag), (sent.real, sent.imag),
+                              receive_grids(abs(h), plan.parts(sub_block),
+                                            user)):
+        idx = np.rint(unit + (grid.shape[0] - 1) / 2).astype(np.int64)
+        dens += dimension_densities(yd, grid, idx)
     return dens
 
 
@@ -195,9 +251,7 @@ def empirical_id_check(plan: SchemePlan, user: int, n_frames: int, seed: int,
     for f in range(n_frames):
         payloads = random_payloads(plan, seed + 7919 * f)
         frame = simulate_frame(plan, payloads, seed + 104729 * f + 1)
-        for sb in plan.layout.sub_blocks[:user + 1]:
-            if sb.length == 0 or plan.entries[(user, sb.index)].order == 0:
-                continue
+        for sb in active_segments(plan, user):
             per_block.setdefault(sb.index, []).append(
                 information_densities(frame, user, sb.index, plan))
     exact = compute_plan_rates(plan).users[user].stats
@@ -278,22 +332,45 @@ def _complex_to_file(arr: np.ndarray, fh) -> None:
 
 def load_frame_dump(path) -> list[tuple[np.ndarray, np.ndarray,
                                         np.ndarray, np.ndarray]]:
-    """Read back a dump_frames file."""
+    """Read back a dump_frames file.
+
+    Raises SimulationError unless the file holds exactly the records its
+    header announces: a short header, a short payload and bytes after the
+    last record are all rejected.
+    """
     with open(path, "rb") as fh:
+        end = os.fstat(fh.fileno()).st_size
         if fh.read(8) != _DUMP_MAGIC:
             raise SimulationError("not a frame dump file")
-        (count,) = struct.unpack("<Q", fh.read(8))
+        (count,) = _read_header(fh, "<Q")
         records = []
         for _ in range(count):
-            nb, ns, ny, nl = struct.unpack("<4Q", fh.read(32))
-            bits = np.fromfile(fh, dtype="<f8", count=nb).astype(np.int64)
-            sym = _complex_from_file(fh, ns)
-            yv = _complex_from_file(fh, ny)
-            ll = np.fromfile(fh, dtype="<f8", count=nl)
+            nb, ns, ny, nl = _read_header(fh, "<4Q")
+            bits = _read_floats(fh, nb, end).astype(np.int64)
+            sym = _complex_from_file(fh, ns, end)
+            yv = _complex_from_file(fh, ny, end)
+            ll = _read_floats(fh, nl, end)
             records.append((bits, sym, yv, ll))
+        if fh.tell() != end:
+            raise SimulationError(
+                f"frame dump has {end - fh.tell()} bytes after its "
+                f"{count} records")
     return records
 
 
-def _complex_from_file(fh, n: int) -> np.ndarray:
-    raw = np.fromfile(fh, dtype="<f8", count=2 * n)
+def _read_header(fh, fmt: str) -> tuple[int, ...]:
+    raw = fh.read(struct.calcsize(fmt))
+    if len(raw) != struct.calcsize(fmt):
+        raise SimulationError("frame dump header is truncated")
+    return struct.unpack(fmt, raw)
+
+
+def _read_floats(fh, n: int, end: int) -> np.ndarray:
+    if 8 * n > end - fh.tell():
+        raise SimulationError("frame dump payload is truncated")
+    return np.fromfile(fh, dtype="<f8", count=n)
+
+
+def _complex_from_file(fh, n: int, end: int) -> np.ndarray:
+    raw = _read_floats(fh, 2 * n, end)
     return raw[0::2] + 1j * raw[1::2]

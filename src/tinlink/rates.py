@@ -44,6 +44,12 @@ GH_NODES = 128
 
 _BATCH = 4096
 _ELEM_BUDGET = 1 << 23
+# Floor on exp arguments in the likelihood sums.  numpy's vectorized exp
+# leaves its fast path below about -708, where results are subnormal or 0,
+# and ran 15-90 times slower there (numpy 2.4, AVX-512).  Every such sum
+# also holds exp(0) = 1, which absorbs a term of exp(-700) ~ 1e-304 in its
+# rounding as it would absorb 0.
+_EXP_FLOOR = -700.0
 
 _STD_NORMAL = NormalDist()
 _erfc = np.vectorize(math.erfc, otypes=[float])
@@ -276,56 +282,74 @@ def quadrature_mi(points, h, n_nodes: int = 64) -> float:
 # Per-dimension TIN kernel
 # ---------------------------------------------------------------------------
 
-def dimension_levels(parts: Mapping, user: int
-                     ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(desired levels, interferer level sums) in I, then in Q.
+def receive_grids(g: float, parts: Mapping, user: int) -> list[np.ndarray]:
+    """Noiseless receive points g (x + t) of one user in I, then in Q.
 
     parts maps every user co-scheduled in a sub-block to its (shape, amp_i,
-    amp_q), as `SchemePlan.parts` and `scheme.sub_block_parts` give them.
-    Levels are in position order, the order `build_rect_qam` Gray-labels
-    them in; a silent co-scheduled user adds the single level 0.
+    amp_q), as `SchemePlan.parts` and `scheme.sub_block_parts` give them,
+    and g is the user's |h|.  Each dimension's grid is a (levels,
+    interferer sums) array: rows x are the desired levels in position order,
+    the order `build_rect_qam` Gray-labels them in, and columns t the sums
+    of the other users' levels (a silent co-scheduled user adds the single
+    level 0).
     """
     def levels(part, d):
         n = 1 << part[0][d]
         return part[1 + d] * (np.arange(n) - (n - 1) / 2)
 
     others = [p for u, p in parts.items() if u != user]
-    return [(levels(parts[user], d),
-             _combo_sums([levels(p, d) for p in others])) for d in (0, 1)]
+    return [g * (levels(parts[user], d)[:, None]
+                 + _combo_sums([levels(p, d) for p in others])[None, :])
+            for d in (0, 1)]
 
 
 def log_sum_exp(a: np.ndarray, axis: int) -> np.ndarray:
     """log sum exp(a) along one axis, finite for any magnitudes."""
     mx = a.max(axis=axis, keepdims=True)
-    return np.log(np.exp(a - mx).sum(axis=axis)) + np.squeeze(mx, axis=axis)
+    terms = np.maximum(a - mx, _EXP_FLOOR)
+    np.exp(terms, out=terms)
+    return np.log(terms.sum(axis=axis)) + np.squeeze(mx, axis=axis)
 
 
-def tin_loglik(y: np.ndarray, g: float, levels: np.ndarray, sums: np.ndarray,
-               *, max_log: bool = False) -> np.ndarray:
+def tin_loglik(y: np.ndarray, grid: np.ndarray, *,
+               max_log: bool = False) -> np.ndarray:
     """log sum_t exp(-(y - g (x + t))^2) for every desired level x.
 
     The TIN likelihood of one real dimension up to a constant, the one place
-    it is computed: y are coordinates after rotation by conj(h)/|h|, g = |h|,
-    and t runs over the interferer level sums.  Returns a (len(y),
-    len(levels)) array; max_log takes the maximum over t instead.
+    it is computed: y are coordinates after rotation by conj(h)/|h| and grid
+    is the dimension's (levels, interferer sums) array from `receive_grids`.
+    Returns a (len(y), levels) array; max_log takes the maximum over t
+    instead.  The working array is (levels, sums, symbols), so the
+    reductions over t are elementwise passes over contiguous symbols, and
+    the result is the transpose of a C-contiguous (levels, symbols) array.
     """
-    x = g * (levels[:, None] + sums[None, :])
-    out = np.empty((y.size, levels.size))
-    step = max(1, _ELEM_BUDGET // x.size)
+    out = np.empty((grid.shape[0], y.size))
+    step = max(1, _ELEM_BUDGET // grid.size)
     for lo in range(0, y.size, step):
-        m = y[lo:lo + step, None, None] - x[None, :, :]
-        np.square(m, out=m)
-        np.negative(m, out=m)
-        out[lo:lo + step] = m.max(axis=2) if max_log else log_sum_exp(m, 2)
-    return out
+        # squared distances d; -max_t(-d) = min_t d and -d - (-min) = min - d
+        # exactly, so no negated copy is needed
+        d = y[lo:lo + step] - grid[:, :, None]
+        np.square(d, out=d)
+        low = d.min(axis=1)
+        dst = out[:, lo:lo + step]
+        if max_log:
+            np.negative(low, out=dst)
+            continue
+        np.subtract(low[:, None, :], d, out=d)
+        np.maximum(d, _EXP_FLOOR, out=d)
+        np.exp(d, out=d)
+        total = d.sum(axis=1)
+        np.log(total, out=total)
+        np.subtract(total, low, out=dst)
+    return out.T
 
 
-def dimension_densities(y: np.ndarray, g: float, levels: np.ndarray,
-                        sums: np.ndarray, sent: np.ndarray) -> np.ndarray:
+def dimension_densities(y: np.ndarray, grid: np.ndarray,
+                        sent: np.ndarray) -> np.ndarray:
     """One dimension's information density in bits, at sent level indices."""
-    ll = tin_loglik(y, g, levels, sums)
+    ll = tin_loglik(y, grid)
     own = np.take_along_axis(ll, sent[:, None], axis=1)[:, 0]
-    return math.log2(levels.size) + (own - log_sum_exp(ll, 1)) / LN2
+    return math.log2(grid.shape[0]) + (own - log_sum_exp(ll, 1)) / LN2
 
 
 @functools.cache
@@ -560,18 +584,18 @@ def sub_block_stats(g: float, parts: Mapping, user: int) -> SubBlockRateStats:
     """(I, V) of one user in one sub-block as the sums of its I and Q parts.
 
     g is the user's |h| and parts the sub-block's (shape, amp_i, amp_q) per
-    user (see `dimension_levels`).  In each dimension every (level,
+    user (see `receive_grids`).  In each dimension every (level,
     interferer sum) pair is equally likely, and the noise N(0, 1/2) is
     integrated by the GH_NODES-point rule.
     """
     nodes, weights = _hermite_rule(GH_NODES)
     mi = dispersion = 0.0
-    for levels, sums in dimension_levels(parts, user):
-        pairs = levels.size * sums.size
-        y = (g * (levels[:, None] + sums[None, :]))[:, :, None] + nodes
-        sent = np.repeat(np.arange(levels.size), sums.size * nodes.size)
-        dens = dimension_densities(y.ravel(), g, levels, sums, sent)
-        w = np.tile(weights, pairs) / pairs
+    for grid in receive_grids(g, parts, user):
+        n_levels, n_sums = grid.shape
+        y = grid[:, :, None] + nodes
+        sent = np.repeat(np.arange(n_levels), n_sums * nodes.size)
+        dens = dimension_densities(y.ravel(), grid, sent)
+        w = np.tile(weights, grid.size) / grid.size
         first, second = float(dens @ w), float((dens * dens) @ w)
         mi += first
         dispersion += max(second - first * first, 0.0)

@@ -546,14 +546,16 @@ def verify_min_distances(plan: SchemePlan, spec: SystemSpec | None = None
 
 def codeword_lengths(orders, layout: SubBlockLayout) -> tuple[int, ...]:
     """n_k = sum over sub-blocks of (sub-block length) * (order there)."""
-    orders = _normalize_orders(orders, len(layout.sub_blocks))
-    out = []
-    for k in range(len(orders)):
-        n = 0
-        for sb in layout.sub_blocks[:k + 1]:
-            n += sb.length * orders[k][sb.index]
-        out.append(n)
-    return tuple(out)
+    return _codeword_bits(_normalize_orders(orders, len(layout.sub_blocks)),
+                          layout)
+
+
+def _codeword_bits(orders: tuple[tuple[int, ...], ...],
+                   layout: SubBlockLayout) -> tuple[int, ...]:
+    """`codeword_lengths` of an order matrix already normalized."""
+    return tuple(sum(sb.length * row[sb.index]
+                     for sb in layout.sub_blocks[:k + 1])
+                 for k, row in enumerate(orders))
 
 
 def map_bits(bits, user: int, plan: SchemePlan) -> np.ndarray:
@@ -755,7 +757,7 @@ def design_search(spec: SystemSpec, weights: Sequence[float] | None = None, *,
                      for u in result.users)
         candidates.append(DesignCandidate(
             orders=matrix, rate_result=result, weighted_sum=ws,
-            info_bits=info, codeword_bits=codeword_lengths(matrix, layout),
+            info_bits=info, codeword_bits=_codeword_bits(matrix, layout),
             pareto=is_pareto))
     candidates.sort(key=lambda c: (-c.weighted_sum, _flat(c.orders)))
     return DesignSearchResult(candidates=tuple(candidates))

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tinlink import cli
+from tinlink import cli, linksim, scheme
 from tinlink.cli import (
     EXIT_BAD_CONFIG,
     EXIT_CHECK_FAILED,
@@ -258,6 +258,45 @@ class TestSimulate:
             assert r["zero_noise_roundtrip"] == "yes"
             assert float(r["mean_symbol_power"]) == pytest.approx(1.0, abs=0.1)
             assert 0.0 <= float(r["uncoded_ber"]) < 0.5
+
+    def test_each_frame_simulated_once(self, tmp_path, monkeypatch):
+        # every frame, and the zero-noise frame, is simulated once for all
+        # users, and each active segment's demapper set-up is built once
+        n_frames = 4
+        cfg = json.loads((ROOT / "configs" / "three_user.json").read_text())
+        cfg["simulate"] = {"orders": [[2], [2, 4], [2, 4, 2]],
+                           "n_frames": n_frames}
+        path = tmp_path / "sim.json"
+        path.write_text(json.dumps(cfg))
+        calls = {"frames": 0, "setups": [], "llrs": 0}
+        simulate_frame = linksim.simulate_frame
+        segment_demapper = linksim.segment_demapper
+        tin_llr = linksim.tin_llr
+
+        def count_frame(*args, **kwargs):
+            calls["frames"] += 1
+            return simulate_frame(*args, **kwargs)
+
+        def count_setup(plan, user, sub_block, h=None):
+            calls["setups"].append((user, sub_block))
+            return segment_demapper(plan, user, sub_block, h)
+
+        def count_llr(*args, **kwargs):
+            calls["llrs"] += 1
+            return tin_llr(*args, **kwargs)
+
+        monkeypatch.setattr(linksim, "simulate_frame", count_frame)
+        monkeypatch.setattr(linksim, "segment_demapper", count_setup)
+        monkeypatch.setattr(linksim, "tin_llr", count_llr)
+        assert main(["simulate", "--config", str(path),
+                     "--out", str(tmp_path / "sim.csv")]) == EXIT_OK
+        plan = scheme.assign_power(cfg["simulate"]["orders"],
+                                   cli.spec_from_config(cfg))
+        segments = [(k, sb.index) for k in range(plan.spec.K)
+                    for sb in linksim.active_segments(plan, k)]
+        assert calls["frames"] == n_frames + 1
+        assert sorted(calls["setups"]) == segments
+        assert calls["llrs"] == (n_frames + 1) * len(segments)
 
 
 class TestValidate:

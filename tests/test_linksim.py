@@ -1,13 +1,20 @@
 """Channel simulation, exact TIN LLRs, density checks, interleaver, dumps."""
 import cmath
 import itertools
+import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from scipy.special import logsumexp
 
+from tinlink import cli, rates
 from tinlink.linksim import (
+    SimulationError,
+    active_segments,
     deinterleave,
     demap_frame,
     dump_frames,
@@ -21,7 +28,21 @@ from tinlink.linksim import (
     simulate_frame,
     tin_llr,
 )
-from tinlink.scheme import SystemSpec, UserSpec, assign_power, map_bits
+from tinlink.rates import sub_block_stats
+from tinlink.scheme import (
+    SystemSpec,
+    UserSpec,
+    assign_power,
+    check_modulation_constraints,
+    map_bits,
+)
+
+from oracles import (
+    active_bits_reference as active_payload_bits,
+    simulate_rows_reference,
+    sub_block_stats_reference,
+    tin_llr_reference,
+)
 
 
 def urllc_plan(n1=64, n2=96):
@@ -30,16 +51,35 @@ def urllc_plan(n1=64, n2=96):
     return assign_power([[2], [4, 4]], spec)
 
 
-def active_payload_bits(payload, user, plan):
-    keep = []
-    pos = 0
-    for sb in plan.layout.sub_blocks[:user + 1]:
-        m = plan.entries[(user, sb.index)].order
-        take = sb.length * m
-        if sb.length > 0 and m > 0:
-            keep.append(payload[pos:pos + take])
-        pos += take
-    return np.concatenate(keep)
+@st.composite
+def feasible_plans(draw):
+    """Feasible K = 1-3 plans with complex channels and orders 0-3."""
+    k = draw(st.integers(1, 3))
+    lengths = sorted(draw(st.lists(st.integers(1, 24), min_size=k,
+                                   max_size=k)))
+    gains = draw(st.lists(st.integers(3, 40), min_size=k, max_size=k,
+                          unique=True))
+    phases = draw(st.lists(st.floats(-math.pi, math.pi), min_size=k,
+                           max_size=k))
+    spec = SystemSpec.create(
+        draw(st.floats(1.0, 10.0)),
+        [UserSpec(n, draw(st.floats(1e-7, 0.4)), g * cmath.exp(1j * a))
+         for n, g, a in zip(lengths, gains, phases)])
+    orders = [draw(st.lists(st.integers(0, 3), min_size=i + 1,
+                            max_size=i + 1)) for i in range(k)]
+    assume(any(m for row in orders for m in row))
+    assume(check_modulation_constraints(orders, spec).feasible)
+    return assign_power(orders, spec)
+
+
+def thirteen_bit_plan(phase):
+    """One user with the 2^13-point order: 128 I levels by 64 Q levels."""
+    spec = SystemSpec.create(1e9, [UserSpec(16, 1e-5, cmath.exp(1j * phase))])
+    return assign_power([[13]], spec)
+
+
+TIN_PLANS = st.one_of(feasible_plans(),
+                      st.floats(-math.pi, math.pi).map(thirteen_bit_plan))
 
 
 class TestSimulateFrame:
@@ -196,6 +236,83 @@ class TestTinLlr:
         assert bers[1] < bers[0]
 
 
+class TestAgainstSymbolsFirstOracles:
+    """The symbols-last kernel, the hoisted demapper set-up and the single
+    frame loop against the forms they replaced (tests/oracles.py)."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(plan=TIN_PLANS, seed=st.integers(0, 2 ** 32 - 1),
+           max_log=st.booleans())
+    def test_llrs_match_oracle(self, plan, seed, max_log):
+        frame = simulate_frame(plan, random_payloads(plan, seed), seed + 1)
+        for user in range(plan.spec.K):
+            got = []
+            for sb in active_segments(plan, user):
+                y = frame.y[user][sb.start:sb.stop]
+                llr = tin_llr(y, user, sb.index, plan, max_log=max_log)
+                ref = tin_llr_reference(y, user, sb.index, plan,
+                                        max_log=max_log)
+                np.testing.assert_allclose(llr, ref, rtol=1e-12, atol=0)
+                assert np.array_equal(np.sign(llr), np.sign(ref))
+                got.append(llr.ravel())
+            framed = demap_frame(frame, user, plan, max_log=max_log)
+            assert np.array_equal(framed, np.concatenate(got) if got
+                                  else np.zeros(0))
+
+    @settings(max_examples=25, deadline=None)
+    @given(plan=TIN_PLANS)
+    def test_sub_block_stats_match_oracle(self, plan):
+        for user, u in enumerate(plan.spec.users):
+            for sb in active_segments(plan, user):
+                parts = plan.parts(sb.index)
+                got = sub_block_stats(abs(u.h), parts, user)
+                ref = sub_block_stats_reference(abs(u.h), parts, user)
+                assert abs(got.mi - ref.mi) <= 1e-14
+                assert abs(got.dispersion - ref.dispersion) <= 1e-14
+
+    def test_symbol_chunks_match_one_pass(self, monkeypatch):
+        # a 48-element budget takes 6 or 12 symbols per kernel pass on
+        # this plan's 8- and 4-point grids; chunking must not change a bit
+        plan = urllc_plan(n1=16, n2=40)
+        frame = simulate_frame(plan, random_payloads(plan, 71), 72)
+        g = abs(plan.spec.users[1].h)
+
+        def results():
+            return ([demap_frame(frame, k, plan, max_log=max_log)
+                     for k in range(plan.spec.K) for max_log in (False, True)],
+                    [sub_block_stats(g, plan.parts(j), 1) for j in (0, 1)])
+
+        whole = results()
+        monkeypatch.setattr(rates, "_ELEM_BUDGET", 48)
+        chunked = results()
+        for a, b in zip(whole[0], chunked[0]):
+            assert np.array_equal(a, b)
+        assert whole[1] == chunked[1]
+
+    @settings(max_examples=20, deadline=None)
+    @given(plan=TIN_PLANS, n_frames=st.integers(1, 3),
+           seed=st.integers(0, 10 ** 6))
+    def test_simulate_csv_matches_user_loop_oracle(self, plan, n_frames,
+                                                   seed):
+        cfg = {"schema_version": 1, "system": plan.spec.to_dict(),
+               "sampling": {"n_noise_samples": 1000},
+               "simulate": {"orders": [list(r) for r in plan.orders],
+                            "n_frames": n_frames}}
+        with tempfile.TemporaryDirectory() as tmp:
+            config, out, ref = (Path(tmp) / name for name in
+                                ("sim.json", "sim.csv", "ref.csv"))
+            config.write_text(json.dumps(cfg))
+            assert cli.main(["simulate", "--config", str(config),
+                             "--out", str(out), "--seed", str(seed)]) == 0
+            got = out.read_text().splitlines()
+            cli._write_csv(ref, got[0].split(","), simulate_rows_reference(
+                plan, n_frames, seed, 1000, "-"))
+            want = ref.read_text().splitlines()
+        assert len(got) == plan.spec.K + 1
+        assert [line.split(",", 1)[1] for line in got] == [
+            line.split(",", 1)[1] for line in want]
+
+
 class TestInformationDensities:
     def test_matches_rate_engine_within_4_sigma(self):
         # full design-point blocklengths; ~1e5 sampled symbols for user 2
@@ -251,3 +368,25 @@ class TestInterleaverAndDump:
         assert np.allclose(sym, frame.symbols[1])
         assert np.allclose(y, frame.y[1])
         assert np.allclose(ll, llr)
+
+    @pytest.fixture
+    def dump_bytes(self, tmp_path):
+        plan = urllc_plan(n1=16, n2=24)
+        payloads = random_payloads(plan, 43)
+        frame = simulate_frame(plan, payloads, 44)
+        path = tmp_path / "frames.bin"
+        dump_frames(path, [(payloads[0], frame.symbols[0], frame.y[0],
+                            demap_frame(frame, 0, plan))])
+        return path.read_bytes()
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda raw: raw[:-16], "payload is truncated"),
+        (lambda raw: raw[:20], "header is truncated"),
+        (lambda raw: raw + bytes(8), "8 bytes after its 1 records"),
+    ], ids=["short_payload", "short_header", "trailing_bytes"])
+    def test_malformed_dump_rejected(self, dump_bytes, tmp_path, edit,
+                                     message):
+        path = tmp_path / "bad.bin"
+        path.write_bytes(edit(dump_bytes))
+        with pytest.raises(SimulationError, match=message):
+            load_frame_dump(path)

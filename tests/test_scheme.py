@@ -489,7 +489,8 @@ class TestDesignSearch:
         for cand in res.candidates:
             plan = assign_power(cand.orders, spec)
             assert cand.rate_result == rates.compute_plan_rates(plan)
-            assert cand.codeword_bits == plan.codeword_lengths
+            assert cand.codeword_bits == plan.codeword_lengths == (
+                codeword_lengths(cand.orders, plan.layout))
 
     def test_kernel_once_per_table_key(self, monkeypatch):
         spec = self.three_user_spec()
