@@ -9,13 +9,12 @@ Exit codes: 0 success, 1 validation failure, 2 invalid config or schema,
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import math
 import sys
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -46,18 +45,26 @@ def build_id() -> str:
     return digest.hexdigest()[:12]
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return format(value, ".12g")
-    return str(value)
+def _csv_cell(text: str) -> str:
+    """`text` as `csv` writes it under QUOTE_MINIMAL: quoted, inner quotes
+    doubled, when it holds a delimiter, a quote or a line break."""
+    if '"' in text or "," in text or "\n" in text or "\r" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
-def _write_csv(path, header: Sequence[str], rows: Sequence[Sequence]) -> None:
+def _line_template(lead: Sequence[str], tail: str) -> str:
+    """A CSV line as a %-format: the constant cells `lead`, quoted once,
+    then `tail`, which takes floats by `%.12g` and integers and quoted
+    strings by `%s`, and the CRLF line end."""
+    cells = "".join(_csv_cell(c).replace("%", "%%") + "," for c in lead)
+    return cells + tail + "\r\n"
+
+
+def _write_lines(path, header: Sequence[str], lines: Iterable[str]) -> None:
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        fh.write(",".join(map(_csv_cell, header)) + "\r\n")
+        fh.writelines(lines)
 
 
 def _orders_str(orders) -> str:
@@ -141,18 +148,15 @@ def cmd_design(cfg: Mapping, args) -> int:
               + [f"R_{k + 1}" for k in range(spec.K)]
               + [f"k_{k + 1}" for k in range(spec.K)]
               + [f"n_{k + 1}" for k in range(spec.K)])
-    rows = []
-    bid = build_id()
-    for rank, cand in enumerate(result.candidates):
-        report = scheme.check_modulation_constraints(cand.orders, spec)
-        slack = min((r.slack for r in report.rows if r.kind == "order_sum"),
-                    default=math.inf)
-        rows.append([bid, seed, samples, rank, _orders_str(cand.orders),
-                     cand.weighted_sum, "yes", slack]
-                    + list(cand.rate_result.rates)
-                    + list(cand.info_bits)
-                    + list(cand.codeword_bits))
-    _write_csv(args.out, header, rows)
+    line = _line_template([build_id(), str(seed), str(samples)],
+                          "%s,%s,%.12g,yes,%.12g" + ",%.12g" * spec.K
+                          + ",%s" * (2 * spec.K))
+    _write_lines(args.out, header, (
+        line % (rank, _csv_cell(_orders_str(cand.orders)),
+                cand.weighted_sum, cand.min_order_slack,
+                *cand.rate_result.rates, *cand.info_bits,
+                *cand.codeword_bits)
+        for rank, cand in enumerate(result.candidates)))
     if args.plan_out and result.candidates:
         with open(args.plan_out, "w") as fh:
             plan = scheme.assign_power(result.candidates[0].orders, spec)
@@ -206,10 +210,15 @@ def _simplex_grid(dims: int, steps: int, total: float) -> np.ndarray:
 
 
 def _param_strs(powers: Mapping[tuple[int, int], np.ndarray]) -> list[str]:
-    """Each split's `user.subblock=power` items, in (user, sub_block) order."""
-    columns = [[f"{u + 1}.{j + 1}={p:.6g}" for p in column.tolist()]
-               for (u, j), column in sorted(powers.items())]
-    return [";".join(items) for items in zip(*columns)]
+    """Each split's `user.subblock=power` items, in (user, sub_block) order;
+    each distinct power of a column is formatted once."""
+    columns = []
+    for (u, j), column in sorted(powers.items()):
+        bits, inverse = np.unique(column.view(np.uint64), return_inverse=True)
+        items = [f"{u + 1}.{j + 1}={p:.6g}"
+                 for p in bits.view(np.float64).tolist()]
+        columns.append(map(items.__getitem__, inverse.tolist()))
+    return [";".join(split) for split in zip(*columns)]
 
 
 def cmd_rate_region(cfg: Mapping, args, benchmarks_only: bool = False) -> int:
@@ -230,40 +239,44 @@ def cmd_rate_region(cfg: Mapping, args, benchmarks_only: bool = False) -> int:
     header = (["build_id", "seed", "n_noise_samples", "point_type", "param",
                "orders"]
               + [f"R_{k + 1}" for k in range(spec.K)])
-    rows = []
-    bid = build_id()
+    lead = [build_id(), str(seed), str(samples)]
+    rate_cells = ",%.12g" * spec.K
 
+    candidates = ()
     if include_qam:
         result = scheme.design_search(
             spec, [1.0] * spec.K, max_sub_block_order=cap, pareto_only=False)
         if not result.candidates:
             print(result.explanation or "no feasible design", file=sys.stderr)
-            _write_csv(args.out, header, [])
+            _write_lines(args.out, header, ())
             return EXIT_NO_DESIGN
-        for cand in result.candidates:
-            rows.append([bid, seed, samples, "qam_tin", "",
-                         _orders_str(cand.orders)]
-                        + list(cand.rate_result.rates))
+        candidates = result.candidates
 
     powers = _power_splits(spec, layout, steps)
     gauss_sic = rates.bc_gaussian_rates(spec, layout, powers, mode="sic")
     gauss_tin = rates.bc_gaussian_rates(spec, layout, powers, mode="tin")
     shell = rates.bc_shell_rates(spec, layout, powers, mode="sic")
     has_shell = ~np.isnan(shell).any(axis=1)
-    # rows are converted one at a time: whole-array lists would be held
-    # alongside the finished rows
-    for param, r_sic, r_tin, r_shell, shell_row in zip(
-            _param_strs(powers), gauss_sic, gauss_tin, shell,
-            has_shell.tolist()):
-        rows.append([bid, seed, samples, "gauss_sic", param, ""]
-                    + r_sic.tolist())
-        rows.append([bid, seed, samples, "gauss_tin", param, ""]
-                    + r_tin.tolist())
-        if shell_row:
-            rows.append([bid, seed, samples, "shell_sic", param, ""]
-                        + r_shell.tolist())
+    qam = _line_template(lead + ["qam_tin", ""], "%s" + rate_cells)
+    # param strings hold no delimiter or quote, so they go in unquoted
+    sic, tin, shell_sic = (_line_template(lead + [kind], "%s," + rate_cells)
+                           for kind in ("gauss_sic", "gauss_tin", "shell_sic"))
 
-    _write_csv(args.out, header, rows)
+    def lines():
+        for cand in candidates:
+            yield qam % (_csv_cell(_orders_str(cand.orders)),
+                         *cand.rate_result.rates)
+        # rows are converted one at a time, so no whole-array list is held
+        # beside the output
+        for param, r_sic, r_tin, r_shell, shell_row in zip(
+                _param_strs(powers), gauss_sic, gauss_tin, shell,
+                has_shell.tolist()):
+            yield sic % (param, *r_sic.tolist())
+            yield tin % (param, *r_tin.tolist())
+            if shell_row:
+                yield shell_sic % (param, *r_shell.tolist())
+
+    _write_lines(args.out, header, lines())
     return EXIT_OK
 
 
@@ -310,7 +323,7 @@ def cmd_simulate(cfg: Mapping, args) -> int:
         quiet = (linksim.simulate_frame(plan, payloads, seed, noise_scale=0.0)
                  if f == 0 else None)
         for k in range(spec.K):
-            sent = _active_bits(payloads[k], k, plan)
+            sent = payloads[k]  # every codeword bit is on a demapped segment
             llr = linksim.demap_frame(frame, k, plan, demappers=demappers)
             n_err[k] += int(np.count_nonzero(linksim.hard_bits(llr) != sent))
             n_bits[k] += sent.size
@@ -318,27 +331,14 @@ def cmd_simulate(cfg: Mapping, args) -> int:
                 llr0 = linksim.demap_frame(quiet, k, plan, demappers=demappers)
                 clean_ok[k] = bool(np.array_equal(linksim.hard_bits(llr0),
                                                   sent))
-    bid = build_id()
-    rows = [[bid, seed, samples, k + 1, n_frames, n_bits[k], n_err[k],
-             (n_err[k] / n_bits[k]) if n_bits[k] else 0.0,
-             power_acc / power_n if power_n else 0.0,
-             "yes" if clean_ok[k] else "no"] for k in range(spec.K)]
-    _write_csv(args.out, header, rows)
+    line = _line_template([build_id(), str(seed), str(samples)],
+                          "%s,%s,%s,%s,%.12g,%.12g,%s")
+    _write_lines(args.out, header, (
+        line % (k + 1, n_frames, n_bits[k], n_err[k],
+                (n_err[k] / n_bits[k]) if n_bits[k] else 0.0,
+                power_acc / power_n if power_n else 0.0,
+                "yes" if clean_ok[k] else "no") for k in range(spec.K)))
     return EXIT_OK
-
-
-def _active_bits(payload: np.ndarray, user: int, plan: scheme.SchemePlan
-                 ) -> np.ndarray:
-    """Bits that land on non-empty sub-blocks, in demapper order."""
-    keep = []
-    pos = 0
-    for sb in plan.layout.sub_blocks[:user + 1]:
-        m = plan.entries[(user, sb.index)].order
-        take = sb.length * m
-        if sb.length > 0 and m > 0:
-            keep.append(payload[pos:pos + take])
-        pos += take
-    return np.concatenate(keep) if keep else np.zeros(0, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +403,7 @@ def _validation_checks(samples: int, seed: int):
     for k in range(spec.K):
         llr = linksim.demap_frame(frame, k, plan)
         ok = ok and bool(np.array_equal(
-            linksim.hard_bits(llr), _active_bits(payloads[k], k, plan)))
+            linksim.hard_bits(llr), payloads[k]))
     yield "zero_noise_llr_roundtrip", ok, ""
 
     # quadrature kernel against the Monte Carlo estimator on the same plan
@@ -472,7 +472,6 @@ def cmd_validate(cfg: Mapping, args) -> int:
     samples, seed = sampling_params(cfg, args)
     plan_path = _section(cfg, "validate").get("plan")
     rows = []
-    bid = build_id()
     if plan_path:
         try:
             with open(plan_path) as fh:
@@ -481,19 +480,18 @@ def cmd_validate(cfg: Mapping, args) -> int:
         except (OSError, json.JSONDecodeError, scheme.SpecError) as exc:
             print(f"plan schema error: {exc}", file=sys.stderr)
             return EXIT_BAD_CONFIG
-        rows.append([bid, seed, samples, "plan_schema", "yes", plan_path])
-    failures = 0
-    for name, passed, detail in _validation_checks(samples, seed):
-        rows.append([bid, seed, samples, name, "yes" if passed else "no",
-                     detail])
-        failures += 0 if passed else 1
-    header = ["build_id", "seed", "n_noise_samples", "check", "passed",
-              "detail"]
+        rows.append(("plan_schema", True, str(plan_path)))
+    rows.extend(_validation_checks(samples, seed))
     if args.out:
-        _write_csv(args.out, header, rows)
-    for row in rows:
-        print(f"{row[3]}: {'PASS' if row[4] == 'yes' else 'FAIL'} {row[5]}")
-    return EXIT_OK if failures == 0 else EXIT_CHECK_FAILED
+        line = _line_template([build_id(), str(seed), str(samples)],
+                              "%s,%s,%s")
+        _write_lines(args.out, ["build_id", "seed", "n_noise_samples",
+                                "check", "passed", "detail"],
+                     (line % (_csv_cell(name), "yes" if ok else "no",
+                              _csv_cell(detail)) for name, ok, detail in rows))
+    for name, ok, detail in rows:
+        print(f"{name}: {'PASS' if ok else 'FAIL'} {detail}")
+    return EXIT_OK if all(ok for _, ok, _ in rows) else EXIT_CHECK_FAILED
 
 
 # ---------------------------------------------------------------------------

@@ -91,11 +91,6 @@ def simulate_frame(plan: SchemePlan, payloads: Mapping[int, np.ndarray],
 # Exact TIN LLR demapping
 # ---------------------------------------------------------------------------
 
-def _rotation(h: complex) -> complex:
-    """conj(h)/|h|, which turns y = h x + z into |h| x + z' (1 if h = 0)."""
-    return np.conj(h) / abs(h) if h else 1
-
-
 def active_segments(plan: SchemePlan, user: int) -> list[SubBlock]:
     """The user's non-empty sub-blocks that carry at least one of its bits,
     in frame order: the segments a demapper reads."""
@@ -107,7 +102,8 @@ def active_segments(plan: SchemePlan, user: int) -> list[SubBlock]:
 class SegmentDemapper:
     """The demapper set-up of one user's sub-block segment.
 
-    rotation is `_rotation(h)`.  dims has one entry for I and one for Q
+    rotation is conj(h)/|h|, which turns y = h x + z into |h| x + z' (1 if
+    h = 0).  dims has one entry for I and one for Q
     where the user's label has bits: the coordinate (0 for I, 1 for Q), the
     receive grid from `rates.receive_grids`, and a (2 bits, levels / 2)
     array whose row b lists the level positions with Gray label bit b equal
@@ -134,7 +130,7 @@ def segment_demapper(plan: SchemePlan, user: int, sub_block: int,
         bit = (gray_sequence(n_bits) >> shifts) & 1
         halves = np.nonzero(np.concatenate([bit == 0, bit == 1]))[1]
         dims.append((d, grid, halves.reshape(2 * n_bits, -1)))
-    return SegmentDemapper(_rotation(h), tuple(dims))
+    return SegmentDemapper(np.conj(h) / abs(h) if h else 1, tuple(dims))
 
 
 def plan_demappers(plan: SchemePlan
@@ -216,22 +212,25 @@ class DensityCheckRow:
 
 
 def information_densities(frame: ReceivedFrame, user: int, sub_block: int,
-                          plan: SchemePlan, h: complex | None = None
+                          plan: SchemePlan, h: complex | None = None, *,
+                          demapper: SegmentDemapper | None = None
                           ) -> np.ndarray:
     """Per-symbol information densities of one received sub-block segment.
 
     The density is the sum of the I and Q parts; the sent levels are read
-    from the unit symbols, whose coordinates sit on the half-integer grid.
+    from the unit symbols, whose coordinates sit on the half-integer grid;
+    a dimension without label bits has one level and adds nothing.
+    demapper is `segment_demapper(plan, user, sub_block, h)`, built if None.
     """
-    if h is None:
-        h = plan.spec.users[user].h
+    if demapper is None:
+        demapper = segment_demapper(plan, user, sub_block, h)
     sb = plan.layout.sub_blocks[sub_block]
-    y = frame.y[user][sb.start:sb.stop] * _rotation(h)
+    y = frame.y[user][sb.start:sb.stop] * demapper.rotation
     sent = frame.symbols[user][sb.start:sb.stop]
+    coords = ((y.real, sent.real), (y.imag, sent.imag))
     dens = np.zeros(sent.size)
-    for yd, unit, grid in zip((y.real, y.imag), (sent.real, sent.imag),
-                              receive_grids(abs(h), plan.parts(sub_block),
-                                            user)):
+    for d, grid, _ in demapper.dims:
+        yd, unit = coords[d]
         idx = np.rint(unit + (grid.shape[0] - 1) / 2).astype(np.int64)
         dens += dimension_densities(yd, grid, idx)
     return dens
@@ -248,12 +247,14 @@ def empirical_id_check(plan: SchemePlan, user: int, n_frames: int, seed: int,
     """
     rows = []
     per_block: dict[int, list[np.ndarray]] = {}
+    demappers = {sb.index: segment_demapper(plan, user, sb.index)
+                 for sb in active_segments(plan, user)}
     for f in range(n_frames):
         payloads = random_payloads(plan, seed + 7919 * f)
         frame = simulate_frame(plan, payloads, seed + 104729 * f + 1)
-        for sb in active_segments(plan, user):
-            per_block.setdefault(sb.index, []).append(
-                information_densities(frame, user, sb.index, plan))
+        for j, demapper in demappers.items():
+            per_block.setdefault(j, []).append(information_densities(
+                frame, user, j, plan, demapper=demapper))
     exact = compute_plan_rates(plan).users[user].stats
     for j, chunks in sorted(per_block.items()):
         samples = np.concatenate(chunks)

@@ -627,6 +627,7 @@ class DesignCandidate:
     info_bits: tuple[int, ...]
     codeword_bits: tuple[int, ...]
     pareto: bool
+    min_order_slack: float  # least order_sum row slack (inf if none)
 
 
 @dataclass(frozen=True)
@@ -709,15 +710,20 @@ def design_search(spec: SystemSpec, weights: Sequence[float] | None = None, *,
         return DesignSearchResult(candidates=(), explanation=none_left)
 
     # one kernel call per (sub-block, rank-order vector, user); index[i, j]
-    # is candidate i's vector in sub-block j
+    # is candidate i's vector in sub-block j, and order_slack[j][mv] the
+    # least order_sum slack of vector mv in non-empty sub-block j
     table = {}
     index = np.empty((len(combos), spec.K), dtype=np.intp)
     vectors = []
+    order_slack = []
     for sb in layout.sub_blocks:
         seen: dict[tuple[int, ...], int] = {}
         index[:, sb.index] = [seen.setdefault(combo[sb.index], len(seen))
                               for combo in combos]
         vectors.append(list(seen))
+        order_slack.append({mv: min(
+            r.slack for r in _sub_block_rows(mv, sb.ranks, sb.index, spec)
+            if r.kind == "order_sum") for mv in seen} if sb.length else {})
         for mv in seen:
             by_rank = dict(zip(sb.ranks, sub_block_parts(mv, spec.P)))
             parts = {u: by_rank[u] for u in sb.participants}
@@ -758,7 +764,9 @@ def design_search(spec: SystemSpec, weights: Sequence[float] | None = None, *,
         candidates.append(DesignCandidate(
             orders=matrix, rate_result=result, weighted_sum=ws,
             info_bits=info, codeword_bits=_codeword_bits(matrix, layout),
-            pareto=is_pareto))
+            pareto=is_pareto, min_order_slack=min(
+                (order_slack[j][mv] for j, mv in enumerate(combo)
+                 if order_slack[j]), default=math.inf)))
     candidates.sort(key=lambda c: (-c.weighted_sum, _flat(c.orders)))
     return DesignSearchResult(candidates=tuple(candidates))
 

@@ -5,12 +5,17 @@ rate combiner, benchmark sweep and power-split grid took whole arrays.  They
 compute each value with Python floats (`math.log2`, `**`, one `@` per user),
 so the array code must match them bit for bit.
 
+The CSV writer is the per-cell `csv.writer` loop the commands used before
+they wrote each line from a template; their files must match it byte for
+byte.
+
 The TIN kernel, LLR demapper and `simulate` loop below are the forms the
 package used before it kept symbols on the last axis of the kernel's working
 array and simulated each frame once for all users.  Their sums over
 interferer levels run in another order, so the current kernel matches them
 to a relative 1e-12, not bit for bit.
 """
+import csv
 import itertools
 import math
 
@@ -27,7 +32,9 @@ from tinlink.rates import (
     SubBlockRateStats,
     _combo_sums,
     _hermite_rule,
+    dimension_densities,
     qfunc_inv,
+    receive_grids,
 )
 
 
@@ -298,3 +305,38 @@ def simulate_rows_reference(plan, n_frames, seed, samples, bid):
                      power_acc / power_n if power_n else 0.0,
                      "yes" if clean_ok else "no"])
     return rows
+
+
+def information_densities_reference(frame, user, sub_block, plan, h=None):
+    """Per-symbol densities with both dimensions' receive grids built for
+    the call, a one-level dimension included."""
+    if h is None:
+        h = plan.spec.users[user].h
+    sb = plan.layout.sub_blocks[sub_block]
+    y = frame.y[user][sb.start:sb.stop] * (np.conj(h) / abs(h) if h else 1)
+    sent = frame.symbols[user][sb.start:sb.stop]
+    dens = np.zeros(sent.size)
+    for yd, unit, grid in zip((y.real, y.imag), (sent.real, sent.imag),
+                              receive_grids(abs(h), plan.parts(sub_block),
+                                            user)):
+        idx = np.rint(unit + (grid.shape[0] - 1) / 2).astype(np.int64)
+        dens += dimension_densities(yd, grid, idx)
+    return dens
+
+
+# ---------------------------------------------------------------------------
+# CSV writer, one formatted cell at a time
+# ---------------------------------------------------------------------------
+
+def fmt_reference(value) -> str:
+    if isinstance(value, float):
+        return format(value, ".12g")
+    return str(value)
+
+
+def write_csv_reference(path, header, rows) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([fmt_reference(v) for v in row])

@@ -10,8 +10,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from tinlink import cli, linksim, scheme
+from tinlink import cli, linksim, rates, scheme
 from tinlink.cli import (
     EXIT_BAD_CONFIG,
     EXIT_CHECK_FAILED,
@@ -21,7 +22,11 @@ from tinlink.cli import (
 )
 from tinlink.scheme import SystemSpec, UserSpec, build_layout
 
-from oracles import param_str_reference, power_splits_reference
+from oracles import (
+    param_str_reference,
+    power_splits_reference,
+    write_csv_reference,
+)
 
 
 def write_config(tmp_path, name="config.json", **overrides):
@@ -422,6 +427,134 @@ class TestConfigHandling:
 
 
 ROOT = Path(__file__).resolve().parent.parent
+
+
+# ---------------------------------------------------------------------------
+# CSV line path against the per-cell csv.writer oracle
+# ---------------------------------------------------------------------------
+
+FLOATS = st.one_of(
+    st.floats(), st.floats().map(np.float64),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324,
+                     1e16, sys.float_info.max, np.float64(-0.0)]))
+INTS = st.one_of(st.integers(), st.booleans())
+TEXTS = st.text(st.sampled_from('ab1.|;% ,"\r\n'))
+CELLS = st.one_of(FLOATS, INTS, TEXTS)
+
+
+def line_path(path, header, lead, rows):
+    """Write rows through `_line_template`/`_write_lines`: constant `lead`
+    cells, then each cell converted by its type."""
+    def lines():
+        for row in rows:
+            tail = ",".join("%.12g" if isinstance(v, float) else "%s"
+                            for v in row)
+            yield cli._line_template(lead, tail) % tuple(
+                cli._csv_cell(v) if isinstance(v, str) else v for v in row)
+    cli._write_lines(path, header, lines())
+
+
+# every line has at least two cells, as every tinlink row does: csv writes a
+# line holding one empty cell as `""`
+@settings(max_examples=200, deadline=None)
+@given(header=st.lists(TEXTS, min_size=2, max_size=5),
+       lead=st.lists(TEXTS, min_size=1, max_size=3),
+       rows=st.lists(st.lists(CELLS, min_size=1, max_size=6), max_size=5))
+def test_line_path_matches_csv_writer_oracle(tmp_path_factory, header, lead,
+                                             rows):
+    tmp = tmp_path_factory.mktemp("csv")
+    line_path(tmp / "got.csv", header, lead, rows)
+    write_csv_reference(tmp / "want.csv", header,
+                        [lead + row for row in rows])
+    assert (tmp / "got.csv").read_bytes() == (tmp / "want.csv").read_bytes()
+
+
+def orders_text(orders):
+    return "|".join(",".join(str(m) for m in row) for row in orders)
+
+
+def region_rows_reference(cfg, seed, samples, benchmarks_only):
+    """`rate-region`/`benchmark` rows as per-cell lists: the search's
+    candidates, then each split's Gaussian and shell rows from the
+    recursive splits and the array rates."""
+    spec = cli.spec_from_config(cfg)
+    layout = build_layout(spec)
+    section = cfg["rate_region"]
+    bid = cli.build_id()
+    rows = []
+    if not benchmarks_only:
+        result = scheme.design_search(
+            spec, [1.0] * spec.K,
+            max_sub_block_order=section["max_sub_block_order"],
+            pareto_only=False)
+        rows += [[bid, seed, samples, "qam_tin", "", orders_text(c.orders)]
+                 + list(c.rate_result.rates) for c in result.candidates]
+    splits = list(power_splits_reference(spec, layout,
+                                         section["power_steps"]))
+    powers = {key: np.array([split[key] for split in splits])
+              for key in splits[0]}
+    table = [rates.bc_gaussian_rates(spec, layout, powers, mode="sic"),
+             rates.bc_gaussian_rates(spec, layout, powers, mode="tin"),
+             rates.bc_shell_rates(spec, layout, powers, mode="sic")]
+    for i, split in enumerate(splits):
+        for kind, values in zip(("gauss_sic", "gauss_tin", "shell_sic"),
+                                table):
+            if not np.isnan(values[i]).any():
+                rows.append([bid, seed, samples, kind,
+                             param_str_reference(split), ""]
+                            + values[i].tolist())
+    return rows
+
+
+def design_rows_reference(cfg, seed, samples):
+    """`design` rows as per-cell lists, the slack from the constraint
+    report of each candidate."""
+    spec = cli.spec_from_config(cfg)
+    result = scheme.design_search(spec, cfg["design"].get("weights"),
+                                  orders=cfg["design"].get("orders"))
+    rows = []
+    for rank, cand in enumerate(result.candidates):
+        report = scheme.check_modulation_constraints(cand.orders, spec)
+        slack = min((r.slack for r in report.rows if r.kind == "order_sum"),
+                    default=math.inf)
+        rows.append([cli.build_id(), seed, samples, rank,
+                     orders_text(cand.orders), cand.weighted_sum, "yes",
+                     slack] + list(cand.rate_result.rates)
+                    + list(cand.info_bits) + list(cand.codeword_bits))
+    return rows
+
+
+@pytest.mark.parametrize("command, name, steps", [
+    ("benchmark", "two_user_equal_blocklength.json", None),
+    ("rate-region", "two_user_equal_blocklength.json", None),
+    ("benchmark", "three_user.json", 3),
+    ("rate-region", "three_user.json", 3),
+    ("design", "two_user_urllc.json", None),
+])
+def test_bundled_outputs_match_csv_writer_oracle(tmp_path, command, name,
+                                                 steps):
+    cfg = json.loads((ROOT / "configs" / name).read_text())
+    if steps is not None:
+        cfg["rate_region"]["power_steps"] = steps
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    out, want = tmp_path / "out.csv", tmp_path / "want.csv"
+    assert main([command, "--config", str(path), "--out", str(out)]) == EXIT_OK
+    sampling = cfg["sampling"]
+    seed, samples = sampling["seed"], sampling["n_noise_samples"]
+    if command == "design":
+        header = (["build_id", "seed", "n_noise_samples", "rank", "orders",
+                   "weighted_sum", "feasible", "min_order_slack"]
+                  + [f"{c}_{k}" for c in "Rkn" for k in (1, 2)])
+        rows = design_rows_reference(cfg, seed, samples)
+    else:
+        K = len(cfg["system"]["users"])
+        header = (["build_id", "seed", "n_noise_samples", "point_type",
+                   "param", "orders"] + [f"R_{k + 1}" for k in range(K)])
+        rows = region_rows_reference(cfg, seed, samples,
+                                     command == "benchmark")
+    write_csv_reference(want, header, rows)
+    assert out.read_bytes() == want.read_bytes()
 
 # Runs every command on small inputs from the bundled configs in one fresh
 # interpreter, then lists the SciPy modules loaded after each command.

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy.special import logsumexp
 
-from tinlink import cli, rates
+from tinlink import cli, linksim, rates
 from tinlink.linksim import (
     SimulationError,
     active_segments,
@@ -25,6 +25,7 @@ from tinlink.linksim import (
     load_frame_dump,
     random_interleaver,
     random_payloads,
+    segment_demapper,
     simulate_frame,
     tin_llr,
 )
@@ -39,9 +40,11 @@ from tinlink.scheme import (
 
 from oracles import (
     active_bits_reference as active_payload_bits,
+    information_densities_reference,
     simulate_rows_reference,
     sub_block_stats_reference,
     tin_llr_reference,
+    write_csv_reference,
 )
 
 
@@ -305,8 +308,9 @@ class TestAgainstSymbolsFirstOracles:
             assert cli.main(["simulate", "--config", str(config),
                              "--out", str(out), "--seed", str(seed)]) == 0
             got = out.read_text().splitlines()
-            cli._write_csv(ref, got[0].split(","), simulate_rows_reference(
-                plan, n_frames, seed, 1000, "-"))
+            write_csv_reference(ref, got[0].split(","),
+                                simulate_rows_reference(plan, n_frames, seed,
+                                                        1000, "-"))
             want = ref.read_text().splitlines()
         assert len(got) == plan.spec.K + 1
         assert [line.split(",", 1)[1] for line in got] == [
@@ -314,6 +318,37 @@ class TestAgainstSymbolsFirstOracles:
 
 
 class TestInformationDensities:
+    @settings(max_examples=30, deadline=None)
+    @given(plan=TIN_PLANS, seed=st.integers(0, 10 ** 6),
+           zero_channel=st.booleans())
+    def test_matches_per_call_grid_oracle(self, plan, seed, zero_channel):
+        # densities from a prebuilt demapper, from one built per call, and
+        # from both dimensions' grids built per call are bit-identical
+        frame = simulate_frame(plan, random_payloads(plan, seed), seed + 1)
+        h = 0.0 if zero_channel else None
+        for user in range(plan.spec.K):
+            for sb in plan.layout.sub_blocks[:user + 1]:
+                want = information_densities_reference(frame, user, sb.index,
+                                                       plan, h)
+                demapper = segment_demapper(plan, user, sb.index, h)
+                for got in (information_densities(frame, user, sb.index, plan,
+                                                  h),
+                            information_densities(frame, user, sb.index, plan,
+                                                  demapper=demapper)):
+                    assert got.tobytes() == want.tobytes()
+
+    def test_id_check_builds_each_segment_once(self, monkeypatch):
+        plan = urllc_plan(n1=16, n2=24)
+        built = []
+
+        def count_setup(plan, user, sub_block, h=None):
+            built.append((user, sub_block))
+            return segment_demapper(plan, user, sub_block, h)
+
+        monkeypatch.setattr(linksim, "segment_demapper", count_setup)
+        empirical_id_check(plan, 1, n_frames=5, seed=3)
+        assert built == [(1, 0), (1, 1)]
+
     def test_matches_rate_engine_within_4_sigma(self):
         # full design-point blocklengths; ~1e5 sampled symbols for user 2
         plan = urllc_plan(n1=128, n2=256)

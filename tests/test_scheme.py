@@ -463,6 +463,23 @@ class TestDesignSearch:
             for u, k_bits in zip(c.rate_result.users, c.info_bits):
                 assert k_bits == max(0, math.floor(u.rate * u.n_symbols))
 
+    # [32, 32] leaves sub-block 1 empty; the last case lists orders
+    @pytest.mark.parametrize("lengths, orders", [
+        ([32, 64], None), ([32, 32], None), ([24, 32, 48], None),
+        ([32, 64], [[[2], [2, 2]], [[0], [0, 2]], [[3], [1, 0]]])])
+    def test_min_order_slack_matches_constraint_report(self, lengths,
+                                                       orders):
+        spec = SystemSpec.create(1.0, [UserSpec(n, 1e-5, 9.0 / (k + 1))
+                                       for k, n in enumerate(lengths)])
+        res = design_search(spec, orders=orders, max_sub_block_order=4,
+                            pareto_only=False)
+        assert res.candidates
+        for cand in res.candidates:
+            report = check_modulation_constraints(cand.orders, spec)
+            want = min((r.slack for r in report.rows
+                        if r.kind == "order_sum"), default=math.inf)
+            assert bits(cand.min_order_slack) == bits(want)
+
     def test_explicit_orders_scored_without_filter(self):
         spec = two_user_spec(n1=32, n2=64)
         listed = [[[2], [2, 2]], [[2], [5, 4]], [[0], [0, 2]], [[2], [2, 2]]]
