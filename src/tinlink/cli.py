@@ -126,6 +126,8 @@ def sampling_params(cfg: Mapping, args) -> tuple[int, int]:
     if samples < rates.MIN_NOISE_SAMPLES:
         raise ConfigError(
             f"n_noise_samples must be >= {rates.MIN_NOISE_SAMPLES}")
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
     return samples, seed
 
 
@@ -471,6 +473,9 @@ def _accounting_ok(plan, tol: float = 1e-9) -> bool:
 def cmd_validate(cfg: Mapping, args) -> int:
     samples, seed = sampling_params(cfg, args)
     plan_path = _section(cfg, "validate").get("plan")
+    if plan_path is not None and not isinstance(plan_path, str):
+        raise ConfigError(f"validate.plan must be a path string, "
+                          f"got {plan_path!r}")
     rows = []
     if plan_path:
         try:

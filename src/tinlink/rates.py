@@ -443,10 +443,14 @@ def berry_esseen_diagnostic(lengths, stats: Sequence[SubBlockRateStats],
 
 def _log2(x) -> np.ndarray:
     """math.log2 of every element.  np.log2 differs from it in the last bit
-    on about 0.1% of inputs, which would move printed benchmark rates."""
+    on about 0.1% of inputs, which would move printed benchmark rates.
+    math.log2 runs once per distinct bit pattern, then is scattered back."""
     x = np.asarray(x, dtype=float)
-    return np.fromiter(map(math.log2, x.ravel().tolist()), float,
-                       x.size).reshape(x.shape)
+    keys, inverse = np.unique(np.ascontiguousarray(x).view(np.uint64),
+                              return_inverse=True)
+    logs = np.fromiter(map(math.log2, keys.view(np.float64).tolist()), float,
+                       keys.size)
+    return logs[inverse].reshape(x.shape)
 
 
 def gaussian_stats(sinr):

@@ -33,6 +33,7 @@ from .constellations import (
 
 DMIN_TOL = 1e-9
 DEFAULT_ORDER_CAP = 12
+_PARETO_BLOCK = 64  # rows per step of the Pareto filter
 
 
 class SpecError(ValueError):
@@ -657,10 +658,13 @@ def design_search(spec: SystemSpec, weights: Sequence[float] | None = None, *,
     instead: a malformed matrix raises SpecError, infeasible ones are skipped,
     and none is Pareto-filtered.  A user's (I, V) in a sub-block depends only
     on that sub-block's rank-order vector, so the kernel fills one table keyed
-    by (sub-block, rank-order vector, user).  The table is gathered into
+    by (sub-block, rank-order vector, user).  A (sub-blocks, candidates)
+    index holds each candidate's vector positions; a search takes it from
+    the product grid of the vector counts, in `itertools.product` order,
+    without the all-silent row.  The table is gathered through it into
     per-user (candidates, sub-blocks) I and V arrays, and one combiner pass
-    gives every candidate's rates; no plan is built, and rate results are
-    packaged only for the candidates returned.
+    gives every candidate's rates; no plan is built, and rank vectors and
+    rate results are packaged only for the candidates returned.
     Candidates are sorted by descending weighted sum, ties broken by the
     lexicographically smaller order matrix.
     """
@@ -680,51 +684,57 @@ def design_search(spec: SystemSpec, weights: Sequence[float] | None = None, *,
                         f"got {max_sub_block_order}")
 
     if orders is not None:
+        if not isinstance(orders, (list, tuple)) or not orders:
+            raise SpecError(f"orders must be a non-empty list of order "
+                            f"matrices, got {orders!r}")
         matrices = [_normalize_orders(o, spec.K) for o in orders]
-        combos = [tuple(tuple(o[u][sb.index] for u in sb.ranks)
-                        for sb in layout.sub_blocks)
-                  for o in matrices
-                  if check_modulation_constraints(o, spec, layout).feasible]
+        # position of each listed vector in its sub-block's `vectors` list
+        seen: list[dict[tuple[int, ...], int]] = [{} for _ in range(spec.K)]
+        rows = [[s.setdefault(tuple(o[u][sb.index] for u in sb.ranks), len(s))
+                 for s, sb in zip(seen, layout.sub_blocks)]
+                for o in matrices
+                if check_modulation_constraints(o, spec, layout).feasible]
+        vectors = [list(s) for s in seen]
+        index = np.array(rows, dtype=np.intp).reshape(-1, spec.K).T
         none_left = "no feasible plan among the configured order matrices"
     else:
-        per_block: list[list[tuple[int, ...]]] = []
+        vectors = []
         for sb in layout.sub_blocks:
             if sb.length == 0:
-                per_block.append([(0,) * len(sb.ranks)])
+                vectors.append([(0,) * len(sb.ranks)])
                 continue
             # larger sums have no constellation
-            vectors = _enumerate_rank_vectors(
+            found = _enumerate_rank_vectors(
                 sb.ranks, sb.index, spec,
                 min(max_sub_block_order, MAX_TOTAL_ORDER))
-            if not vectors:
+            if not found:
                 return DesignSearchResult(
                     candidates=(),
                     explanation=(f"no feasible order vector for sub-block "
                                  f"{sb.index} under the modulation constraints"))
-            per_block.append(vectors)
-        combos = [combo for combo in itertools.product(*per_block)
-                  if any(m for vec in combo for m in vec)]
+            vectors.append(found)
+        # every combination of one vector per sub-block, in product order,
+        # but the all-silent one
+        index = np.indices([len(v) for v in vectors]).reshape(spec.K, -1)
+        silent = np.logical_and.reduce([
+            np.array([not any(mv) for mv in v])[index[j]]
+            for j, v in enumerate(vectors)])
+        index = index[:, ~silent]
         none_left = ("only the all-silent order matrix is feasible "
                      "at this power budget")
-    if not combos:
+    if not index.size:
         return DesignSearchResult(candidates=(), explanation=none_left)
 
-    # one kernel call per (sub-block, rank-order vector, user); index[i, j]
-    # is candidate i's vector in sub-block j, and order_slack[j][mv] the
+    # one kernel call per (sub-block, rank-order vector, user); index[j, i]
+    # is candidate i's position in vectors[j], and order_slack[j][mv] the
     # least order_sum slack of vector mv in non-empty sub-block j
     table = {}
-    index = np.empty((len(combos), spec.K), dtype=np.intp)
-    vectors = []
     order_slack = []
-    for sb in layout.sub_blocks:
-        seen: dict[tuple[int, ...], int] = {}
-        index[:, sb.index] = [seen.setdefault(combo[sb.index], len(seen))
-                              for combo in combos]
-        vectors.append(list(seen))
+    for sb, found in zip(layout.sub_blocks, vectors):
         order_slack.append({mv: min(
             r.slack for r in _sub_block_rows(mv, sb.ranks, sb.index, spec)
-            if r.kind == "order_sum") for mv in seen} if sb.length else {})
-        for mv in seen:
+            if r.kind == "order_sum") for mv in found} if sb.length else {})
+        for mv in found:
             by_rank = dict(zip(sb.ranks, sub_block_parts(mv, spec.P)))
             parts = {u: by_rank[u] for u in sb.participants}
             for m, user in zip(mv, sb.ranks):
@@ -737,23 +747,25 @@ def design_search(spec: SystemSpec, weights: Sequence[float] | None = None, *,
 
     def gathered(k, field):
         return np.stack([np.array([getattr(stats_of(k, j, mv), field)
-                                   for mv in vectors[j]])[index[:, j]]
+                                   for mv in vectors[j]])[index[j]]
                          for j in range(k + 1)], axis=-1)
 
     user_rates = rates.second_order_rates(
         spec, layout, [gathered(k, "mi") for k in range(spec.K)],
         [gathered(k, "dispersion") for k in range(spec.K)])
 
+    n = index.shape[1]
     if orders is not None:
-        pareto_flags = [True] * len(combos)
+        pareto_flags = np.ones(n, dtype=bool)
     else:
-        pareto_flags = _pareto_flags(
-            user_rates, [k for k in range(spec.K) if weights[k] > 0])
+        pareto_flags = np.array(_pareto_flags(
+            user_rates, [k for k in range(spec.K) if weights[k] > 0]))
+    returned = np.flatnonzero(pareto_flags) if pareto_only else np.arange(n)
     candidates = []
-    for combo, row, is_pareto in zip(combos, user_rates.tolist(),
-                                     pareto_flags):
-        if pareto_only and not is_pareto:
-            continue
+    for positions, row, is_pareto in zip(index[:, returned].T.tolist(),
+                                         user_rates[returned].tolist(),
+                                         pareto_flags[returned].tolist()):
+        combo = [vectors[j][p] for j, p in enumerate(positions)]
         result = rates.rate_result(spec, layout, [
             [stats_of(k, j, combo[j]) for j in range(k + 1)]
             for k in range(spec.K)], row)
@@ -784,20 +796,38 @@ def _orders_from_rank_vectors(combo, layout, K):
 
 
 def _pareto_flags(rate_tuples, dims) -> list[bool]:
-    """Non-domination flags over the given rate dimensions.
+    """Non-domination flags over the given rate dimensions: a point is
+    flagged unless another point is at least as large in every dimension
+    and larger in one, so equal points never dominate each other.
 
-    Points are visited in descending lexicographic order, so every point
-    that dominates another is visited before it, and a point is dominated
-    exactly when some point on the front found so far dominates it.
+    Points are visited in descending lexicographic order, in blocks of
+    `_PARETO_BLOCK` rows, so every point that dominates another is visited
+    before it or in the same block.  Dominance is transitive, so a point is
+    dominated exactly when a point of the front found so far or of its own
+    block dominates it.  Each block is tested against both in one set of
+    2-D comparisons, one dimension at a time, and its survivors join the
+    front.
     """
     pts = np.asarray(rate_tuples, dtype=float)[:, list(dims)]
-    front = np.empty_like(pts)
+    order = np.lexsort(-pts.T[::-1])
+    ranked = pts[order].T  # (dims, points), best first
+    rivals = np.empty_like(ranked)  # the front so far, then the block
     size = 0
-    flags = [False] * len(pts)
-    for i in np.lexsort(-pts.T[::-1]):
-        p, seen = pts[i], front[:size]
-        if not np.any((seen >= p).all(axis=1) & (seen > p).any(axis=1)):
-            front[size] = p
-            size += 1
-            flags[i] = True
-    return flags
+    keep = np.empty(len(order), dtype=bool)
+    for start in range(0, len(order), _PARETO_BLOCK):
+        block = ranked[:, start:start + _PARETO_BLOCK]
+        stop = size + block.shape[1]
+        rivals[:, size:stop] = block
+        ge = np.ones((stop, block.shape[1]), dtype=bool)
+        gt = np.zeros_like(ge)
+        for c, p in zip(rivals[:, :stop], block):
+            ge &= c[:, None] >= p
+            gt |= c[:, None] > p
+        alive = ~(ge & gt).any(axis=0)
+        keep[start:start + block.shape[1]] = alive
+        survivors = block[:, alive]
+        rivals[:, size:size + survivors.shape[1]] = survivors
+        size += survivors.shape[1]
+    flags = np.empty_like(keep)
+    flags[order] = keep
+    return flags.tolist()

@@ -9,6 +9,16 @@ The CSV writer is the per-cell `csv.writer` loop the commands used before
 they wrote each line from a template; their files must match it byte for
 byte.
 
+`log2_reference` is `math.log2` on every element, which `rates._log2` must
+match bit for bit while it calls `math.log2` once per distinct value.
+
+The Pareto filters below are the quadratic double loop, the sort-based loop
+that tested one candidate at a time against the front found so far, and a
+numpy all-pairs test; `design_search_reference` is the search that built its
+candidates as a Python list of rank-vector tuples and used that loop.  The
+blocked filter and the array candidate index must give the same flags and
+candidates, in the same order.
+
 The TIN kernel, LLR demapper and `simulate` loop below are the forms the
 package used before it kept symbols on the last axis of the kernel's working
 array and simulated each frame once for all users.  Their sums over
@@ -21,8 +31,8 @@ import math
 
 import numpy as np
 
-from tinlink import linksim
-from tinlink.constellations import gray_sequence
+from tinlink import linksim, rates, scheme
+from tinlink.constellations import MAX_TOTAL_ORDER, gray_sequence
 from tinlink.rates import (
     GH_NODES,
     LN2,
@@ -160,6 +170,12 @@ def power_splits_reference(spec, layout, steps):
                                       share):
                     powers[(user, j)] = totals[j] * frac
             yield powers
+
+
+def log2_reference(x):
+    x = np.asarray(x, dtype=float)
+    return np.fromiter(map(math.log2, x.ravel().tolist()), float,
+                       x.size).reshape(x.shape)
 
 
 def param_str_reference(powers):
@@ -340,3 +356,118 @@ def write_csv_reference(path, header, rows) -> None:
         writer.writerow(header)
         for row in rows:
             writer.writerow([fmt_reference(v) for v in row])
+
+
+# ---------------------------------------------------------------------------
+# Pareto filters and the list-built design search
+# ---------------------------------------------------------------------------
+
+def pareto_reference(rate_tuples, dims):
+    """The quadratic double loop that the sort-based filter replaced."""
+    flags = []
+    for i, ri in enumerate(rate_tuples):
+        dominated = False
+        for j, rj in enumerate(rate_tuples):
+            if i == j:
+                continue
+            if all(rj[d] >= ri[d] for d in dims) and any(
+                    rj[d] > ri[d] for d in dims):
+                dominated = True
+                break
+        flags.append(not dominated)
+    return flags
+
+
+def pareto_front_loop_reference(rate_tuples, dims):
+    """One numpy test per point, in descending lexicographic order, against
+    the front found so far."""
+    pts = np.asarray(rate_tuples, dtype=float)[:, list(dims)]
+    front = np.empty_like(pts)
+    size = 0
+    flags = [False] * len(pts)
+    for i in np.lexsort(-pts.T[::-1]):
+        p, seen = pts[i], front[:size]
+        if not np.any((seen >= p).all(axis=1) & (seen > p).any(axis=1)):
+            front[size] = p
+            size += 1
+            flags[i] = True
+    return flags
+
+
+def pareto_all_pairs(rate_tuples, dims, chunk=256):
+    """Every point tested against every point, `chunk` points at a time."""
+    pts = np.asarray(rate_tuples, dtype=float)[:, list(dims)]
+    flags = np.empty(len(pts), dtype=bool)
+    for start in range(0, len(pts), chunk):
+        p = pts[start:start + chunk, None, :]
+        flags[start:start + chunk] = ~((pts >= p).all(-1)
+                                       & (pts > p).any(-1)).any(-1)
+    return flags.tolist()
+
+
+def design_search_reference(spec, weights=None, max_sub_block_order=12,
+                            pareto_only=True):
+    """`scheme.design_search` over the enumerated candidates, with `combos`
+    a list of rank-vector tuples from `itertools.product`, a gather index
+    built by `dict.setdefault` per sub-block, and the front loop."""
+    layout = scheme.build_layout(spec)
+    weights = [1.0] * spec.K if weights is None else weights
+    cap = min(max_sub_block_order, MAX_TOTAL_ORDER)
+    per_block = [scheme._enumerate_rank_vectors(sb.ranks, sb.index, spec, cap)
+                 if sb.length else [(0,) * len(sb.ranks)]
+                 for sb in layout.sub_blocks]
+    combos = [combo for combo in itertools.product(*per_block)
+              if any(m for vec in combo for m in vec)]
+    table = {}
+    index = np.empty((len(combos), spec.K), dtype=np.intp)
+    vectors = []
+    order_slack = []
+    for sb in layout.sub_blocks:
+        seen = {}
+        index[:, sb.index] = [seen.setdefault(combo[sb.index], len(seen))
+                              for combo in combos]
+        vectors.append(list(seen))
+        order_slack.append({mv: min(
+            r.slack for r in scheme._sub_block_rows(mv, sb.ranks, sb.index,
+                                                    spec)
+            if r.kind == "order_sum") for mv in seen} if sb.length else {})
+        for mv in seen:
+            by_rank = dict(zip(sb.ranks, scheme.sub_block_parts(mv, spec.P)))
+            parts = {u: by_rank[u] for u in sb.participants}
+            for m, user in zip(mv, sb.ranks):
+                if sb.length and m:
+                    table[(sb.index, mv, user)] = rates.sub_block_stats(
+                        abs(spec.users[user].h), parts, user)
+
+    def stats_of(k, j, mv):
+        return table.get((j, mv, k), rates.ZERO_STATS)
+
+    def gathered(k, field):
+        return np.stack([np.array([getattr(stats_of(k, j, mv), field)
+                                   for mv in vectors[j]])[index[:, j]]
+                         for j in range(k + 1)], axis=-1)
+
+    user_rates = rates.second_order_rates(
+        spec, layout, [gathered(k, "mi") for k in range(spec.K)],
+        [gathered(k, "dispersion") for k in range(spec.K)])
+    flags = pareto_front_loop_reference(
+        user_rates, [k for k in range(spec.K) if weights[k] > 0])
+    candidates = []
+    for combo, row, is_pareto in zip(combos, user_rates.tolist(), flags):
+        if pareto_only and not is_pareto:
+            continue
+        result = rates.rate_result(spec, layout, [
+            [stats_of(k, j, combo[j]) for j in range(k + 1)]
+            for k in range(spec.K)], row)
+        matrix = scheme._orders_from_rank_vectors(combo, layout, spec.K)
+        candidates.append(scheme.DesignCandidate(
+            orders=matrix, rate_result=result,
+            weighted_sum=sum(w * r for w, r in zip(weights, result.rates)),
+            info_bits=tuple(max(0, math.floor(u.rate * u.n_symbols))
+                            for u in result.users),
+            codeword_bits=scheme._codeword_bits(matrix, layout),
+            pareto=is_pareto, min_order_slack=min(
+                (order_slack[j][mv] for j, mv in enumerate(combo)
+                 if order_slack[j]), default=math.inf)))
+    candidates.sort(key=lambda c: (-c.weighted_sum, scheme._flat(c.orders)))
+    return tuple(candidates)

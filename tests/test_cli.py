@@ -414,6 +414,21 @@ class TestConfigHandling:
         ("rate-region", {"rate_region": {"power_steps": 2,
                                          "max_sub_block_order": 0}},
          "max_sub_block_order"),
+        # orders 5 raised TypeError out of design_search; [] and {} exited 3
+        # as if no listed matrix were feasible
+        ("design", {"design": {"orders": 5}}, "orders"),
+        ("design", {"design": {"orders": []}}, "orders"),
+        ("design", {"design": {"orders": {}}}, "orders"),
+        # plan 5 was opened as file descriptor 5, ["x"] raised TypeError, and
+        # 0 and false were skipped
+        ("validate", {"validate": {"plan": 5}}, "plan"),
+        ("validate", {"validate": {"plan": ["x"]}}, "plan"),
+        ("validate", {"validate": {"plan": 0}}, "plan"),
+        ("validate", {"validate": {"plan": False}}, "plan"),
+        # a negative seed raised ValueError in np.random.default_rng
+        ("validate", {"sampling": {"seed": -2}}, "seed"),
+        ("simulate", {"simulate": {"orders": [[2], [2, 2]]},
+                      "sampling": {"seed": -5}}, "seed"),
     ])
     def test_malformed_value_exits_2(self, tmp_path, capsys, command,
                                      overrides, key):
@@ -424,6 +439,16 @@ class TestConfigHandling:
                      "--out", str(tmp_path / "o.csv")]) == EXIT_BAD_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("error:") and key in err
+
+    @pytest.mark.parametrize("command", ["simulate", "validate"])
+    def test_negative_seed_option_exits_2(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path, system=self.SYSTEM,
+                           simulate={"orders": [[2], [2, 2]]})
+        assert main([command, "--config", str(cfg), "--out",
+                     str(tmp_path / "o.csv"), "--seed", "-5"]) == (
+            EXIT_BAD_CONFIG)
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "seed" in err
 
 
 ROOT = Path(__file__).resolve().parent.parent

@@ -47,6 +47,7 @@ from oracles import (
     bc_rates_reference,
     bits,
     gaussian_stats_reference,
+    log2_reference,
     scalar_second_order,
     shell_stats_reference,
 )
@@ -311,6 +312,39 @@ class TestBenchmarks:
         assert bits(mi) == bits([r[0] for r in ref])
         assert bits(v) == bits([r[1] for r in ref])
         assert bits(stats(x[7])) == bits(reference(float(x[7])))
+
+
+    # positive floats with subnormals, infinities and NaN, repeated so that
+    # arrays run large with few distinct values; a zero makes math.log2 raise
+    @settings(max_examples=100, deadline=None)
+    @given(values=st.lists(st.one_of(
+               st.floats(min_value=5e-324), st.floats(1.0, 1e3),
+               st.sampled_from([5e-324, 1e-310, 2.2250738585072014e-308,
+                                1.0, math.inf, math.nan])),
+               min_size=1, max_size=40),
+           zero=st.sampled_from([None, 0.0, -0.0]),
+           repeats=st.integers(1, 300), seed=st.integers(0, 2 ** 32 - 1))
+    def test_log2_matches_per_element_math_log2(self, values, zero, repeats,
+                                                seed):
+        rng = np.random.default_rng(seed)
+        # typical rates inputs, where np.log2 is off in the last bit on
+        # about 0.3% of values in [1, 2)
+        values += rng.uniform(1.0, 2.0, 200).tolist()
+        if zero is not None:
+            values.append(zero)
+        x = rng.permutation(np.repeat(values, repeats))
+        if zero is not None:
+            with pytest.raises(ValueError):
+                log2_reference(x)
+            with pytest.raises(ValueError):
+                rates._log2(x)
+            return
+        assert bits(rates._log2(x)) == bits(log2_reference(x))
+        grid = x[:len(x) - len(x) % 2].reshape(2, -1)
+        assert rates._log2(grid).shape == grid.shape
+        assert bits(rates._log2(grid)) == bits(log2_reference(grid))
+        assert rates._log2(x[0]).shape == ()
+        assert bits(rates._log2(x[0])) == bits(log2_reference(x[0]))
 
 
 class TestBroadcastBenchmarks:

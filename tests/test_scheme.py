@@ -2,6 +2,7 @@
 import itertools
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from tinlink.constellations import (
     superimpose,
 )
 from tinlink.scheme import (
+    _PARETO_BLOCK,
     InfeasiblePlanError,
     SpecError,
     SystemSpec,
@@ -33,8 +35,16 @@ from tinlink.scheme import (
     verify_min_distances,
 )
 
-from oracles import bits, scalar_second_order
+from oracles import (
+    bits,
+    design_search_reference,
+    pareto_all_pairs,
+    pareto_front_loop_reference,
+    pareto_reference,
+    scalar_second_order,
+)
 
+ROOT = Path(__file__).resolve().parent.parent
 SNR18 = math.sqrt(10 ** 1.8)
 SNR5 = math.sqrt(10 ** 0.5)
 
@@ -565,22 +575,6 @@ class TestDesignSearch:
             c for c, on_front in zip(full.candidates, flags) if on_front)
 
 
-def pareto_reference(rate_tuples, dims):
-    """The quadratic double loop that the sort-based filter replaced."""
-    flags = []
-    for i, ri in enumerate(rate_tuples):
-        dominated = False
-        for j, rj in enumerate(rate_tuples):
-            if i == j:
-                continue
-            if all(rj[d] >= ri[d] for d in dims) and any(
-                    rj[d] > ri[d] for d in dims):
-                dominated = True
-                break
-        flags.append(not dominated)
-    return flags
-
-
 class TestParetoFilter:
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
@@ -595,3 +589,60 @@ class TestParetoFilter:
         rows = data.draw(st.permutations(rows))
         dims = sorted(data.draw(st.sets(st.integers(0, k - 1), min_size=1)))
         assert _pareto_flags(rows, dims) == pareto_reference(rows, dims)
+
+    # lengths on, just off and well past block boundaries; values from a
+    # small pool, so ties, duplicates, infinities and signed zeros are common
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.sampled_from([_PARETO_BLOCK - 1, _PARETO_BLOCK,
+                              _PARETO_BLOCK + 1, 2 * _PARETO_BLOCK - 1,
+                              2 * _PARETO_BLOCK, 3 * _PARETO_BLOCK + 1,
+                              300, 450]),
+           k=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1),
+           n_free=st.integers(0, 8), dup_share=st.floats(0.0, 0.5))
+    def test_blocked_filter_matches_all_pairs(self, n, k, seed, n_free,
+                                              dup_share):
+        rng = np.random.default_rng(seed)
+        pool = np.concatenate([[-np.inf, np.inf, -0.0, 0.0, 0.5, 1.0],
+                               rng.uniform(-2.0, 2.0, n_free)])
+        rows = rng.choice(pool, size=(n, k))
+        dups = rng.random(n) < dup_share
+        rows[dups] = rows[rng.integers(0, n, dups.sum())]
+        dims = sorted(rng.choice(k, rng.integers(1, k + 1), replace=False))
+        flags = _pareto_flags(rows, dims)
+        assert flags == pareto_all_pairs(rows, dims)
+        assert flags == pareto_front_loop_reference(rows, dims)
+
+    def test_three_user_flags_match_all_pairs(self, monkeypatch):
+        """The filter's input in the bundled three_user.json design: all
+        12,635 candidates' rates."""
+        seen = []
+        blocked = scheme._pareto_flags
+
+        def recording(rate_tuples, dims):
+            flags = blocked(rate_tuples, dims)
+            seen.append((rate_tuples, dims, flags))
+            return flags
+
+        monkeypatch.setattr(scheme, "_pareto_flags", recording)
+        spec = SystemSpec.from_dict(json.loads(
+            (ROOT / "configs" / "three_user.json").read_text())["system"])
+        design_search(spec, max_sub_block_order=6)
+        [(rate_tuples, dims, flags)] = seen
+        assert len(rate_tuples) == 12_635 and list(dims) == [0, 1, 2]
+        assert flags == pareto_all_pairs(rate_tuples, dims)
+
+
+@pytest.mark.parametrize("cap, pareto_only", [(4, True), (6, True),
+                                              (4, False)])
+def test_three_user_search_matches_list_built_search(cap, pareto_only):
+    """Same candidates, fields and order as the search that built its
+    candidates as a list of tuples and filtered them one at a time."""
+    spec = SystemSpec.from_dict(json.loads(
+        (ROOT / "configs" / "three_user.json").read_text())["system"])
+    got = design_search(spec, max_sub_block_order=cap,
+                        pareto_only=pareto_only).candidates
+    want = design_search_reference(spec, max_sub_block_order=cap,
+                                   pareto_only=pareto_only)
+    assert got == want
+    assert bits([c.rate_result.rates for c in got]) == bits(
+        [c.rate_result.rates for c in want])
