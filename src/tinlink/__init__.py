@@ -28,7 +28,7 @@ from .rates import (
     gaussian_benchmark,
     qfunc,
     qfunc_inv,
-    quadrature_mi,
+    quadrature_mi_dispersion,
     second_order_rate,
     shell_benchmark,
 )
@@ -80,7 +80,7 @@ __all__ = [
     "gaussian_benchmark",
     "qfunc",
     "qfunc_inv",
-    "quadrature_mi",
+    "quadrature_mi_dispersion",
     "second_order_rate",
     "shell_benchmark",
     "ReceivedFrame",

@@ -318,8 +318,7 @@ def cmd_simulate(cfg: Mapping, args) -> int:
     power_acc = 0.0
     power_n = 0
     for f in range(n_frames):
-        payloads = linksim.random_payloads(plan, seed + 7919 * f)
-        frame = linksim.simulate_frame(plan, payloads, seed + 104729 * f + 1)
+        payloads, frame = linksim.seeded_frame(plan, seed, f)
         power_acc += float(np.sum(np.abs(frame.x) ** 2))
         power_n += frame.x.size
         quiet = (linksim.simulate_frame(plan, payloads, seed, noise_scale=0.0)
@@ -347,7 +346,13 @@ def cmd_simulate(cfg: Mapping, args) -> int:
 # validate
 # ---------------------------------------------------------------------------
 
-def _validation_checks(samples: int, seed: int):
+# Largest |dI| or |dV| that `kernel_vs_quadrature` passes.  On its plan the
+# 64-node oracle is at most 6.3e-5 off the kernel, while a kernel that drops
+# the interference misses by 2.3e-2 or more.
+_KERNEL_TOL = 1e-4
+
+
+def _validation_checks(seed: int):
     """Fast invariant suite over all modules; yields (name, passed, detail)."""
     # constellation energy and distance identities
     for m in range(1, 7):
@@ -371,15 +376,6 @@ def _validation_checks(samples: int, seed: int):
         x = rates.qfunc_inv(p)
         worst = max(worst, abs(rates.qfunc(x) - p) / p)
     yield "qfunc_roundtrip", worst <= 1e-12, f"max_rel_err={worst:.3g}"
-
-    # estimator against the quadrature oracle
-    c4 = constellations.build_gray_qam(2)
-    pts = c4.points / math.sqrt(c4.energy)
-    stats = rates.estimate_mi_dispersion(pts, [], 1.0, max(samples, 2000), seed)
-    oracle = rates.quadrature_mi(pts, 1.0)
-    gap = abs(stats.mi - oracle)
-    tol = 3.0 * max(stats.std_err_mi, 1e-9)
-    yield "estimator_vs_quadrature", gap <= tol, f"gap={gap:.3g} tol={tol:.3g}"
 
     # randomized plans: power accounting and minimum distances
     rng = np.random.default_rng(seed)
@@ -408,16 +404,16 @@ def _validation_checks(samples: int, seed: int):
             linksim.hard_bits(llr), payloads[k]))
     yield "zero_noise_llr_roundtrip", ok, ""
 
-    # quadrature kernel against the Monte Carlo estimator on the same plan
+    # per-dimension kernel against the 2-D quadrature oracle on the same plan
     worst = 0.0
     for k, user in enumerate(rates.compute_plan_rates(plan).users):
         for j, st in enumerate(user.stats):
-            mc = rates.estimate_mi_dispersion(
-                *plan.sub_block_signals(k, j), spec.users[k].h, samples, seed)
-            worst = max(worst, abs(st.mi - mc.mi) / max(mc.std_err_mi, 1e-9),
-                        abs(st.dispersion - mc.dispersion)
-                        / max(mc.std_err_dispersion, 1e-9))
-    yield "kernel_vs_estimator", worst <= 4.0, f"worst_sigma={worst:.3g}"
+            oracle = rates.quadrature_mi_dispersion(
+                *plan.sub_block_signals(k, j), spec.users[k].h)
+            worst = max(worst, abs(st.mi - oracle.mi),
+                        abs(st.dispersion - oracle.dispersion))
+    yield ("kernel_vs_quadrature", worst <= _KERNEL_TOL,
+           f"worst_gap={worst:.3g} tol={_KERNEL_TOL:.3g}")
 
 
 def _random_spec(rng) -> scheme.SystemSpec:
@@ -473,11 +469,12 @@ def _accounting_ok(plan, tol: float = 1e-9) -> bool:
 def cmd_validate(cfg: Mapping, args) -> int:
     samples, seed = sampling_params(cfg, args)
     plan_path = _section(cfg, "validate").get("plan")
-    if plan_path is not None and not isinstance(plan_path, str):
-        raise ConfigError(f"validate.plan must be a path string, "
+    if plan_path is not None and not (isinstance(plan_path, str)
+                                      and plan_path):
+        raise ConfigError(f"validate.plan must be a non-empty path string, "
                           f"got {plan_path!r}")
     rows = []
-    if plan_path:
+    if plan_path is not None:
         try:
             with open(plan_path) as fh:
                 data = json.load(fh)
@@ -486,7 +483,7 @@ def cmd_validate(cfg: Mapping, args) -> int:
             print(f"plan schema error: {exc}", file=sys.stderr)
             return EXIT_BAD_CONFIG
         rows.append(("plan_schema", True, str(plan_path)))
-    rows.extend(_validation_checks(samples, seed))
+    rows.extend(_validation_checks(seed))
     if args.out:
         line = _line_template([build_id(), str(seed), str(samples)],
                               "%s,%s,%s")

@@ -87,6 +87,18 @@ def simulate_frame(plan: SchemePlan, payloads: Mapping[int, np.ndarray],
                          x=x, symbols=symbols, packets=packets)
 
 
+def seeded_frame(plan: SchemePlan, seed: int, index: int
+                 ) -> tuple[dict[int, np.ndarray], ReceivedFrame]:
+    """Payloads and received frame number `index` of a run seeded `seed`.
+
+    The one frame-seed policy of `simulate` and `empirical_id_check`: the
+    payloads are drawn from seed + 7919 index and the noise from
+    seed + 104729 index + 1, so every frame of a run is distinct.
+    """
+    payloads = random_payloads(plan, seed + 7919 * index)
+    return payloads, simulate_frame(plan, payloads, seed + 104729 * index + 1)
+
+
 # ---------------------------------------------------------------------------
 # Exact TIN LLR demapping
 # ---------------------------------------------------------------------------
@@ -250,8 +262,7 @@ def empirical_id_check(plan: SchemePlan, user: int, n_frames: int, seed: int,
     demappers = {sb.index: segment_demapper(plan, user, sb.index)
                  for sb in active_segments(plan, user)}
     for f in range(n_frames):
-        payloads = random_payloads(plan, seed + 7919 * f)
-        frame = simulate_frame(plan, payloads, seed + 104729 * f + 1)
+        _, frame = seeded_frame(plan, seed, f)
         for j, demapper in demappers.items():
             per_block.setdefault(j, []).append(information_densities(
                 frame, user, j, plan, demapper=demapper))

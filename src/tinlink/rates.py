@@ -17,10 +17,13 @@ once (`second_order_rates`, with `compute_plan_rates` the one-row case) and
 every benchmark power split at once (`bc_gaussian_rates`,
 `bc_shell_rates`).
 
-`estimate_mi_dispersion` (exact 2-D tuple enumeration, Monte Carlo over the
-noise from Philox substreams keyed by (seed, batch index)) and
-`quadrature_mi` (2-D Gauss-Hermite, interference-free) stay as the kernel's
-independent oracles.
+The kernel's independent oracles enumerate the 2-D desired x interferer
+tuples with no I/Q factorisation and share one 2-D density,
+`_DensityContext`: `quadrature_mi_dispersion` integrates the noise by a
+2-D product Gauss-Hermite rule, deterministically, and is what `validate`
+checks the kernel against; `estimate_mi_dispersion` averages over Monte
+Carlo noise from Philox substreams keyed by (seed, batch index), and no
+command calls it.
 
 Q comes from `math.erfc` and Q^{-1} from `statistics.NormalDist`, so numpy
 is the only third-party package the rate engine, and tinlink, imports.
@@ -39,6 +42,7 @@ LN2 = math.log(2.0)
 LOG2E = 1.0 / LN2
 
 MAX_TUPLES = 4096
+QUADRATURE_TUPLES = 256
 MIN_NOISE_SAMPLES = 1000
 GH_NODES = 128
 
@@ -150,12 +154,14 @@ def _lse_over_alts(xt: np.ndarray, xa: np.ndarray, zr: np.ndarray,
 class SubBlockRateStats:
     """Per-(user, sub-block) mutual information and dispersion.
 
-    mi and dispersion are in bits and bits**2 per complex symbol.  From the
-    Monte Carlo estimator, sample_count and the standard errors describe the
-    noise averaging (symbol tuples are enumerated exactly) and
-    third_abs_moment, the centred third absolute moment of the information
-    density, is filled on request.  From the quadrature kernel they are 0
-    and None: its values carry no sampling error.
+    mi and dispersion are in bits and bits**2 per complex symbol, and
+    third_abs_moment is the centred third absolute moment E|i - I|^3 of the
+    information density.  From the Monte Carlo estimator, sample_count and
+    the standard errors describe the noise averaging (symbol tuples are
+    enumerated exactly) and third_abs_moment is filled on request.  From
+    quadrature, which carries no sampling error, sample_count and the
+    standard errors are 0; the 2-D oracle `quadrature_mi_dispersion` fills
+    third_abs_moment and the per-dimension kernel leaves it None.
     """
 
     mi: float
@@ -172,15 +178,15 @@ ZERO_STATS = SubBlockRateStats(0.0, 0.0, 0, 0.0, 0.0, 0.0)
 class _DensityContext:
     """Receive-side enumeration structure for one (user, sub-block) link."""
 
-    def __init__(self, desired, interferers, h):
+    def __init__(self, desired, interferers, h, max_tuples: int = MAX_TUPLES):
         desired = np.asarray(desired, dtype=complex)
         if desired.size < 1:
             raise RateEngineError("desired constellation is empty")
         combos = _combo_sums(list(interferers))
         n_tuples = desired.size * combos.size
-        if n_tuples > MAX_TUPLES:
+        if n_tuples > max_tuples:
             raise RateEngineError(
-                f"tuple count {n_tuples} exceeds cap {MAX_TUPLES}")
+                f"tuple count {n_tuples} exceeds cap {max_tuples}")
         self.m_bits = math.log2(desired.size)
         self.h = complex(h)
         self.x_den = self.h * combos
@@ -209,8 +215,8 @@ def estimate_mi_dispersion(desired, interferers, h, n_noise_samples: int,
     links pass an empty interferer list.  Symbol tuples are enumerated exactly
     (product cardinality capped at 4096); the expectation over the unit
     complex Gaussian noise uses n_noise_samples common random numbers shared
-    by all tuples.  This is the Monte Carlo oracle that the tests and
-    `validate` compare the quadrature kernel against.
+    by all tuples.  This Monte Carlo oracle has no caller in the package;
+    the tests compare it with the quadrature kernel and the 2-D oracle.
     """
     n_noise_samples = int(n_noise_samples)
     if n_noise_samples < MIN_NOISE_SAMPLES:
@@ -246,36 +252,28 @@ def estimate_mi_dispersion(desired, interferers, h, n_noise_samples: int,
     return SubBlockRateStats(mi, dispersion, n, se_mi, se_v, t3)
 
 
-def quadrature_mi(points, h, n_nodes: int = 64) -> float:
-    """Interference-free mutual information by 2-D Gauss-Hermite quadrature.
+def quadrature_mi_dispersion(desired, interferers, h, n_nodes: int = 64
+                             ) -> SubBlockRateStats:
+    """(I, V) and E|i - I|^3 by 2-D product Gauss-Hermite quadrature.
 
-    Deterministic oracle for validating the Monte Carlo estimator; supports
-    constellations of up to 256 points and targets absolute accuracy around
-    1e-6 bits.
+    Inputs are those of `estimate_mi_dispersion`.  The densities of every
+    desired x interferer tuple (at most QUADRATURE_TUPLES) come from the
+    same 2-D enumeration, with no I/Q factorisation, so this stays an
+    independent, deterministic oracle for the per-dimension kernel.  The
+    noise expectation is (1/pi) sum_ij w_i w_j f(t_i + 1j t_j) over
+    n_nodes^2 nodes; sample_count and the standard errors are 0.
     """
-    points = np.asarray(points, dtype=complex)
-    if points.size > 256:
-        raise RateEngineError("quadrature oracle limited to 256 points")
-    if points.size < 1:
-        raise RateEngineError("empty constellation")
+    ctx = _DensityContext(desired, interferers, h, QUADRATURE_TUPLES)
     nodes, weights = np.polynomial.hermite.hermgauss(n_nodes)
-    x = complex(h) * points
-    m_bits = math.log2(points.size)
-    # E over Z ~ CN(0,1): (1/pi) sum_ij w_i w_j f(t_i + 1j t_j)
-    zr_grid, zi_grid = np.meshgrid(nodes, nodes, indexing="ij")
+    zr, zi = np.meshgrid(nodes, nodes, indexing="ij")
     wgt = (weights[:, None] * weights[None, :]).ravel() / math.pi
-    zr_flat = zr_grid.ravel()
-    zi_flat = zi_grid.ravel()
-    total = 0.0
-    chunk = 512
-    for lo in range(0, zr_flat.size, chunk):
-        zr = zr_flat[lo:lo + chunk]
-        zi = zi_flat[lo:lo + chunk]
-        lse = _lse_over_alts(x, x, zr, zi)
-        # log2(num/den) with den = exp(-|z|^2)
-        val = (lse + (zr * zr + zi * zi)[None, :]) / LN2
-        total += float(val.mean(axis=0) @ wgt[lo:lo + chunk])
-    return m_bits - total
+    dens = ctx.densities(zr.ravel(), zi.ravel())
+    mi = float(dens.mean(axis=0) @ wgt)
+    dens -= mi
+    np.abs(dens, out=dens)
+    dispersion = float((dens * dens).mean(axis=0) @ wgt)
+    third = float((dens * dens * dens).mean(axis=0) @ wgt)
+    return SubBlockRateStats(mi, dispersion, 0, 0.0, 0.0, third)
 
 
 # ---------------------------------------------------------------------------
@@ -406,24 +404,12 @@ def second_order_rate(lengths, stats: Sequence[SubBlockRateStats], eps: float,
         eps, n_total)
 
 
-def rate_single_block(mi: float, dispersion: float, n: int, eps: float) -> float:
-    """Single-block closed form I - sqrt(V/n) Qinv(eps)."""
-    return mi - math.sqrt(dispersion / n) * qfunc_inv(eps)
-
-
-def rate_two_segment(len1: int, stats1: SubBlockRateStats, len2: int,
-                     stats2: SubBlockRateStats, eps: float, n_total: int) -> float:
-    """Two-segment closed form (partially interfered frame)."""
-    first = len1 * stats1.mi + len2 * stats2.mi
-    rad = len1 * stats1.dispersion + len2 * stats2.dispersion
-    return (first - math.sqrt(rad) * qfunc_inv(eps)) / n_total
-
-
 def berry_esseen_diagnostic(lengths, stats: Sequence[SubBlockRateStats],
                             n_total: int, c0: float = 0.5600) -> float:
     """Berry-Esseen constant of the length-weighted density sum (diagnostic).
 
-    Requires stats computed with third_moment=True.
+    Requires stats with third_abs_moment, from `quadrature_mi_dispersion`
+    or from `estimate_mi_dispersion` with third_moment=True.
     """
     w = np.asarray(lengths, dtype=float) / float(n_total)
     t3 = []

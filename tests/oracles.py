@@ -19,6 +19,11 @@ candidates as a Python list of rank-vector tuples and used that loop.  The
 blocked filter and the array candidate index must give the same flags and
 candidates, in the same order.
 
+`rate_single_block` and `rate_two_segment` are the closed forms that the
+one combiner, `rates.combine_second_order`, reduces to.  `quadrature_mi`
+is the interference-free 2-D Gauss-Hermite loop that
+`rates.quadrature_mi_dispersion` replaced; the two agree to rounding.
+
 The TIN kernel, LLR demapper and `simulate` loop below are the forms the
 package used before it kept symbols on the last axis of the kernel's working
 array and simulated each frame once for all users.  Their sums over
@@ -42,6 +47,7 @@ from tinlink.rates import (
     SubBlockRateStats,
     _combo_sums,
     _hermite_rule,
+    _lse_over_alts,
     dimension_densities,
     qfunc_inv,
     receive_grids,
@@ -61,6 +67,47 @@ def scalar_second_order(lengths, mis, dispersions, eps, n_total):
     rate = (first - penalty) / n_total
     return SecondOrderRate(rate, first / n_total, penalty / n_total,
                            rate <= 0.0)
+
+
+def rate_single_block(mi: float, dispersion: float, n: int, eps: float) -> float:
+    """Single-block closed form I - sqrt(V/n) Qinv(eps)."""
+    return mi - math.sqrt(dispersion / n) * qfunc_inv(eps)
+
+
+def rate_two_segment(len1: int, stats1: SubBlockRateStats, len2: int,
+                     stats2: SubBlockRateStats, eps: float, n_total: int) -> float:
+    """Two-segment closed form (partially interfered frame)."""
+    first = len1 * stats1.mi + len2 * stats2.mi
+    rad = len1 * stats1.dispersion + len2 * stats2.dispersion
+    return (first - math.sqrt(rad) * qfunc_inv(eps)) / n_total
+
+
+def quadrature_mi(points, h, n_nodes: int = 64) -> float:
+    """Interference-free mutual information by 2-D Gauss-Hermite
+    quadrature, summed over the noise nodes 512 at a time."""
+    points = np.asarray(points, dtype=complex)
+    if points.size > 256:
+        raise RateEngineError("quadrature oracle limited to 256 points")
+    if points.size < 1:
+        raise RateEngineError("empty constellation")
+    nodes, weights = np.polynomial.hermite.hermgauss(n_nodes)
+    x = complex(h) * points
+    m_bits = math.log2(points.size)
+    # E over Z ~ CN(0,1): (1/pi) sum_ij w_i w_j f(t_i + 1j t_j)
+    zr_grid, zi_grid = np.meshgrid(nodes, nodes, indexing="ij")
+    wgt = (weights[:, None] * weights[None, :]).ravel() / math.pi
+    zr_flat = zr_grid.ravel()
+    zi_flat = zi_grid.ravel()
+    total = 0.0
+    chunk = 512
+    for lo in range(0, zr_flat.size, chunk):
+        zr = zr_flat[lo:lo + chunk]
+        zi = zi_flat[lo:lo + chunk]
+        lse = _lse_over_alts(x, x, zr, zi)
+        # log2(num/den) with den = exp(-|z|^2)
+        val = (lse + (zr * zr + zi * zi)[None, :]) / LN2
+        total += float(val.mean(axis=0) @ wgt[lo:lo + chunk])
+    return m_bits - total
 
 
 def gaussian_stats_reference(sinr):
@@ -291,6 +338,11 @@ def _demap_frame_reference(frame, user, plan, max_log=False):
     return np.concatenate(parts) if parts else np.zeros(0)
 
 
+def frame_seeds_reference(seed, index):
+    """(payload seed, noise seed) of frame `index` of a run seeded `seed`."""
+    return seed + 7919 * index, seed + 104729 * index + 1
+
+
 def simulate_rows_reference(plan, n_frames, seed, samples, bid):
     """The `simulate` CSV rows from a user loop around the frame loop, which
     builds every frame, and the zero-noise frame, once per user."""
@@ -302,9 +354,9 @@ def simulate_rows_reference(plan, n_frames, seed, samples, bid):
         power_n = 0
         clean_ok = True
         for f in range(n_frames):
-            payloads = linksim.random_payloads(plan, seed + 7919 * f)
-            frame = linksim.simulate_frame(plan, payloads,
-                                           seed + 104729 * f + 1)
+            payload_seed, noise_seed = frame_seeds_reference(seed, f)
+            payloads = linksim.random_payloads(plan, payload_seed)
+            frame = linksim.simulate_frame(plan, payloads, noise_seed)
             llr = _demap_frame_reference(frame, k, plan)
             sent = active_bits_reference(payloads[k], k, plan)
             n_err += int(np.count_nonzero(linksim.hard_bits(llr) != sent))

@@ -23,6 +23,7 @@ from tinlink.cli import (
 from tinlink.scheme import SystemSpec, UserSpec, build_layout
 
 from oracles import (
+    frame_seeds_reference,
     param_str_reference,
     power_splits_reference,
     write_csv_reference,
@@ -266,21 +267,22 @@ class TestSimulate:
 
     def test_each_frame_simulated_once(self, tmp_path, monkeypatch):
         # every frame, and the zero-noise frame, is simulated once for all
-        # users, and each active segment's demapper set-up is built once
+        # users, with the noise seeds of the frame-seed policy, and each
+        # active segment's demapper set-up is built once
         n_frames = 4
         cfg = json.loads((ROOT / "configs" / "three_user.json").read_text())
         cfg["simulate"] = {"orders": [[2], [2, 4], [2, 4, 2]],
                            "n_frames": n_frames}
         path = tmp_path / "sim.json"
         path.write_text(json.dumps(cfg))
-        calls = {"frames": 0, "setups": [], "llrs": 0}
+        calls = {"frames": [], "setups": [], "llrs": 0}
         simulate_frame = linksim.simulate_frame
         segment_demapper = linksim.segment_demapper
         tin_llr = linksim.tin_llr
 
-        def count_frame(*args, **kwargs):
-            calls["frames"] += 1
-            return simulate_frame(*args, **kwargs)
+        def count_frame(plan, payloads, seed, **kwargs):
+            calls["frames"].append((seed, kwargs.get("noise_scale", 1.0)))
+            return simulate_frame(plan, payloads, seed, **kwargs)
 
         def count_setup(plan, user, sub_block, h=None):
             calls["setups"].append((user, sub_block))
@@ -299,7 +301,10 @@ class TestSimulate:
                                    cli.spec_from_config(cfg))
         segments = [(k, sb.index) for k in range(plan.spec.K)
                     for sb in linksim.active_segments(plan, k)]
-        assert calls["frames"] == n_frames + 1
+        seed = cfg["sampling"]["seed"]
+        assert sorted(calls["frames"]) == sorted(
+            [(frame_seeds_reference(seed, f)[1], 1.0)
+             for f in range(n_frames)] + [(seed, 0.0)])
         assert sorted(calls["setups"]) == segments
         assert calls["llrs"] == (n_frames + 1) * len(segments)
 
@@ -328,6 +333,34 @@ class TestValidate:
                             validate={"plan": str(plan_out)})
         code = main(["validate", "--config", str(vcfg)])
         assert code == EXIT_BAD_CONFIG
+
+    def test_rows_independent_of_samples(self, tmp_path):
+        # no check samples noise, so --samples is only echoed
+        cfg = ROOT / "configs" / "two_user_urllc.json"
+        cells = {}
+        for samples in (None, "1000"):
+            out = tmp_path / f"validate_{samples}.csv"
+            extra = ["--samples", samples] if samples else []
+            assert main(["validate", "--config", str(cfg), "--out", str(out),
+                         *extra]) == EXIT_OK
+            _, rows = read_rows(out)
+            assert {r["n_noise_samples"] for r in rows} == {samples or "200000"}
+            cells[samples] = [(r["check"], r["passed"], r["detail"])
+                              for r in rows]
+        assert cells[None] == cells["1000"]
+        assert [c for c, _, _ in cells[None]][-1] == "kernel_vs_quadrature"
+
+    def test_kernel_without_interference_fails(self, tmp_path, monkeypatch,
+                                               capsys):
+        kernel = rates.sub_block_stats
+        monkeypatch.setattr(rates, "sub_block_stats", lambda g, parts, user:
+                            kernel(g, {user: parts[user]}, user))
+        cfg = write_config(tmp_path)
+        assert main(["validate", "--config", str(cfg)]) == EXIT_CHECK_FAILED
+        failed = [line for line in capsys.readouterr().out.splitlines()
+                  if "FAIL" in line]
+        assert len(failed) == 1
+        assert failed[0].startswith("kernel_vs_quadrature: FAIL")
 
 
 class TestConfigHandling:
@@ -429,6 +462,8 @@ class TestConfigHandling:
         ("validate", {"sampling": {"seed": -2}}, "seed"),
         ("simulate", {"simulate": {"orders": [[2], [2, 2]]},
                       "sampling": {"seed": -5}}, "seed"),
+        # "" skipped the plan check and exited 0 with no plan_schema row
+        ("validate", {"validate": {"plan": ""}}, "plan"),
     ])
     def test_malformed_value_exits_2(self, tmp_path, capsys, command,
                                      overrides, key):
@@ -581,27 +616,22 @@ def test_bundled_outputs_match_csv_writer_oracle(tmp_path, command, name,
     write_csv_reference(want, header, rows)
     assert out.read_bytes() == want.read_bytes()
 
-# Runs every command on small inputs from the bundled configs in one fresh
-# interpreter, then lists the SciPy modules loaded after each command.
-_NO_SCIPY_SCRIPT = textwrap.dedent("""
-    import json, sys
-    from tinlink.cli import main
 
-    tmp, configs = sys.argv[1], sys.argv[2]
-
+def small_runs(tmp_path):
+    """Command lines that run every command on small inputs from the
+    bundled configs, by command."""
     def config(command, name, **sections):
-        with open(f"{configs}/{name}") as fh:
-            cfg = json.load(fh)
+        cfg = json.loads((ROOT / "configs" / name).read_text())
         cfg.update(sections)
-        with open(f"{tmp}/{command}.json", "w") as fh:
-            json.dump(cfg, fh)
-        return ["--config", f"{tmp}/{command}.json",
-                "--out", f"{tmp}/{command}.csv"]
+        path = tmp_path / f"{command}.json"
+        path.write_text(json.dumps(cfg))
+        return [command, "--config", str(path),
+                "--out", str(tmp_path / f"{command}.csv")]
 
-    runs = {
+    return {
         "design": config("design", "two_user_search.json", design={
-            "max_sub_block_order": 4}) + ["--samples", "1000",
-                                          "--plan-out", f"{tmp}/plan.json"],
+            "max_sub_block_order": 4}) + [
+                "--samples", "1000", "--plan-out", str(tmp_path / "plan.json")],
         "rate-region": config(
             "rate-region", "two_user_equal_blocklength.json", rate_region={
                 "power_steps": 3, "max_sub_block_order": 4}),
@@ -612,9 +642,23 @@ _NO_SCIPY_SCRIPT = textwrap.dedent("""
         "validate": config("validate", "two_user_urllc.json") + [
             "--samples", "1000"],
     }
+
+
+# Runs the given command lines in one fresh interpreter, with the Monte Carlo
+# estimator and its noise source made to raise, then lists the SciPy modules
+# loaded after each command.
+_NO_SCIPY_SCRIPT = textwrap.dedent("""
+    import json, sys
+    from tinlink import rates
+    from tinlink.cli import main
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a command sampled Monte Carlo noise")
+
+    rates.estimate_mi_dispersion = rates._noise_batch = refuse
     loaded = {}
-    for command, args in runs.items():
-        code = main([command, *args])
+    for command, argv in json.loads(sys.argv[1]).items():
+        code = main(argv)
         loaded[command] = [code, sorted(
             m for m in sys.modules if m == "scipy" or m.startswith("scipy."))]
     print(json.dumps(loaded))
@@ -622,10 +666,11 @@ _NO_SCIPY_SCRIPT = textwrap.dedent("""
 
 
 def test_commands_load_no_scipy(tmp_path):
-    """numpy is tinlink's only third-party runtime dependency."""
+    """numpy is tinlink's only third-party runtime dependency, and no
+    command calls the Monte Carlo estimator."""
     proc = subprocess.run(
-        [sys.executable, "-c", _NO_SCIPY_SCRIPT, str(tmp_path),
-         str(ROOT / "configs")],
+        [sys.executable, "-c", _NO_SCIPY_SCRIPT,
+         json.dumps(small_runs(tmp_path))],
         env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
         capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr

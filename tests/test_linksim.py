@@ -40,6 +40,7 @@ from tinlink.scheme import (
 
 from oracles import (
     active_bits_reference as active_payload_bits,
+    frame_seeds_reference,
     information_densities_reference,
     simulate_rows_reference,
     sub_block_stats_reference,
@@ -348,6 +349,25 @@ class TestInformationDensities:
         monkeypatch.setattr(linksim, "segment_demapper", count_setup)
         empirical_id_check(plan, 1, n_frames=5, seed=3)
         assert built == [(1, 0), (1, 1)]
+
+    def test_id_check_frames_follow_seed_policy(self, monkeypatch):
+        # the frames are those `simulate` draws for the same seed
+        seeds = []
+
+        def record_payloads(plan, seed):
+            seeds.append(("payloads", seed))
+            return random_payloads(plan, seed)
+
+        def record_frame(plan, payloads, seed, **kwargs):
+            seeds.append(("noise", seed))
+            return simulate_frame(plan, payloads, seed, **kwargs)
+
+        monkeypatch.setattr(linksim, "random_payloads", record_payloads)
+        monkeypatch.setattr(linksim, "simulate_frame", record_frame)
+        empirical_id_check(urllc_plan(n1=16, n2=24), 1, n_frames=3, seed=40)
+        assert seeds == [(kind, s) for f in range(3) for kind, s in
+                         zip(("payloads", "noise"),
+                             frame_seeds_reference(40, f))]
 
     def test_matches_rate_engine_within_4_sigma(self):
         # full design-point blocklengths; ~1e5 sampled symbols for user 2

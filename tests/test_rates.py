@@ -28,9 +28,7 @@ from tinlink.rates import (
     gaussian_stats,
     qfunc,
     qfunc_inv,
-    quadrature_mi,
-    rate_single_block,
-    rate_two_segment,
+    quadrature_mi_dispersion,
     second_order_rate,
     shell_benchmark,
     shell_stats,
@@ -48,6 +46,9 @@ from oracles import (
     bits,
     gaussian_stats_reference,
     log2_reference,
+    quadrature_mi,
+    rate_single_block,
+    rate_two_segment,
     scalar_second_order,
     shell_stats_reference,
 )
@@ -114,24 +115,66 @@ class TestQFunction:
             qfunc_inv(p)
 
 
+def oracle_mi(points, h):
+    """Interference-free mutual information from the 2-D oracle."""
+    return quadrature_mi_dispersion(points, [], h).mi
+
+
 class TestQuadratureOracle:
     def test_zero_channel(self):
-        assert quadrature_mi(unit_qam(2), 0.0) == pytest.approx(0.0, abs=1e-12)
+        st = quadrature_mi_dispersion(unit_qam(2), [unit_qam(2)], 0.0)
+        assert st.mi == pytest.approx(0.0, abs=1e-12)
+        assert st.dispersion <= 1e-12 and st.third_abs_moment <= 1e-12
+        assert (st.sample_count, st.std_err_mi, st.std_err_dispersion) == (
+            0, 0.0, 0.0)
 
     def test_bpsk_high_snr(self):
         pts = unit_qam(1)
-        assert quadrature_mi(pts, 40.0) == pytest.approx(1.0, abs=1e-6)
+        assert oracle_mi(pts, 40.0) == pytest.approx(1.0, abs=1e-6)
 
     def test_16qam_10db_regression_anchor(self):
         # frozen from a node-count convergence study (64 vs 128 nodes agree
         # to ~1e-8 bits)
         pts = unit_qam(4)
-        assert quadrature_mi(pts, math.sqrt(10.0)) == pytest.approx(
+        assert oracle_mi(pts, math.sqrt(10.0)) == pytest.approx(
             3.1639432, abs=1e-6)
 
     def test_point_cap(self):
         with pytest.raises(RateEngineError):
-            quadrature_mi(np.zeros(300, dtype=complex), 1.0)
+            quadrature_mi_dispersion(np.zeros(300, dtype=complex), [], 1.0)
+
+    def test_tuple_cap(self):
+        # the cap is on desired x interferer tuples: 256 pass, 1024 do not
+        for interferers in ([unit_qam(6)], [unit_qam(4), unit_qam(2)]):
+            with pytest.raises(RateEngineError, match="256"):
+                quadrature_mi_dispersion(unit_qam(4), interferers, 1.0)
+        rates._DensityContext(unit_qam(4), [unit_qam(4)], 1.0,
+                              rates.QUADRATURE_TUPLES)
+
+    @pytest.mark.parametrize("m", [2, 4, 6])
+    def test_matches_interference_free_loop(self, m):
+        # the two sum the same terms in another order; 32 nodes keep the
+        # 64-QAM case cheap (at the default 64 the gap is also <= 1e-15)
+        pts = unit_qam(m)
+        for snr_db in (0.0, 6.0, 12.0):
+            h = math.sqrt(10 ** (snr_db / 10.0))
+            got = quadrature_mi_dispersion(pts, [], h, 32).mi
+            assert abs(got - quadrature_mi(pts, h, 32)) <= 1e-14
+
+    def test_zero_interferer_equals_no_interferer(self):
+        a = quadrature_mi_dispersion(unit_qam(2), [], 2.0)
+        b = quadrature_mi_dispersion(unit_qam(2), [np.zeros(1)], 2.0)
+        assert np.allclose([a.mi, a.dispersion, a.third_abs_moment],
+                           [b.mi, b.dispersion, b.third_abs_moment],
+                           rtol=0.0, atol=1e-14)
+
+    def test_third_moment_feeds_berry_esseen(self):
+        st = quadrature_mi_dispersion(unit_qam(2), [unit_qam(2)], 1.7)
+        assert st.third_abs_moment > 0
+        # Lyapunov: E|X|^3 >= (E X^2)^(3/2)
+        assert st.third_abs_moment >= st.dispersion ** 1.5
+        diag = berry_esseen_diagnostic([100], [st], 100)
+        assert math.isfinite(diag) and diag > 0
 
 
 class TestEstimator:
@@ -149,7 +192,7 @@ class TestEstimator:
         pts = unit_qam(2)
         h = math.sqrt(10 ** (snr_db / 10.0))
         st = estimate_mi_dispersion(pts, [], h, 100_000, 3)
-        oracle = quadrature_mi(pts, h)
+        oracle = oracle_mi(pts, h)
         assert abs(st.mi - oracle) <= 3.0 * st.std_err_mi
 
     def test_zero_interferer_equals_no_interferer(self):
@@ -543,8 +586,29 @@ class TestQuadratureKernel:
             plan = assign_power([[m]], SystemSpec.create(
                 1.0, [UserSpec(64, 1e-5, h)]), check=False)
             got = compute_plan_rates(plan).users[0].stats[0].mi
-            oracle = quadrature_mi(plan.entries[(0, 0)].tx_points, h)
+            oracle = oracle_mi(plan.entries[(0, 0)].tx_points, h)
             assert got == pytest.approx(oracle, abs=1e-6)
+
+    @pytest.mark.parametrize("orders, gains", [
+        ([[4]], (3.0,)),
+        ([[2], [2, 2]], (10.0, 2.5)),
+        ([[2], [1, 2], [1, 1, 2]], (12.0, 6.0, 3.0)),
+    ], ids=["K1", "K2", "K3"])
+    def test_equals_2d_oracle_at_gh_nodes(self, orders, gains):
+        # on a real channel the 2-D product rule integrates the density's I
+        # and Q parts exactly as the per-dimension rules do, so at the same
+        # node count only rounding separates the I/Q factorisation from the
+        # enumerated 2-D tuples
+        spec = SystemSpec.create(1.0, [UserSpec(16 * (i + 1), 1e-5, g)
+                                       for i, g in enumerate(gains)])
+        plan = assign_power(orders, spec)
+        for k, user in enumerate(compute_plan_rates(plan).users):
+            for j, got in enumerate(user.stats):
+                want = quadrature_mi_dispersion(
+                    *plan.sub_block_signals(k, j), plan.spec.users[k].h,
+                    rates.GH_NODES)
+                assert abs(got.mi - want.mi) <= 1e-12
+                assert abs(got.dispersion - want.dispersion) <= 1e-12
 
     # at 1.1x the feasibility edge, 64 nodes were 6e-5 off in V
     @pytest.mark.parametrize("plan", [urllc_design_point,
