@@ -67,8 +67,11 @@ def _write_lines(path, header: Sequence[str], lines: Iterable[str]) -> None:
         fh.writelines(lines)
 
 
-def _orders_str(orders) -> str:
-    return "|".join(",".join(str(m) for m in row) for row in orders)
+def _orders_cell(K: int) -> str:
+    """The `orders` cell of a flat K-user order matrix (see
+    `scheme.DesignSearchResult`) as a %-format, one `%s` per order and
+    quoted when the orders hold a comma, as `_csv_cell` quotes them."""
+    return _csv_cell("|".join(",".join(["%s"] * (k + 1)) for k in range(K)))
 
 
 # ---------------------------------------------------------------------------
@@ -83,7 +86,7 @@ def load_config(path) -> dict:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
-    version = cfg.get("schema_version", 1)
+    version = _read(cfg, "schema_version", 1, int)
     if version != 1:
         raise ConfigError(f"unsupported schema_version {version}")
     if "system" not in cfg:
@@ -151,19 +154,21 @@ def cmd_design(cfg: Mapping, args) -> int:
               + [f"k_{k + 1}" for k in range(spec.K)]
               + [f"n_{k + 1}" for k in range(spec.K)])
     line = _line_template([build_id(), str(seed), str(samples)],
-                          "%s,%s,%.12g,yes,%.12g" + ",%.12g" * spec.K
-                          + ",%s" * (2 * spec.K))
+                          "%s," + _orders_cell(spec.K) + ",%.12g,yes,%.12g"
+                          + ",%.12g" * spec.K + ",%s" * (2 * spec.K))
     _write_lines(args.out, header, (
-        line % (rank, _csv_cell(_orders_str(cand.orders)),
-                cand.weighted_sum, cand.min_order_slack,
-                *cand.rate_result.rates, *cand.info_bits,
-                *cand.codeword_bits)
-        for rank, cand in enumerate(result.candidates)))
-    if args.plan_out and result.candidates:
+        line % (rank, *orders, weighted, slack, *rate_row, *info, *codeword)
+        for rank, (orders, weighted, slack, rate_row, info, codeword)
+        in enumerate(zip(result.orders.tolist(),
+                         result.weighted_sum.tolist(),
+                         result.min_order_slack.tolist(),
+                         result.rates.tolist(), result.info_bits.tolist(),
+                         result.codeword_bits.tolist()))))
+    if args.plan_out and len(result):
         with open(args.plan_out, "w") as fh:
-            plan = scheme.assign_power(result.candidates[0].orders, spec)
+            plan = scheme.assign_power(result.order_matrix(0), spec)
             json.dump(plan.to_dict(), fh, indent=2, sort_keys=True)
-    if not result.candidates:
+    if not len(result):
         print(result.explanation or "no feasible design", file=sys.stderr)
         return EXIT_NO_DESIGN
     return EXIT_OK
@@ -244,30 +249,30 @@ def cmd_rate_region(cfg: Mapping, args, benchmarks_only: bool = False) -> int:
     lead = [build_id(), str(seed), str(samples)]
     rate_cells = ",%.12g" * spec.K
 
-    candidates = ()
+    qam_rows = ()
     if include_qam:
         result = scheme.design_search(
             spec, [1.0] * spec.K, max_sub_block_order=cap, pareto_only=False)
-        if not result.candidates:
+        if not len(result):
             print(result.explanation or "no feasible design", file=sys.stderr)
             _write_lines(args.out, header, ())
             return EXIT_NO_DESIGN
-        candidates = result.candidates
+        qam_rows = zip(result.orders.tolist(), result.rates.tolist())
 
     powers = _power_splits(spec, layout, steps)
     gauss_sic = rates.bc_gaussian_rates(spec, layout, powers, mode="sic")
     gauss_tin = rates.bc_gaussian_rates(spec, layout, powers, mode="tin")
     shell = rates.bc_shell_rates(spec, layout, powers, mode="sic")
     has_shell = ~np.isnan(shell).any(axis=1)
-    qam = _line_template(lead + ["qam_tin", ""], "%s" + rate_cells)
+    qam = _line_template(lead + ["qam_tin", ""],
+                         _orders_cell(spec.K) + rate_cells)
     # param strings hold no delimiter or quote, so they go in unquoted
     sic, tin, shell_sic = (_line_template(lead + [kind], "%s," + rate_cells)
                            for kind in ("gauss_sic", "gauss_tin", "shell_sic"))
 
     def lines():
-        for cand in candidates:
-            yield qam % (_csv_cell(_orders_str(cand.orders)),
-                         *cand.rate_result.rates)
+        for orders, rate_row in qam_rows:
+            yield qam % (*orders, *rate_row)
         # rows are converted one at a time, so no whole-array list is held
         # beside the output
         for param, r_sic, r_tin, r_shell, shell_row in zip(

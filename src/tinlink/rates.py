@@ -603,18 +603,6 @@ def second_order_rates(spec, layout, mi, dispersion) -> np.ndarray:
         user.eps, user.N).rate for k, user in enumerate(spec.users)], axis=-1)
 
 
-def rate_result(spec, layout, stats, rates) -> RateResult:
-    """One candidate's rates with their ingredients: rates[k] is user k's
-    rate (a row of `second_order_rates`) and stats[k][j] its (I, V) in
-    sub-block j (ZERO_STATS where the user is silent or the block empty)."""
-    return RateResult(users=tuple(
-        UserRate(user=k, rate=rate, nonpositive=rate <= 0.0, eps=user.eps,
-                 n_symbols=user.N,
-                 lengths=tuple(sb.length for sb in layout.sub_blocks[:k + 1]),
-                 stats=tuple(stats[k]))
-        for k, (user, rate) in enumerate(zip(spec.users, map(float, rates)))))
-
-
 def compute_plan_rates(plan) -> RateResult:
     """Evaluate every user's second-order rate for a transmission plan.
 
@@ -628,5 +616,10 @@ def compute_plan_rates(plan) -> RateResult:
              for k, user in enumerate(plan.spec.users)]
     rates = second_order_rates(
         plan.spec, plan.layout, [[[s.mi for s in row]] for row in stats],
-        [[[s.dispersion for s in row]] for row in stats])
-    return rate_result(plan.spec, plan.layout, stats, rates[0])
+        [[[s.dispersion for s in row]] for row in stats])[0].tolist()
+    return RateResult(users=tuple(
+        UserRate(user=k, rate=rate, nonpositive=rate <= 0.0, eps=user.eps,
+                 n_symbols=user.N, lengths=tuple(
+                     sb.length for sb in plan.layout.sub_blocks[:k + 1]),
+                 stats=tuple(stats[k]))
+        for k, (user, rate) in enumerate(zip(plan.spec.users, rates))))

@@ -431,13 +431,16 @@ class SchemePlan:
 def plan_from_dict(data: Mapping) -> SchemePlan:
     """Rebuild a plan from its JSON form, verifying the stored derived values."""
     try:
-        if data["schema_version"] != 1:
-            raise SpecError(f"unsupported schema_version {data['schema_version']}")
+        version = _number(data["schema_version"], "schema_version",
+                          integer=True)
+        if version != 1:
+            raise SpecError(f"unsupported schema_version {version}")
         spec = SystemSpec.from_dict(data["system"])
         orders = data["orders"]
         plan = assign_power(orders, spec)
-        stored_eta = [float(x) for x in data["eta"]]
-        stored_n = [int(x) for x in data["codeword_lengths"]]
+        stored_eta = [_number(x, "eta") for x in data["eta"]]
+        stored_n = [_number(x, "codeword length", integer=True)
+                    for x in data["codeword_lengths"]]
     except (KeyError, TypeError, IndexError, InfeasiblePlanError) as exc:
         raise SpecError(f"malformed plan file: {exc}") from exc
     if len(stored_eta) != len(plan.eta) or any(
@@ -547,13 +550,7 @@ def verify_min_distances(plan: SchemePlan, spec: SystemSpec | None = None
 
 def codeword_lengths(orders, layout: SubBlockLayout) -> tuple[int, ...]:
     """n_k = sum over sub-blocks of (sub-block length) * (order there)."""
-    return _codeword_bits(_normalize_orders(orders, len(layout.sub_blocks)),
-                          layout)
-
-
-def _codeword_bits(orders: tuple[tuple[int, ...], ...],
-                   layout: SubBlockLayout) -> tuple[int, ...]:
-    """`codeword_lengths` of an order matrix already normalized."""
+    orders = _normalize_orders(orders, len(layout.sub_blocks))
     return tuple(sum(sb.length * row[sb.index]
                      for sb in layout.sub_blocks[:k + 1])
                  for k, row in enumerate(orders))
@@ -621,25 +618,36 @@ def build_frame(symbols: Mapping[int, np.ndarray], plan: SchemePlan
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class DesignCandidate:
-    orders: tuple[tuple[int, ...], ...]
-    rate_result: rates.RateResult
-    weighted_sum: float
-    info_bits: tuple[int, ...]
-    codeword_bits: tuple[int, ...]
-    pareto: bool
-    min_order_slack: float  # least order_sum row slack (inf if none)
-
-
-@dataclass(frozen=True)
 class DesignSearchResult:
-    candidates: tuple[DesignCandidate, ...]
+    """Scored order matrices as columns, one row per candidate, best first.
+
+    `orders` holds each order matrix flattened user by user, so user k's
+    sub-blocks 0..k follow user k-1's; `rates`, `info_bits` and
+    `codeword_bits` are (n, K), `weighted_sum` and `min_order_slack` (the
+    least order_sum row slack, inf if none) have one entry per row.
+    """
+
+    orders: np.ndarray
+    rates: np.ndarray
+    weighted_sum: np.ndarray
+    info_bits: np.ndarray
+    codeword_bits: np.ndarray
+    min_order_slack: np.ndarray
     explanation: str | None = None
+
+    def __len__(self) -> int:
+        return len(self.weighted_sum)
+
+    def order_matrix(self, i: int) -> tuple[tuple[int, ...], ...]:
+        """Row i's order matrix, orders[k][j] user k's order in sub-block j."""
+        flat = self.orders[i].tolist()
+        return tuple(tuple(flat[k * (k + 1) // 2:(k + 1) * (k + 2) // 2])
+                     for k in range(self.rates.shape[1]))
 
 
 def _enumerate_rank_vectors(ranks, sub_block, spec, cap):
     """All feasible rank-order vectors for one sub-block, budget included,
-    in lexicographic order."""
+    in lexicographic order; the all-zero vector is always among them."""
     return [mv for mv in itertools.product(range(cap + 1), repeat=len(ranks))
             if sum(mv) <= cap and all(
                 r.passed for r in _sub_block_rows(mv, ranks, sub_block, spec))]
@@ -663,10 +671,10 @@ def design_search(spec: SystemSpec, weights: Sequence[float] | None = None, *,
     the product grid of the vector counts, in `itertools.product` order,
     without the all-silent row.  The table is gathered through it into
     per-user (candidates, sub-blocks) I and V arrays, and one combiner pass
-    gives every candidate's rates; no plan is built, and rank vectors and
-    rate results are packaged only for the candidates returned.
-    Candidates are sorted by descending weighted sum, ties broken by the
-    lexicographically smaller order matrix.
+    gives every candidate's rates; no plan is built.  Every other column is
+    gathered through the same index from per-vector arrays (orders, order
+    slack), and the rows are sorted by descending weighted sum, ties broken
+    by the lexicographically smaller flat order matrix.
     """
     layout = build_layout(spec)
     if weights is None:
@@ -698,21 +706,11 @@ def design_search(spec: SystemSpec, weights: Sequence[float] | None = None, *,
         index = np.array(rows, dtype=np.intp).reshape(-1, spec.K).T
         none_left = "no feasible plan among the configured order matrices"
     else:
-        vectors = []
-        for sb in layout.sub_blocks:
-            if sb.length == 0:
-                vectors.append([(0,) * len(sb.ranks)])
-                continue
-            # larger sums have no constellation
-            found = _enumerate_rank_vectors(
-                sb.ranks, sb.index, spec,
-                min(max_sub_block_order, MAX_TOTAL_ORDER))
-            if not found:
-                return DesignSearchResult(
-                    candidates=(),
-                    explanation=(f"no feasible order vector for sub-block "
-                                 f"{sb.index} under the modulation constraints"))
-            vectors.append(found)
+        # larger sums have no constellation
+        cap = min(max_sub_block_order, MAX_TOTAL_ORDER)
+        vectors = [_enumerate_rank_vectors(sb.ranks, sb.index, spec, cap)
+                   if sb.length else [(0,) * len(sb.ranks)]
+                   for sb in layout.sub_blocks]
         # every combination of one vector per sub-block, in product order,
         # but the all-silent one
         index = np.indices([len(v) for v in vectors]).reshape(spec.K, -1)
@@ -722,18 +720,11 @@ def design_search(spec: SystemSpec, weights: Sequence[float] | None = None, *,
         index = index[:, ~silent]
         none_left = ("only the all-silent order matrix is feasible "
                      "at this power budget")
-    if not index.size:
-        return DesignSearchResult(candidates=(), explanation=none_left)
 
     # one kernel call per (sub-block, rank-order vector, user); index[j, i]
-    # is candidate i's position in vectors[j], and order_slack[j][mv] the
-    # least order_sum slack of vector mv in non-empty sub-block j
+    # is candidate i's position in vectors[j]
     table = {}
-    order_slack = []
     for sb, found in zip(layout.sub_blocks, vectors):
-        order_slack.append({mv: min(
-            r.slack for r in _sub_block_rows(mv, sb.ranks, sb.index, spec)
-            if r.kind == "order_sum") for mv in found} if sb.length else {})
         for mv in found:
             by_rank = dict(zip(sb.ranks, sub_block_parts(mv, spec.P)))
             parts = {u: by_rank[u] for u in sb.participants}
@@ -742,57 +733,47 @@ def design_search(spec: SystemSpec, weights: Sequence[float] | None = None, *,
                     table[(sb.index, mv, user)] = rates.sub_block_stats(
                         abs(spec.users[user].h), parts, user)
 
-    def stats_of(k, j, mv):
-        return table.get((j, mv, k), rates.ZERO_STATS)
-
     def gathered(k, field):
-        return np.stack([np.array([getattr(stats_of(k, j, mv), field)
-                                   for mv in vectors[j]])[index[j]]
-                         for j in range(k + 1)], axis=-1)
+        return np.stack([np.array([
+            getattr(table.get((j, mv, k), rates.ZERO_STATS), field)
+            for mv in vectors[j]])[index[j]] for j in range(k + 1)], axis=-1)
 
     user_rates = rates.second_order_rates(
         spec, layout, [gathered(k, "mi") for k in range(spec.K)],
         [gathered(k, "dispersion") for k in range(spec.K)])
-
-    n = index.shape[1]
-    if orders is not None:
-        pareto_flags = np.ones(n, dtype=bool)
-    else:
-        pareto_flags = np.array(_pareto_flags(
+    if pareto_only and orders is None:
+        keep = np.flatnonzero(_pareto_flags(
             user_rates, [k for k in range(spec.K) if weights[k] > 0]))
-    returned = np.flatnonzero(pareto_flags) if pareto_only else np.arange(n)
-    candidates = []
-    for positions, row, is_pareto in zip(index[:, returned].T.tolist(),
-                                         user_rates[returned].tolist(),
-                                         pareto_flags[returned].tolist()):
-        combo = [vectors[j][p] for j, p in enumerate(positions)]
-        result = rates.rate_result(spec, layout, [
-            [stats_of(k, j, combo[j]) for j in range(k + 1)]
-            for k in range(spec.K)], row)
-        matrix = _orders_from_rank_vectors(combo, layout, spec.K)
-        ws = sum(w * r for w, r in zip(weights, result.rates))
-        info = tuple(max(0, math.floor(u.rate * u.n_symbols))
-                     for u in result.users)
-        candidates.append(DesignCandidate(
-            orders=matrix, rate_result=result, weighted_sum=ws,
-            info_bits=info, codeword_bits=_codeword_bits(matrix, layout),
-            pareto=is_pareto, min_order_slack=min(
-                (order_slack[j][mv] for j, mv in enumerate(combo)
-                 if order_slack[j]), default=math.inf)))
-    candidates.sort(key=lambda c: (-c.weighted_sum, _flat(c.orders)))
-    return DesignSearchResult(candidates=tuple(candidates))
+        index, user_rates = index[:, keep], user_rates[keep]
 
-
-def _flat(orders) -> tuple[int, ...]:
-    return tuple(m for row in orders for m in row)
-
-
-def _orders_from_rank_vectors(combo, layout, K):
-    rows = [[0] * (k + 1) for k in range(K)]
-    for sb, vec in zip(layout.sub_blocks, combo):
+    # flat[:, k(k+1)/2 + j] is user k's order in sub-block j; the slack of
+    # a candidate is the least of its non-empty sub-blocks' vector slacks
+    n = index.shape[1]
+    flat = np.empty((n, spec.K * (spec.K + 1) // 2), dtype=np.int64)
+    slack = np.full(n, math.inf)
+    for sb, found in zip(layout.sub_blocks, vectors):
+        by_rank = np.array(found, dtype=np.int64).reshape(
+            -1, len(sb.ranks))[index[sb.index]]
         for rank, user in enumerate(sb.ranks):
-            rows[user][sb.index] = vec[rank]
-    return tuple(tuple(r) for r in rows)
+            flat[:, user * (user + 1) // 2 + sb.index] = by_rank[:, rank]
+        if sb.length:
+            slack = np.minimum(slack, np.array([min(
+                r.slack for r in _sub_block_rows(mv, sb.ranks, sb.index, spec)
+                if r.kind == "order_sum") for mv in found])[index[sb.index]])
+    lengths = np.array([sb.length for sb in layout.sub_blocks])
+    codeword = np.stack([flat[:, k * (k + 1) // 2:(k + 1) * (k + 2) // 2]
+                         @ lengths[:k + 1] for k in range(spec.K)], axis=-1)
+    info = np.maximum(np.floor(
+        user_rates * [u.N for u in spec.users]), 0).astype(np.int64)
+    weighted = np.zeros(n)
+    for w, column in zip(weights, user_rates.T):
+        weighted += w * column
+    order = np.lexsort((*flat.T[::-1], -weighted))
+    return DesignSearchResult(
+        orders=flat[order], rates=user_rates[order],
+        weighted_sum=weighted[order], info_bits=info[order],
+        codeword_bits=codeword[order], min_order_slack=slack[order],
+        explanation=None if n else none_left)
 
 
 def _pareto_flags(rate_tuples, dims) -> list[bool]:

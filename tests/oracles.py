@@ -15,9 +15,10 @@ match bit for bit while it calls `math.log2` once per distinct value.
 The Pareto filters below are the quadratic double loop, the sort-based loop
 that tested one candidate at a time against the front found so far, and a
 numpy all-pairs test; `design_search_reference` is the search that built its
-candidates as a Python list of rank-vector tuples and used that loop.  The
-blocked filter and the array candidate index must give the same flags and
-candidates, in the same order.
+candidates as a Python list of rank-vector tuples, used that loop and
+packaged each returned candidate's columns in Python.  The blocked filter,
+the array candidate index and the gathered columns must give the same flags
+and rows, in the same order.
 
 `rate_single_block` and `rate_two_segment` are the closed forms that the
 one combiner, `rates.combine_second_order`, reduces to.  `quadrature_mi`
@@ -504,22 +505,30 @@ def design_search_reference(spec, weights=None, max_sub_block_order=12,
         [gathered(k, "dispersion") for k in range(spec.K)])
     flags = pareto_front_loop_reference(
         user_rates, [k for k in range(spec.K) if weights[k] > 0])
-    candidates = []
+    rows = []
     for combo, row, is_pareto in zip(combos, user_rates.tolist(), flags):
         if pareto_only and not is_pareto:
             continue
-        result = rates.rate_result(spec, layout, [
-            [stats_of(k, j, combo[j]) for j in range(k + 1)]
-            for k in range(spec.K)], row)
-        matrix = scheme._orders_from_rank_vectors(combo, layout, spec.K)
-        candidates.append(scheme.DesignCandidate(
-            orders=matrix, rate_result=result,
-            weighted_sum=sum(w * r for w, r in zip(weights, result.rates)),
-            info_bits=tuple(max(0, math.floor(u.rate * u.n_symbols))
-                            for u in result.users),
-            codeword_bits=scheme._codeword_bits(matrix, layout),
-            pareto=is_pareto, min_order_slack=min(
-                (order_slack[j][mv] for j, mv in enumerate(combo)
+        matrix = [[0] * (k + 1) for k in range(spec.K)]
+        for sb, vec in zip(layout.sub_blocks, combo):
+            for rank, user in enumerate(sb.ranks):
+                matrix[user][sb.index] = vec[rank]
+        rows.append((
+            sum(w * r for w, r in zip(weights, row)),
+            [m for orders in matrix for m in orders], row,
+            [max(0, math.floor(r * u.N)) for r, u in zip(row, spec.users)],
+            list(scheme.codeword_lengths(matrix, layout)),
+            min((order_slack[j][mv] for j, mv in enumerate(combo)
                  if order_slack[j]), default=math.inf)))
-    candidates.sort(key=lambda c: (-c.weighted_sum, scheme._flat(c.orders)))
-    return tuple(candidates)
+    rows.sort(key=lambda r: (-r[0], r[1]))
+    n_flat = spec.K * (spec.K + 1) // 2
+    return scheme.DesignSearchResult(
+        orders=np.array([r[1] for r in rows], dtype=np.int64).reshape(
+            -1, n_flat),
+        rates=np.array([r[2] for r in rows]).reshape(-1, spec.K),
+        weighted_sum=np.array([r[0] for r in rows]),
+        info_bits=np.array([r[3] for r in rows],
+                           dtype=np.int64).reshape(-1, spec.K),
+        codeword_bits=np.array([r[4] for r in rows],
+                               dtype=np.int64).reshape(-1, spec.K),
+        min_order_slack=np.array([r[5] for r in rows]))

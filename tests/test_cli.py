@@ -175,6 +175,27 @@ class TestRateRegion:
                      "--workers", "4"]) == EXIT_OK
         assert serial.read_bytes() == pooled.read_bytes()
 
+    def test_region_skips_pareto_filter(self, tmp_path, monkeypatch):
+        """rate-region writes every candidate, so it never runs the Pareto
+        filter, and its rows are those of an unpatched run."""
+        cfg = json.loads((ROOT / "configs" / "three_user.json").read_text())
+        cfg["rate_region"]["power_steps"] = 2
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        want, got = tmp_path / "want.csv", tmp_path / "got.csv"
+        assert main(["rate-region", "--config", str(path),
+                     "--out", str(want)]) == EXIT_OK
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("rate-region ran the Pareto filter")
+
+        monkeypatch.setattr(scheme, "_pareto_flags", refuse)
+        assert main(["rate-region", "--config", str(path),
+                     "--out", str(got)]) == EXIT_OK
+        assert got.read_bytes() == want.read_bytes()
+        _, rows = read_rows(got)
+        assert sum(r["point_type"] == "qam_tin" for r in rows) == 12_635
+
     @pytest.mark.parametrize("command", ["rate-region", "benchmark"])
     def test_single_power_step_exits_2(self, tmp_path, command):
         cfg = write_config(tmp_path, rate_region={"power_steps": 1})
@@ -464,6 +485,9 @@ class TestConfigHandling:
                       "sampling": {"seed": -5}}, "seed"),
         # "" skipped the plan check and exited 0 with no plan_schema row
         ("validate", {"validate": {"plan": ""}}, "plan"),
+        # true and 1.0 compared equal to 1 and were accepted
+        ("design", {"schema_version": True}, "schema_version"),
+        ("design", {"schema_version": 1.0}, "schema_version"),
     ])
     def test_malformed_value_exits_2(self, tmp_path, capsys, command,
                                      overrides, key):
@@ -547,8 +571,9 @@ def region_rows_reference(cfg, seed, samples, benchmarks_only):
             spec, [1.0] * spec.K,
             max_sub_block_order=section["max_sub_block_order"],
             pareto_only=False)
-        rows += [[bid, seed, samples, "qam_tin", "", orders_text(c.orders)]
-                 + list(c.rate_result.rates) for c in result.candidates]
+        rows += [[bid, seed, samples, "qam_tin", "",
+                  orders_text(result.order_matrix(i))]
+                 + result.rates[i].tolist() for i in range(len(result))]
     splits = list(power_splits_reference(spec, layout,
                                          section["power_steps"]))
     powers = {key: np.array([split[key] for split in splits])
@@ -573,14 +598,16 @@ def design_rows_reference(cfg, seed, samples):
     result = scheme.design_search(spec, cfg["design"].get("weights"),
                                   orders=cfg["design"].get("orders"))
     rows = []
-    for rank, cand in enumerate(result.candidates):
-        report = scheme.check_modulation_constraints(cand.orders, spec)
+    for rank in range(len(result)):
+        orders = result.order_matrix(rank)
+        report = scheme.check_modulation_constraints(orders, spec)
         slack = min((r.slack for r in report.rows if r.kind == "order_sum"),
                     default=math.inf)
         rows.append([cli.build_id(), seed, samples, rank,
-                     orders_text(cand.orders), cand.weighted_sum, "yes",
-                     slack] + list(cand.rate_result.rates)
-                    + list(cand.info_bits) + list(cand.codeword_bits))
+                     orders_text(orders), result.weighted_sum[rank].item(),
+                     "yes", slack] + result.rates[rank].tolist()
+                    + result.info_bits[rank].tolist()
+                    + result.codeword_bits[rank].tolist())
     return rows
 
 

@@ -302,11 +302,21 @@ class TestPowerAssignment:
             assert np.array_equal(again.entries[key].tx_points,
                                   entry.tx_points)
 
-    def test_corrupt_plan_dict_rejected(self):
-        from tinlink.scheme import plan_from_dict
+    # eta "abc" raised an uncaught ValueError, codeword lengths 128.5 were
+    # truncated to 128, and schema_version true or 1.0 read as 1
+    @pytest.mark.parametrize("key, value, message", [
+        ("codeword_lengths", lambda n: [n[0] + 1, n[1]], "inconsistent"),
+        ("eta", lambda eta: ["abc", *eta[1:]], "eta"),
+        ("codeword_lengths", lambda n: [n[0] + 0.5, n[1] + 0.5],
+         "codeword length"),
+        ("schema_version", lambda v: True, "schema_version"),
+        ("schema_version", lambda v: 1.0, "schema_version")],
+        ids=["inconsistent", "eta-string", "fractional-codeword-lengths",
+             "schema_version-true", "schema_version-float"])
+    def test_corrupt_plan_dict_rejected(self, key, value, message):
         data = assign_power([[2], [4, 4]], two_user_spec()).to_dict()
-        data["codeword_lengths"][0] += 1
-        with pytest.raises(SpecError):
+        data[key] = value(data[key])
+        with pytest.raises(SpecError, match=message):
             plan_from_dict(data)
 
 
@@ -436,42 +446,41 @@ class TestDesignSearch:
     def test_single_user_picks_capacity_order(self):
         spec = SystemSpec.create(1.0, [UserSpec(128, 1e-6, math.sqrt(10 ** 1.8))])
         result = design_search(spec, max_sub_block_order=10)
-        best = result.candidates[0]
         expected = math.floor(math.log2(1 + 6 * 10 ** 1.8))
-        assert best.orders[0][0] == expected
+        assert result.order_matrix(0)[0][0] == expected
 
     def test_weighting_prefers_first_user(self):
         spec = two_user_spec(n1=32, n2=64)
         res = design_search(spec, [1.0, 0.0], max_sub_block_order=6)
-        best_r1 = max(c.rate_result.rates[0] for c in res.candidates)
-        assert res.candidates[0].rate_result.rates[0] == pytest.approx(best_r1)
+        best_r1 = max(r[0] for r in res.rates)
+        assert res.rates[0][0] == pytest.approx(best_r1)
         # zero-weight user takes no part in the Pareto filter
-        for cand in res.candidates:
-            assert cand.rate_result.rates[0] == pytest.approx(best_r1, rel=1e-12)
+        for r in res.rates:
+            assert r[0] == pytest.approx(best_r1, rel=1e-12)
 
     def test_tiny_power_has_no_design(self):
         spec = SystemSpec.create(1e-9, [UserSpec(64, 1e-6, 1.0)])
         res = design_search(spec)
-        assert not res.candidates
+        assert not len(res)
         assert res.explanation
 
     def test_deterministic_given_seed(self):
         spec = two_user_spec(n1=32, n2=64)
         a = design_search(spec, max_sub_block_order=4)
         b = design_search(spec, max_sub_block_order=4)
-        assert [c.orders for c in a.candidates] == [c.orders for c in b.candidates]
-        assert a.candidates[0].rate_result.rates == b.candidates[0].rate_result.rates
+        assert a.orders.tolist() == b.orders.tolist()
+        assert a.rates[0].tolist() == b.rates[0].tolist()
 
     def test_candidates_sorted_and_tagged(self):
         spec = two_user_spec(n1=32, n2=64)
         res = design_search(spec, max_sub_block_order=4, pareto_only=False)
-        sums = [c.weighted_sum for c in res.candidates]
+        sums = res.weighted_sum.tolist()
         assert sums == sorted(sums, reverse=True)
-        assert any(c.pareto for c in res.candidates)
         # info bits follow the floored rate
-        for c in res.candidates[:5]:
-            for u, k_bits in zip(c.rate_result.users, c.info_bits):
-                assert k_bits == max(0, math.floor(u.rate * u.n_symbols))
+        for row, info in zip(res.rates[:5].tolist(),
+                             res.info_bits[:5].tolist()):
+            for rate, u, k_bits in zip(row, spec.users, info):
+                assert k_bits == max(0, math.floor(rate * u.N))
 
     # [32, 32] leaves sub-block 1 empty; the last case lists orders
     @pytest.mark.parametrize("lengths, orders", [
@@ -483,12 +492,12 @@ class TestDesignSearch:
                                        for k, n in enumerate(lengths)])
         res = design_search(spec, orders=orders, max_sub_block_order=4,
                             pareto_only=False)
-        assert res.candidates
-        for cand in res.candidates:
-            report = check_modulation_constraints(cand.orders, spec)
+        assert len(res)
+        for i, slack in enumerate(res.min_order_slack):
+            report = check_modulation_constraints(res.order_matrix(i), spec)
             want = min((r.slack for r in report.rows
                         if r.kind == "order_sum"), default=math.inf)
-            assert bits(cand.min_order_slack) == bits(want)
+            assert bits(slack) == bits(want)
 
     def test_explicit_orders_scored_without_filter(self):
         spec = two_user_spec(n1=32, n2=64)
@@ -496,10 +505,9 @@ class TestDesignSearch:
         res = design_search(spec, orders=listed, max_sub_block_order=1)
         # the infeasible matrix is skipped; duplicates stay and nothing is
         # Pareto-filtered or capped
-        assert sorted(c.orders for c in res.candidates) == [
+        assert sorted(res.order_matrix(i) for i in range(len(res))) == [
             ((0,), (0, 2)), ((2,), (2, 2)), ((2,), (2, 2))]
-        assert all(c.pareto for c in res.candidates)
-        sums = [c.weighted_sum for c in res.candidates]
+        sums = res.weighted_sum.tolist()
         assert sums == sorted(sums, reverse=True)
 
     @staticmethod
@@ -512,12 +520,14 @@ class TestDesignSearch:
     def test_rates_match_plan_rates_bit_for_bit(self):
         spec = self.three_user_spec()
         res = design_search(spec, max_sub_block_order=3, pareto_only=False)
-        assert len(res.candidates) > 50
-        for cand in res.candidates:
-            plan = assign_power(cand.orders, spec)
-            assert cand.rate_result == rates.compute_plan_rates(plan)
-            assert cand.codeword_bits == plan.codeword_lengths == (
-                codeword_lengths(cand.orders, plan.layout))
+        assert len(res) > 50
+        for i in range(len(res)):
+            plan = assign_power(res.order_matrix(i), spec)
+            assert bits(res.rates[i]) == bits(
+                rates.compute_plan_rates(plan).rates)
+            assert tuple(res.codeword_bits[i].tolist()) == (
+                plan.codeword_lengths) == codeword_lengths(
+                    res.order_matrix(i), plan.layout)
 
     def test_kernel_once_per_table_key(self, monkeypatch):
         spec = self.three_user_spec()
@@ -536,18 +546,19 @@ class TestDesignSearch:
         monkeypatch.setattr(rates, "compute_plan_rates", forbidden)
         monkeypatch.setattr(scheme, "assign_power", forbidden)
         res = design_search(spec, max_sub_block_order=3, pareto_only=False)
-        keys = {(sb.index, tuple(c.orders[u][sb.index] for u in sb.ranks), k)
-                for c in res.candidates for k in range(spec.K)
+        matrices = [res.order_matrix(i) for i in range(len(res))]
+        keys = {(sb.index, tuple(o[u][sb.index] for u in sb.ranks), k)
+                for o in matrices for k in range(spec.K)
                 for sb in layout.sub_blocks[:k + 1]
-                if sb.length and c.orders[k][sb.index]}
-        assert len(calls) == len(keys) < len(res.candidates)
+                if sb.length and o[k][sb.index]}
+        assert len(calls) == len(keys) < len(res)
 
     @settings(max_examples=20, deadline=None)
     @given(data=st.data())
     def test_array_rates_match_scalar_combiner(self, data):
-        """Every returned candidate's rates equal the one-user `@` combiner
-        on its own table statistics at 0 ulp, and pareto_only returns
-        exactly the front of all candidates."""
+        """Every candidate's rates equal the one-user `@` combiner on its
+        own plan's statistics at 0 ulp, and pareto_only returns exactly the
+        front of all candidates."""
         k = data.draw(st.integers(1, 3))
         lengths = sorted(data.draw(st.lists(st.sampled_from([16, 24, 32]),
                                             min_size=k, max_size=k)))
@@ -562,17 +573,17 @@ class TestDesignSearch:
             assume(False)
         full = design_search(spec, max_sub_block_order=3, pareto_only=False)
         front = design_search(spec, max_sub_block_order=3)
-        for cand in full.candidates + front.candidates:
-            for u in cand.rate_result.users:
+        for i, row in enumerate(full.rates.tolist()):
+            plan = assign_power(full.order_matrix(i), spec)
+            for rate, u in zip(row, rates.compute_plan_rates(plan).users):
                 ref = scalar_second_order(
                     u.lengths, [s.mi for s in u.stats],
                     [s.dispersion for s in u.stats], u.eps, u.n_symbols)
-                assert bits(u.rate) == bits(ref.rate)
-                assert u.nonpositive == ref.nonpositive
-        flags = pareto_reference([c.rate_result.rates for c in full.candidates],
-                                 range(spec.K))
-        assert front.candidates == tuple(
-            c for c, on_front in zip(full.candidates, flags) if on_front)
+                assert bits(rate) == bits(ref.rate)
+                assert (rate <= 0.0) == ref.nonpositive
+        flags = np.array(pareto_reference(full.rates, range(spec.K)),
+                         dtype=bool)
+        assert columns(front) == columns(full, flags)
 
 
 class TestParetoFilter:
@@ -632,17 +643,41 @@ class TestParetoFilter:
         assert flags == pareto_all_pairs(rate_tuples, dims)
 
 
-@pytest.mark.parametrize("cap, pareto_only", [(4, True), (6, True),
-                                              (4, False)])
-def test_three_user_search_matches_list_built_search(cap, pareto_only):
-    """Same candidates, fields and order as the search that built its
-    candidates as a list of tuples and filtered them one at a time."""
-    spec = SystemSpec.from_dict(json.loads(
-        (ROOT / "configs" / "three_user.json").read_text())["system"])
+def columns(result, rows=slice(None)):
+    """Every column of a search result (the given rows), as dtype, shape
+    and bytes, for bitwise comparison."""
+    picked = {name: getattr(result, name)[rows]
+              for name in ("orders", "rates", "weighted_sum", "info_bits",
+                           "codeword_bits", "min_order_slack")}
+    return {name: (c.dtype.str, c.shape, c.tobytes())
+            for name, c in picked.items()}
+
+
+# N 100/300/1000/2000 and |h|^2 of 22/25/15/10 dB: the strongest user is
+# second, so sub-block 0 ranks its users out of index order
+FOUR_USER = {"P": 1.0, "users": [
+    {"N": n, "eps": eps, "h_re": math.sqrt(10 ** (db / 10)), "h_im": 0.0}
+    for n, eps, db in ((100, 1e-6, 22), (300, 1e-5, 25), (1000, 1e-4, 15),
+                       (2000, 1e-5, 10))]}
+
+
+@pytest.mark.parametrize("system, cap, pareto_only", [
+    pytest.param("three_user", 4, True, id="4-True"),
+    pytest.param("three_user", 6, True, id="6-True"),
+    pytest.param("three_user", 4, False, id="4-False"),
+    pytest.param(FOUR_USER, 3, False, id="four_user-3-False")])
+def test_three_user_search_matches_list_built_search(system, cap,
+                                                     pareto_only):
+    """Same rows, columns and order as the search that built its candidates
+    as a list of tuples, filtered them one at a time and packaged each
+    returned one in Python."""
+    if system == "three_user":
+        system = json.loads(
+            (ROOT / "configs" / "three_user.json").read_text())["system"]
+    spec = SystemSpec.from_dict(system)
     got = design_search(spec, max_sub_block_order=cap,
-                        pareto_only=pareto_only).candidates
+                        pareto_only=pareto_only)
     want = design_search_reference(spec, max_sub_block_order=cap,
                                    pareto_only=pareto_only)
-    assert got == want
-    assert bits([c.rate_result.rates for c in got]) == bits(
-        [c.rate_result.rates for c in want])
+    assert len(got) == len(want) > 0
+    assert columns(got) == columns(want)
