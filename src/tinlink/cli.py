@@ -310,6 +310,9 @@ def cmd_simulate(cfg: Mapping, args) -> int:
     except scheme.InfeasiblePlanError as exc:
         print(f"infeasible orders: {exc}", file=sys.stderr)
         return EXIT_NO_DESIGN
+    if not any(map(any, plan.orders)):
+        print("simulate.orders are all zero: no bits to send", file=sys.stderr)
+        return EXIT_NO_DESIGN
 
     header = ["build_id", "seed", "n_noise_samples", "user", "n_frames",
               "n_bits", "bit_errors", "uncoded_ber", "mean_symbol_power",
@@ -545,7 +548,8 @@ def main(argv: Sequence[str] | None = None) -> int:
                 f"config declares command {declared!r}, invoked {args.command!r}")
         return _COMMANDS[args.command](cfg, args)
     except (ConfigError, scheme.SpecError, rates.RateEngineError,
-            constellations.ConstellationError, linksim.SimulationError) as exc:
+            constellations.ConstellationError, linksim.SimulationError,
+            OSError) as exc:  # OSError: an --out or --plan-out not writable
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
 

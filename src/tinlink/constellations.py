@@ -58,8 +58,7 @@ class LabeledConstellation:
     """Finite complex signal set with bit labels.
 
     ``points[v]`` is the amplitude whose label is the ``order``-bit binary
-    expansion of ``v``.  ``grid_shape`` records the rectangular level counts
-    (I, Q) for constellations that sit on a regular spacing-``d_min`` grid.
+    expansion of ``v``.
     """
 
     points: np.ndarray
@@ -68,7 +67,6 @@ class LabeledConstellation:
     d_min: float
     mean: complex
     energy: float
-    grid_shape: tuple[int, int] | None = None
 
     def __post_init__(self):
         self.points.setflags(write=False)
@@ -130,7 +128,6 @@ def build_rect_qam(i_bits: int, q_bits: int) -> LabeledConstellation:
         d_min=1.0,
         mean=complex(pts.mean()),
         energy=energy,
-        grid_shape=(n_i, n_q),
     )
 
 
@@ -154,7 +151,6 @@ def silent() -> LabeledConstellation:
         d_min=math.inf,
         mean=0j,
         energy=0.0,
-        grid_shape=(1, 1),
     )
 
 
@@ -170,7 +166,6 @@ def scale(c: LabeledConstellation, g: complex) -> LabeledConstellation:
         d_min=c.d_min * abs(g),
         mean=c.mean * g,
         energy=c.energy * abs(g) ** 2,
-        grid_shape=c.grid_shape,
     )
 
 
@@ -251,8 +246,6 @@ def superimpose(parts: Sequence[LabeledConstellation]) -> LabeledConstellation:
     for part, (fi, fq) in zip(parts, factors):
         comp = fi * part.points.real + 1j * (fq * part.points.imag)
         acc = (acc[:, None] + comp[None, :]).ravel()
-    n_i = int(np.prod([s[0] for s in shapes]))
-    n_q = int(np.prod([s[1] for s in shapes]))
     if total == 0:
         return silent()
     return LabeledConstellation(
@@ -262,5 +255,4 @@ def superimpose(parts: Sequence[LabeledConstellation]) -> LabeledConstellation:
         d_min=1.0,
         mean=complex(acc.mean()),
         energy=float(np.mean(np.abs(acc) ** 2)),
-        grid_shape=(n_i, n_q),
     )

@@ -8,7 +8,9 @@ sum over all interferer symbol combinations, never touching interferer
 codebooks.  After rotating y by conj(h)/|h| every likelihood factors into an
 I and a Q part, so LLRs and information densities come from the per-dimension
 kernel `rates.tin_loglik`: each I-bit LLR depends on the I coordinate only
-and each Q-bit LLR on the Q coordinate only (BICM demapping).
+and each Q-bit LLR on the Q coordinate only (BICM demapping).  Frames are
+sent and demapped at the plan's channels; to use others, rebuild the plan
+(`assign_power(plan.orders, other_spec, check=False)`).
 
 `cli simulate` simulates each frame once, demaps it for every user and drops
 it before the next, so no run holds more than one frame (and the zero-noise
@@ -49,12 +51,10 @@ class ReceivedFrame:
 
     y[k] holds the first N_k received samples at user k; x is the transmitted
     superimposed frame and symbols/packets keep the per-user unit symbols and
-    power-scaled packets for reference.
+    power-scaled packets for reference.  The channels are the plan's.
     """
 
     y: dict[int, np.ndarray]
-    seed: int
-    channels: tuple[complex, ...]
     x: np.ndarray
     symbols: dict[int, np.ndarray]
     packets: dict[int, np.ndarray]
@@ -82,9 +82,7 @@ def simulate_frame(plan: SchemePlan, payloads: Mapping[int, np.ndarray],
         n = user.N
         z = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * np.sqrt(0.5)
         y[k] = user.h * x[:n] + noise_scale * z
-    return ReceivedFrame(y=y, seed=seed,
-                         channels=tuple(u.h for u in spec.users),
-                         x=x, symbols=symbols, packets=packets)
+    return ReceivedFrame(y=y, x=x, symbols=symbols, packets=packets)
 
 
 def seeded_frame(plan: SchemePlan, seed: int, index: int
@@ -114,9 +112,9 @@ def active_segments(plan: SchemePlan, user: int) -> list[SubBlock]:
 class SegmentDemapper:
     """The demapper set-up of one user's sub-block segment.
 
-    rotation is conj(h)/|h|, which turns y = h x + z into |h| x + z' (1 if
-    h = 0).  dims has one entry for I and one for Q
-    where the user's label has bits: the coordinate (0 for I, 1 for Q), the
+    rotation is conj(h)/|h| for the user's channel h in the plan, which
+    turns y = h x + z into |h| x + z'.  dims has one entry for I and one for
+    Q where the user's label has bits: the coordinate (0 for I, 1 for Q), the
     receive grid from `rates.receive_grids`, and a (2 bits, levels / 2)
     array whose row b lists the level positions with Gray label bit b equal
     to 0 and row bits + b those with it equal to 1.
@@ -126,12 +124,11 @@ class SegmentDemapper:
     dims: tuple[tuple[int, np.ndarray, np.ndarray], ...]
 
 
-def segment_demapper(plan: SchemePlan, user: int, sub_block: int,
-                     h: complex | None = None) -> SegmentDemapper:
-    """Build the set-up of one (user, sub-block) segment for channel h (the
-    user's own by default)."""
-    if h is None:
-        h = plan.spec.users[user].h
+def segment_demapper(plan: SchemePlan, user: int, sub_block: int
+                     ) -> SegmentDemapper:
+    """Build the set-up of one (user, sub-block) segment at the user's
+    channel; to demap at another channel, rebuild the plan on that spec."""
+    h = plan.spec.users[user].h
     grids = receive_grids(abs(h), plan.parts(sub_block), user)
     dims = []
     for d, (n_bits, grid) in enumerate(
@@ -142,7 +139,7 @@ def segment_demapper(plan: SchemePlan, user: int, sub_block: int,
         bit = (gray_sequence(n_bits) >> shifts) & 1
         halves = np.nonzero(np.concatenate([bit == 0, bit == 1]))[1]
         dims.append((d, grid, halves.reshape(2 * n_bits, -1)))
-    return SegmentDemapper(np.conj(h) / abs(h) if h else 1, tuple(dims))
+    return SegmentDemapper(np.conj(h) / abs(h), tuple(dims))
 
 
 def plan_demappers(plan: SchemePlan
@@ -152,8 +149,8 @@ def plan_demappers(plan: SchemePlan
             for k in range(plan.spec.K) for sb in active_segments(plan, k)}
 
 
-def tin_llr(y: np.ndarray, user: int, sub_block: int, plan: SchemePlan,
-            h: complex | None = None, *, max_log: bool = False,
+def tin_llr(y: np.ndarray, user: int, sub_block: int, plan: SchemePlan, *,
+            max_log: bool = False,
             demapper: SegmentDemapper | None = None) -> np.ndarray:
     """Exact per-bit LLRs for one user's sub-block segment under TIN.
 
@@ -164,11 +161,10 @@ def tin_llr(y: np.ndarray, user: int, sub_block: int, plan: SchemePlan,
     levels.  Returns an (n_symbols, m) array with the convention
     LLR = log P(bit=0 | y) / P(bit=1 | y) in nats, so the sign of the LLR at
     zero noise recovers the transmitted bit.  max_log replaces the sums with
-    maxima.  demapper is `segment_demapper(plan, user, sub_block, h)`,
-    passed in to build it once for many segments; it is built here if None.
+    maxima.  demapper is `segment_demapper(plan, user, sub_block)`, passed
+    in to build it once for many segments; it is built here if None.
     """
-    if demapper is None:
-        demapper = segment_demapper(plan, user, sub_block, h)
+    demapper = demapper or segment_demapper(plan, user, sub_block)
     y = np.asarray(y, dtype=complex).ravel() * demapper.rotation
     coords = (y.real, y.imag)
     reduce = np.max if max_log else log_sum_exp
@@ -224,7 +220,7 @@ class DensityCheckRow:
 
 
 def information_densities(frame: ReceivedFrame, user: int, sub_block: int,
-                          plan: SchemePlan, h: complex | None = None, *,
+                          plan: SchemePlan, *,
                           demapper: SegmentDemapper | None = None
                           ) -> np.ndarray:
     """Per-symbol information densities of one received sub-block segment.
@@ -232,10 +228,9 @@ def information_densities(frame: ReceivedFrame, user: int, sub_block: int,
     The density is the sum of the I and Q parts; the sent levels are read
     from the unit symbols, whose coordinates sit on the half-integer grid;
     a dimension without label bits has one level and adds nothing.
-    demapper is `segment_demapper(plan, user, sub_block, h)`, built if None.
+    demapper is `segment_demapper(plan, user, sub_block)`, built if None.
     """
-    if demapper is None:
-        demapper = segment_demapper(plan, user, sub_block, h)
+    demapper = demapper or segment_demapper(plan, user, sub_block)
     sb = plan.layout.sub_blocks[sub_block]
     y = frame.y[user][sb.start:sb.stop] * demapper.rotation
     sent = frame.symbols[user][sb.start:sb.stop]

@@ -548,14 +548,11 @@ def bc_shell_rates(spec, layout, powers: Mapping[tuple[int, int], np.ndarray],
 
 @dataclass(frozen=True)
 class UserRate:
-    """Second-order rate of one user together with its ingredients."""
+    """Second-order rate of one user and its (I, V) per sub-block; the
+    blocklengths and error target are the plan's."""
 
     user: int
     rate: float
-    nonpositive: bool
-    eps: float
-    n_symbols: int
-    lengths: tuple[int, ...]
     stats: tuple[SubBlockRateStats, ...]
 
 
@@ -618,8 +615,5 @@ def compute_plan_rates(plan) -> RateResult:
         plan.spec, plan.layout, [[[s.mi for s in row]] for row in stats],
         [[[s.dispersion for s in row]] for row in stats])[0].tolist()
     return RateResult(users=tuple(
-        UserRate(user=k, rate=rate, nonpositive=rate <= 0.0, eps=user.eps,
-                 n_symbols=user.N, lengths=tuple(
-                     sb.length for sb in plan.layout.sub_blocks[:k + 1]),
-                 stats=tuple(stats[k]))
-        for k, (user, rate) in enumerate(zip(plan.spec.users, rates))))
+        UserRate(user=k, rate=rate, stats=tuple(stats[k]))
+        for k, rate in enumerate(rates)))

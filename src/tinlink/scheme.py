@@ -45,8 +45,7 @@ class InfeasiblePlanError(ValueError):
 
     def __init__(self, report):
         self.report = report
-        bad = [r for r in report.rows if not r.passed]
-        super().__init__(f"{len(bad)} constraint(s) violated")
+        super().__init__(f"{len(report.violations())} constraint(s) violated")
 
 
 def _number(value, what: str, integer: bool = False):
@@ -235,7 +234,6 @@ class FeasibilityReport:
 
 
 def _normalize_orders(orders, K: int) -> tuple[tuple[int, ...], ...]:
-    rows = []
     try:
         if len(orders) != K:
             raise SpecError(f"orders must have {K} rows")
@@ -248,8 +246,7 @@ def _normalize_orders(orders, K: int) -> tuple[tuple[int, ...], ...]:
             raise SpecError(f"orders row {k} must have {k + 1} entries")
         if any(m < 0 for m in row):
             raise SpecError("modulation orders must be non-negative")
-        rows.append(row)
-    return tuple(rows)
+    return tuple(raw)
 
 
 def sub_block_geometry(mv: Sequence[int]
@@ -429,27 +426,45 @@ class SchemePlan:
 
 
 def plan_from_dict(data: Mapping) -> SchemePlan:
-    """Rebuild a plan from its JSON form, verifying the stored derived values."""
+    """Rebuild a plan from its JSON form: the plan of its `system` and
+    `orders`, whose `to_dict()` the whole file must equal (`_match_plan`)."""
     try:
-        version = _number(data["schema_version"], "schema_version",
-                          integer=True)
-        if version != 1:
-            raise SpecError(f"unsupported schema_version {version}")
-        spec = SystemSpec.from_dict(data["system"])
-        orders = data["orders"]
-        plan = assign_power(orders, spec)
-        stored_eta = [_number(x, "eta") for x in data["eta"]]
-        stored_n = [_number(x, "codeword length", integer=True)
-                    for x in data["codeword_lengths"]]
+        plan = assign_power(data["orders"],
+                            SystemSpec.from_dict(data["system"]))
     except (KeyError, TypeError, IndexError, InfeasiblePlanError) as exc:
         raise SpecError(f"malformed plan file: {exc}") from exc
-    if len(stored_eta) != len(plan.eta) or any(
-            abs(a - b) > 1e-9 * max(1.0, abs(b))
-            for a, b in zip(stored_eta, plan.eta)):
-        raise SpecError("plan file normalization factors are inconsistent")
-    if tuple(stored_n) != plan.codeword_lengths:
-        raise SpecError("plan file codeword lengths are inconsistent")
+    _match_plan(plan.to_dict(), data)
     return plan
+
+
+def _match_plan(want, got, path: str = "") -> None:
+    """Raise SpecError at the first field of `got` (a plan file's JSON at
+    `path`) that differs from `want` (the rebuilt plan's): keys, list lengths,
+    floats within 1e-9 max(1, |want|), all else equal and of its JSON type."""
+    where = f"plan file field {path}" if path else "plan file"
+    if isinstance(want, dict):
+        if not isinstance(got, dict):
+            raise SpecError(f"{where} must be an object, got {got!r}")
+        prefix = f"{path}." if path else ""
+        for key in [*want, *got]:
+            if key not in want or key not in got:
+                raise SpecError(f"plan file field {prefix}{key} is " + (
+                    "missing" if key in want else "not a plan field"))
+        for key, value in want.items():
+            _match_plan(value, got[key], prefix + key)
+    elif isinstance(want, list):
+        if not isinstance(got, list) or len(got) != len(want):
+            raise SpecError(f"{where} must be a list of {len(want)}, "
+                            f"got {got!r}")
+        for i, (w, g) in enumerate(zip(want, got)):
+            _match_plan(w, g, f"{path}[{i}]")
+    else:
+        ok = (abs(_number(got, where) - want) <= 1e-9 * max(1.0, abs(want))
+              if isinstance(want, float)
+              else type(got) is type(want) and got == want)
+        if not ok:
+            raise SpecError(f"{where} = {got!r} is inconsistent with the "
+                            f"rebuilt plan's {want!r}")
 
 
 def assign_power(orders, spec: SystemSpec,
@@ -505,26 +520,23 @@ class MinDistanceRow:
     ok: bool
 
 
-def verify_min_distances(plan: SchemePlan, spec: SystemSpec | None = None
-                         ) -> tuple[MinDistanceRow, ...]:
-    """Effective minimum distances after channel effects.
+def verify_min_distances(plan: SchemePlan) -> tuple[MinDistanceRow, ...]:
+    """Effective minimum distances after the plan's channels.
 
     For each active sub-block: the superimposed constellation through the
     strongest participant's channel, and every transmitting user's own scaled
     constellation through its own channel.  Feasible plans keep all of these
-    at or above 1 (up to 1e-9).  Passing a spec overrides the channels, e.g.
-    to probe scaled-channel behaviour with an existing plan.
+    at or above 1 (up to 1e-9).  To probe other channels, rebuild the plan on
+    that spec with `assign_power(plan.orders, other_spec, check=False)`.
     """
-    spec = spec or plan.spec
-    if spec.K != plan.spec.K:
-        raise SpecError("override spec must have the same user count")
+    users = plan.spec.users
     rows = []
     for sb in plan.layout.sub_blocks:
         if sb.length == 0 or plan.sub_block_power[sb.index] == 0:
             continue
         root = plan.eta[sb.index] * math.sqrt(plan.sub_block_power[sb.index])
         strongest = sb.ranks[0]
-        d_sup = abs(spec.users[strongest].h) * root
+        d_sup = abs(users[strongest].h) * root
         rows.append(MinDistanceRow(
             user=strongest, sub_block=sb.index, kind="superimposed",
             d_min=d_sup, ok=d_sup >= 1.0 - DMIN_TOL))
@@ -537,7 +549,7 @@ def verify_min_distances(plan: SchemePlan, spec: SystemSpec | None = None
                 amps.append(entry.amp_i)
             if entry.shape[1] > 0:
                 amps.append(entry.amp_q)
-            d_ind = abs(spec.users[user].h) * min(amps)
+            d_ind = abs(users[user].h) * min(amps)
             rows.append(MinDistanceRow(
                 user=user, sub_block=sb.index, kind="individual",
                 d_min=d_ind, ok=d_ind >= 1.0 - DMIN_TOL))
@@ -664,15 +676,15 @@ def design_search(spec: SystemSpec, weights: Sequence[float] | None = None, *,
     candidates are Pareto-filtered over the users with positive weight (unless
     pareto_only=False).  Passing `orders` scores exactly those matrices
     instead: a malformed matrix raises SpecError, infeasible ones are skipped,
-    and none is Pareto-filtered.  A user's (I, V) in a sub-block depends only
-    on that sub-block's rank-order vector, so the kernel fills one table keyed
-    by (sub-block, rank-order vector, user).  A (sub-blocks, candidates)
-    index holds each candidate's vector positions; a search takes it from
-    the product grid of the vector counts, in `itertools.product` order,
-    without the all-silent row.  The table is gathered through it into
-    per-user (candidates, sub-blocks) I and V arrays, and one combiner pass
-    gives every candidate's rates; no plan is built.  Every other column is
-    gathered through the same index from per-vector arrays (orders, order
+    and none is Pareto-filtered.  The all-silent matrix is never scored.  A
+    user's (I, V) in a sub-block depends only on that sub-block's rank-order
+    vector, so the kernel fills one table keyed by (sub-block, rank-order
+    vector, user).  A (sub-blocks, candidates) index holds each candidate's
+    vector positions; a search takes it from the product grid of the vector
+    counts, in `itertools.product` order.  The table is gathered through it
+    into per-user (candidates, sub-blocks) I and V arrays, and one combiner
+    pass gives every candidate's rates; no plan is built.  Every other column
+    is gathered through the same index from per-vector arrays (orders, order
     slack), and the rows are sorted by descending weighted sum, ties broken
     by the lexicographically smaller flat order matrix.
     """
@@ -704,22 +716,22 @@ def design_search(spec: SystemSpec, weights: Sequence[float] | None = None, *,
                 if check_modulation_constraints(o, spec, layout).feasible]
         vectors = [list(s) for s in seen]
         index = np.array(rows, dtype=np.intp).reshape(-1, spec.K).T
-        none_left = "no feasible plan among the configured order matrices"
+        none_left = "no configured order matrix is feasible and sends bits"
     else:
         # larger sums have no constellation
         cap = min(max_sub_block_order, MAX_TOTAL_ORDER)
         vectors = [_enumerate_rank_vectors(sb.ranks, sb.index, spec, cap)
                    if sb.length else [(0,) * len(sb.ranks)]
                    for sb in layout.sub_blocks]
-        # every combination of one vector per sub-block, in product order,
-        # but the all-silent one
+        # every combination of one vector per sub-block, in product order
         index = np.indices([len(v) for v in vectors]).reshape(spec.K, -1)
-        silent = np.logical_and.reduce([
-            np.array([not any(mv) for mv in v])[index[j]]
-            for j, v in enumerate(vectors)])
-        index = index[:, ~silent]
         none_left = ("only the all-silent order matrix is feasible "
                      "at this power budget")
+    # the all-silent order matrix carries no bits, so it is never a design
+    silent = np.logical_and.reduce([
+        np.array([not any(mv) for mv in v], dtype=bool)[index[j]]
+        for j, v in enumerate(vectors)])
+    index = index[:, ~silent]
 
     # one kernel call per (sub-block, rank-order vector, user); index[j, i]
     # is candidate i's position in vectors[j]

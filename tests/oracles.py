@@ -273,12 +273,11 @@ def tin_loglik_reference(y, g, levels, sums, *, max_log=False):
     return out
 
 
-def tin_llr_reference(y, user, sub_block, plan, h=None, *, max_log=False):
+def tin_llr_reference(y, user, sub_block, plan, *, max_log=False):
     """(n_symbols, m) bit LLRs, one masked reduction over levels per bit."""
-    if h is None:
-        h = plan.spec.users[user].h
+    h = plan.spec.users[user].h
     g = abs(h)
-    y = np.asarray(y, dtype=complex).ravel() * (np.conj(h) / g if h else 1)
+    y = np.asarray(y, dtype=complex).ravel() * (np.conj(h) / g)
     shape = plan.entries[(user, sub_block)].shape
     reduce = np.max if max_log else log_sum_exp_reference
     cols = []
@@ -376,13 +375,12 @@ def simulate_rows_reference(plan, n_frames, seed, samples, bid):
     return rows
 
 
-def information_densities_reference(frame, user, sub_block, plan, h=None):
+def information_densities_reference(frame, user, sub_block, plan):
     """Per-symbol densities with both dimensions' receive grids built for
     the call, a one-level dimension included."""
-    if h is None:
-        h = plan.spec.users[user].h
+    h = plan.spec.users[user].h
     sb = plan.layout.sub_blocks[sub_block]
-    y = frame.y[user][sb.start:sb.stop] * (np.conj(h) / abs(h) if h else 1)
+    y = frame.y[user][sb.start:sb.stop] * (np.conj(h) / abs(h))
     sent = frame.symbols[user][sb.start:sb.stop]
     dens = np.zeros(sent.size)
     for yd, unit, grid in zip((y.real, y.imag), (sent.real, sent.imag),

@@ -108,6 +108,20 @@ class TestDesign:
                      "--out", str(out)]) == EXIT_NO_DESIGN
         assert read_rows(out)[1] == []
 
+    def test_listed_all_silent_matrix_skipped(self, tmp_path):
+        # it was scored as rank 0 with zero rates and exited 0
+        out = tmp_path / "d.csv"
+        plan_out = tmp_path / "plan.json"
+        silent = write_config(tmp_path, design={"orders": [[[0], [0, 0]]]})
+        assert main(["design", "--config", str(silent), "--out", str(out),
+                     "--plan-out", str(plan_out)]) == EXIT_NO_DESIGN
+        assert read_rows(out)[1] == [] and not plan_out.exists()
+        mixed = write_config(tmp_path, name="mixed.json", design={
+            "orders": [[[0], [0, 0]], [[2], [4, 4]]]})
+        assert main(["design", "--config", str(mixed),
+                     "--out", str(out)]) == EXIT_OK
+        assert [r["orders"] for r in read_rows(out)[1]] == ["2|4,4"]
+
     def test_search_infeasible_power_exits_3(self, tmp_path):
         cfg = write_config(tmp_path, system={
             "P": 1e-9,
@@ -263,6 +277,16 @@ class TestSimulate:
         _, rows = read_rows(out)
         assert [r["zero_noise_roundtrip"] for r in rows] == ["yes"]
 
+    def test_all_silent_orders_exit_3(self, tmp_path, capsys):
+        # they exited 0 with zero_noise_roundtrip "yes" over 0 bits
+        cfg = write_config(tmp_path, simulate={"orders": [[0], [0, 0]],
+                                               "n_frames": 1})
+        out = tmp_path / "sim.csv"
+        assert main(["simulate", "--config", str(cfg),
+                     "--out", str(out)]) == EXIT_NO_DESIGN
+        assert "no bits to send" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("n_frames", [0, -3])
     def test_nonpositive_frames_exit_2(self, tmp_path, n_frames):
         cfg = self.single_user_config(tmp_path, orders=[[2]],
@@ -305,9 +329,9 @@ class TestSimulate:
             calls["frames"].append((seed, kwargs.get("noise_scale", 1.0)))
             return simulate_frame(plan, payloads, seed, **kwargs)
 
-        def count_setup(plan, user, sub_block, h=None):
+        def count_setup(plan, user, sub_block):
             calls["setups"].append((user, sub_block))
-            return segment_demapper(plan, user, sub_block, h)
+            return segment_demapper(plan, user, sub_block)
 
         def count_llr(*args, **kwargs):
             calls["llrs"] += 1
@@ -341,19 +365,56 @@ class TestValidate:
         printed = capsys.readouterr().out
         assert "PASS" in printed and "FAIL" not in printed
 
-    def test_corrupted_plan_schema_error(self, tmp_path):
+    # every edit but the codeword lengths used to PASS: only `eta` and
+    # `codeword_lengths` were compared with the rebuilt plan
+    @pytest.mark.parametrize("edit, field", [
+        (lambda d: d["codeword_lengths"].__setitem__(
+            0, d["codeword_lengths"][0] + 8), "codeword_lengths[0]"),
+        (lambda d: d["entries"][0].__setitem__(
+            "amp_i", 3 * d["entries"][0]["amp_i"]), "entries[0].amp_i"),
+        (lambda d: d.__setitem__("sub_block_power", [9, 9]),
+         "sub_block_power[0]"),
+        (lambda d: d.pop("entries"), "entries"),
+        (lambda d: d["entries"][0].__setitem__(
+            "i_bits", d["entries"][0]["i_bits"] + 1), "entries[0].i_bits"),
+        (lambda d: d.__setitem__("note", "hand-edited"), "note")],
+        ids=["codeword_lengths", "amp_i-tripled", "sub_block_power",
+             "no-entries", "i_bits", "extra-key"])
+    def test_corrupted_plan_schema_error(self, tmp_path, capsys, edit, field):
         cfg = write_config(tmp_path, design={"orders": [[[2], [4, 4]]]})
         plan_out = tmp_path / "plan.json"
         assert main(["design", "--config", str(cfg),
                      "--out", str(tmp_path / "d.csv"),
                      "--plan-out", str(plan_out)]) == EXIT_OK
         data = json.loads(plan_out.read_text())
-        data["codeword_lengths"][0] += 8
+        edit(data)
         plan_out.write_text(json.dumps(data))
         vcfg = write_config(tmp_path, name="validate.json",
                             validate={"plan": str(plan_out)})
         code = main(["validate", "--config", str(vcfg)])
         assert code == EXIT_BAD_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("plan schema error:")
+        assert f"plan file field {field} " in err
+
+    @pytest.mark.parametrize("name", [
+        "three_user.json", "two_user_equal_blocklength.json",
+        "two_user_search.json", "two_user_urllc.json"])
+    def test_fresh_plan_file_passes(self, tmp_path, capsys, name):
+        # the stricter plan check accepts every plan `design` writes
+        cfg = json.loads((ROOT / "configs" / name).read_text())
+        plan_out = tmp_path / "plan.json"
+        design = write_config(tmp_path, name="design.json",
+                              **{**cfg, "command": "design"})
+        assert main(["design", "--config", str(design),
+                     "--out", str(tmp_path / "d.csv"),
+                     "--plan-out", str(plan_out)]) == EXIT_OK
+        validate = write_config(tmp_path, name="validate.json",
+                                **{**cfg, "command": "validate",
+                                   "validate": {"plan": str(plan_out)}})
+        assert main(["validate", "--config", str(validate)]) == EXIT_OK
+        assert (f"plan_schema: PASS {plan_out}"
+                in capsys.readouterr().out.splitlines())
 
     def test_rows_independent_of_samples(self, tmp_path):
         # no check samples noise, so --samples is only echoed
@@ -498,6 +559,28 @@ class TestConfigHandling:
                      "--out", str(tmp_path / "o.csv")]) == EXIT_BAD_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("error:") and key in err
+
+    # an unwritable path raised OSError out of main: a traceback and exit 1,
+    # which means a failed check
+    @pytest.mark.parametrize("command, option", [
+        ("design", "--out"), ("design", "--plan-out"),
+        ("rate-region", "--out"), ("benchmark", "--out"),
+        ("simulate", "--out"), ("validate", "--out")])
+    def test_unwritable_output_exits_2(self, tmp_path, capsys, command,
+                                       option):
+        cfg = write_config(tmp_path, system=self.SYSTEM,
+                           design={"max_sub_block_order": 4},
+                           rate_region={"power_steps": 2,
+                                        "max_sub_block_order": 2},
+                           simulate={"orders": [[2], [2, 2]], "n_frames": 1})
+        missing = str(tmp_path / "missing" / "x")
+        paths = {"--out": str(tmp_path / "o.csv"), option: missing}
+        argv = [command, "--config", str(cfg)]
+        for flag, path in paths.items():
+            argv += [flag, path]
+        assert main(argv) == EXIT_BAD_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and missing in err
 
     @pytest.mark.parametrize("command", ["simulate", "validate"])
     def test_negative_seed_option_exits_2(self, tmp_path, capsys, command):

@@ -308,7 +308,7 @@ class TestPowerAssignment:
         ("codeword_lengths", lambda n: [n[0] + 1, n[1]], "inconsistent"),
         ("eta", lambda eta: ["abc", *eta[1:]], "eta"),
         ("codeword_lengths", lambda n: [n[0] + 0.5, n[1] + 0.5],
-         "codeword length"),
+         "codeword_lengths"),
         ("schema_version", lambda v: True, "schema_version"),
         ("schema_version", lambda v: 1.0, "schema_version")],
         ids=["inconsistent", "eta-string", "fractional-codeword-lengths",
@@ -343,7 +343,9 @@ class TestMinDistances:
         doubled = SystemSpec.create(1.0, [
             UserSpec(u.N, u.eps, 2.0 * u.h) for u in spec.users])
         base_rows = verify_min_distances(plan)
-        new_rows = verify_min_distances(plan, doubled)
+        new_rows = verify_min_distances(
+            assign_power(plan.orders, doubled, check=False))
+        assert len(new_rows) == len(base_rows)
         for a, b in zip(base_rows, new_rows):
             assert b.d_min == pytest.approx(2.0 * a.d_min, rel=1e-12)
 
@@ -575,10 +577,12 @@ class TestDesignSearch:
         front = design_search(spec, max_sub_block_order=3)
         for i, row in enumerate(full.rates.tolist()):
             plan = assign_power(full.order_matrix(i), spec)
-            for rate, u in zip(row, rates.compute_plan_rates(plan).users):
+            for k, (rate, u) in enumerate(
+                    zip(row, rates.compute_plan_rates(plan).users)):
                 ref = scalar_second_order(
-                    u.lengths, [s.mi for s in u.stats],
-                    [s.dispersion for s in u.stats], u.eps, u.n_symbols)
+                    [sb.length for sb in plan.layout.sub_blocks[:k + 1]],
+                    [s.mi for s in u.stats], [s.dispersion for s in u.stats],
+                    spec.users[k].eps, spec.users[k].N)
                 assert bits(rate) == bits(ref.rate)
                 assert (rate <= 0.0) == ref.nonpositive
         flags = np.array(pareto_reference(full.rates, range(spec.K)),
