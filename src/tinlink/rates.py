@@ -6,10 +6,12 @@ channel law is y = h x + z.  Every part is a Gray rectangular QAM stretched
 separately in I and Q, so after rotating y by conj(h)/|h| the information
 density splits into independent I and Q parts and I = I_I + I_Q,
 V = V_I + V_Q.  One per-dimension kernel, `tin_loglik`, gives the TIN
-likelihoods: `sub_block_stats` takes (I, V) from it by Gauss-Hermite
-quadrature for `compute_plan_rates` and `scheme.design_search`, and
-`linksim` its LLRs and information densities.  Likelihood sums go through
-log-sum-exp, so values stay finite for any amplitudes.
+likelihoods: `dimension_stats` takes one dimension's (I_d, V_d) from it by
+Gauss-Hermite quadrature, `sub_block_stats_table` sums them into the (I, V)
+table of `compute_plan_rates` or `scheme.design_search`, integrating each
+distinct receive grid once per call, and `linksim` takes its LLRs and
+information densities from it.  Likelihood sums go through log-sum-exp, so
+values stay finite for any amplitudes.
 
 One array combiner, `combine_second_order`, turns per-sub-block (I, V) into
 second-order rates over a leading batch axis: every design candidate at
@@ -567,26 +569,48 @@ class RateResult:
         return tuple(u.rate for u in self.users)
 
 
-def sub_block_stats(g: float, parts: Mapping, user: int) -> SubBlockRateStats:
-    """(I, V) of one user in one sub-block as the sums of its I and Q parts.
+def dimension_stats(grid: np.ndarray) -> tuple[float, float]:
+    """(I_d, V_d) of one dimension's receive grid from `receive_grids`.
 
-    g is the user's |h| and parts the sub-block's (shape, amp_i, amp_q) per
-    user (see `receive_grids`).  In each dimension every (level,
-    interferer sum) pair is equally likely, and the noise N(0, 1/2) is
-    integrated by the GH_NODES-point rule.
+    Every (level, interferer sum) pair is equally likely, and the noise
+    N(0, 1/2) is integrated by the GH_NODES-point rule.  The result depends
+    on the grid's shape and values alone.
     """
     nodes, weights = _hermite_rule(GH_NODES)
-    mi = dispersion = 0.0
-    for grid in receive_grids(g, parts, user):
-        n_levels, n_sums = grid.shape
-        y = grid[:, :, None] + nodes
-        sent = np.repeat(np.arange(n_levels), n_sums * nodes.size)
-        dens = dimension_densities(y.ravel(), grid, sent)
-        w = np.tile(weights, grid.size) / grid.size
-        first, second = float(dens @ w), float((dens * dens) @ w)
-        mi += first
-        dispersion += max(second - first * first, 0.0)
-    return SubBlockRateStats(mi, dispersion, 0, 0.0, 0.0)
+    n_levels, n_sums = grid.shape
+    y = grid[:, :, None] + nodes
+    sent = np.repeat(np.arange(n_levels), n_sums * nodes.size)
+    dens = dimension_densities(y.ravel(), grid, sent)
+    w = np.tile(weights, grid.size) / grid.size
+    first, second = float(dens @ w), float((dens * dens) @ w)
+    return first, max(second - first * first, 0.0)
+
+
+def sub_block_stats_table(keys: Sequence[tuple[float, Mapping, int]]
+                          ) -> list[SubBlockRateStats]:
+    """(I, V) of each (g, parts, user) key as the sums of its I and Q parts.
+
+    g is the user's |h| and parts the sub-block's (shape, amp_i, amp_q) per
+    user (see `receive_grids`).  Each distinct grid is integrated once per
+    call by `dimension_stats`, keyed by its shape and bytes, so only
+    byte-equal grids share a result.  A one-level dimension (the user puts
+    no bits there) is skipped: its density is exactly 0.
+    """
+    done: dict[tuple, tuple[float, float]] = {}
+    table = []
+    for g, parts, user in keys:
+        mi = dispersion = 0.0
+        for grid in receive_grids(g, parts, user):
+            if grid.shape[0] == 1:
+                continue
+            key = (grid.shape, grid.tobytes())
+            if key not in done:
+                done[key] = dimension_stats(grid)
+            first, var = done[key]
+            mi += first
+            dispersion += var
+        table.append(SubBlockRateStats(mi, dispersion, 0, 0.0, 0.0))
+    return table
 
 
 def second_order_rates(spec, layout, mi, dispersion) -> np.ndarray:
@@ -603,14 +627,18 @@ def second_order_rates(spec, layout, mi, dispersion) -> np.ndarray:
 def compute_plan_rates(plan) -> RateResult:
     """Evaluate every user's second-order rate for a transmission plan.
 
-    Per-(user, sub-block) (I, V) come from the per-dimension quadrature
-    kernel `sub_block_stats`; the rates are the one-row case of
+    Per-(user, sub-block) (I, V) come from one `sub_block_stats_table` call
+    over the plan's active pairs; the rates are the one-row case of
     `second_order_rates`.
     """
-    stats = [[sub_block_stats(abs(user.h), plan.parts(sb.index), k)
-              if sb.length and plan.orders[k][sb.index] else ZERO_STATS
+    active = [(k, sb.index) for k in range(plan.spec.K)
+              for sb in plan.layout.sub_blocks[:k + 1]
+              if sb.length and plan.orders[k][sb.index]]
+    table = dict(zip(active, sub_block_stats_table(
+        [(abs(plan.spec.users[k].h), plan.parts(j), k) for k, j in active])))
+    stats = [[table.get((k, sb.index), ZERO_STATS)
               for sb in plan.layout.sub_blocks[:k + 1]]
-             for k, user in enumerate(plan.spec.users)]
+             for k in range(plan.spec.K)]
     rates = second_order_rates(
         plan.spec, plan.layout, [[[s.mi for s in row]] for row in stats],
         [[[s.dispersion for s in row]] for row in stats])[0].tolist()

@@ -427,12 +427,15 @@ class SchemePlan:
 
 def plan_from_dict(data: Mapping) -> SchemePlan:
     """Rebuild a plan from its JSON form: the plan of its `system` and
-    `orders`, whose `to_dict()` the whole file must equal (`_match_plan`)."""
+    `orders`, which must send bits and whose `to_dict()` the whole file must
+    equal (`_match_plan`)."""
     try:
         plan = assign_power(data["orders"],
                             SystemSpec.from_dict(data["system"]))
     except (KeyError, TypeError, IndexError, InfeasiblePlanError) as exc:
         raise SpecError(f"malformed plan file: {exc}") from exc
+    if not any(any(row) for row in plan.orders):
+        raise SpecError("plan file sends no bits: every order is 0")
     _match_plan(plan.to_dict(), data)
     return plan
 
@@ -657,12 +660,22 @@ class DesignSearchResult:
                      for k in range(self.rates.shape[1]))
 
 
+def _order_slack(rows: Sequence[ConstraintRow]) -> float:
+    """The least order_sum slack among one sub-block's feasibility rows."""
+    return min(r.slack for r in rows if r.kind == "order_sum")
+
+
 def _enumerate_rank_vectors(ranks, sub_block, spec, cap):
     """All feasible rank-order vectors for one sub-block, budget included,
-    in lexicographic order; the all-zero vector is always among them."""
-    return [mv for mv in itertools.product(range(cap + 1), repeat=len(ranks))
-            if sum(mv) <= cap and all(
-                r.passed for r in _sub_block_rows(mv, ranks, sub_block, spec))]
+    in lexicographic order, each mapped to its `_order_slack`; the all-zero
+    vector is always among them."""
+    found = {}
+    for mv in itertools.product(range(cap + 1), repeat=len(ranks)):
+        if sum(mv) <= cap:
+            rows = _sub_block_rows(mv, ranks, sub_block, spec)
+            if all(r.passed for r in rows):
+                found[mv] = _order_slack(rows)
+    return found
 
 
 def design_search(spec: SystemSpec, weights: Sequence[float] | None = None, *,
@@ -678,12 +691,15 @@ def design_search(spec: SystemSpec, weights: Sequence[float] | None = None, *,
     instead: a malformed matrix raises SpecError, infeasible ones are skipped,
     and none is Pareto-filtered.  The all-silent matrix is never scored.  A
     user's (I, V) in a sub-block depends only on that sub-block's rank-order
-    vector, so the kernel fills one table keyed by (sub-block, rank-order
-    vector, user).  A (sub-blocks, candidates) index holds each candidate's
-    vector positions; a search takes it from the product grid of the vector
-    counts, in `itertools.product` order.  The table is gathered through it
-    into per-user (candidates, sub-blocks) I and V arrays, and one combiner
-    pass gives every candidate's rates; no plan is built.  Every other column
+    vector, so one `rates.sub_block_stats_table` call fills a table keyed by
+    (sub-block, rank-order vector, user), integrating each distinct
+    per-dimension receive grid once.  A (sub-blocks, candidates) index holds
+    each candidate's vector positions; a search takes it from the product
+    grid of the vector counts, in `itertools.product` order, and each
+    vector's least order_sum slack from the same feasibility pass that found
+    it.  The table is gathered through the index into per-user (candidates,
+    sub-blocks) I and V arrays, and one combiner pass gives every
+    candidate's rates; no plan is built.  Every other column
     is gathered through the same index from per-vector arrays (orders, order
     slack), and the rows are sorted by descending weighted sum, ties broken
     by the lexicographically smaller flat order matrix.
@@ -708,20 +724,23 @@ def design_search(spec: SystemSpec, weights: Sequence[float] | None = None, *,
             raise SpecError(f"orders must be a non-empty list of order "
                             f"matrices, got {orders!r}")
         matrices = [_normalize_orders(o, spec.K) for o in orders]
-        # position of each listed vector in its sub-block's `vectors` list
+        # position of each listed vector in its sub-block's `vectors` dict
         seen: list[dict[tuple[int, ...], int]] = [{} for _ in range(spec.K)]
         rows = [[s.setdefault(tuple(o[u][sb.index] for u in sb.ranks), len(s))
                  for s, sb in zip(seen, layout.sub_blocks)]
                 for o in matrices
                 if check_modulation_constraints(o, spec, layout).feasible]
-        vectors = [list(s) for s in seen]
+        vectors = [{mv: _order_slack(_sub_block_rows(
+                        mv, sb.ranks, sb.index, spec)) if sb.length
+                    else math.inf for mv in s}
+                   for s, sb in zip(seen, layout.sub_blocks)]
         index = np.array(rows, dtype=np.intp).reshape(-1, spec.K).T
         none_left = "no configured order matrix is feasible and sends bits"
     else:
         # larger sums have no constellation
         cap = min(max_sub_block_order, MAX_TOTAL_ORDER)
         vectors = [_enumerate_rank_vectors(sb.ranks, sb.index, spec, cap)
-                   if sb.length else [(0,) * len(sb.ranks)]
+                   if sb.length else {(0,) * len(sb.ranks): math.inf}
                    for sb in layout.sub_blocks]
         # every combination of one vector per sub-block, in product order
         index = np.indices([len(v) for v in vectors]).reshape(spec.K, -1)
@@ -733,17 +752,18 @@ def design_search(spec: SystemSpec, weights: Sequence[float] | None = None, *,
         for j, v in enumerate(vectors)])
     index = index[:, ~silent]
 
-    # one kernel call per (sub-block, rank-order vector, user); index[j, i]
-    # is candidate i's position in vectors[j]
-    table = {}
+    # one kernel table over every (sub-block, rank-order vector, user) key;
+    # index[j, i] is candidate i's position in vectors[j]
+    keys, links = [], []
     for sb, found in zip(layout.sub_blocks, vectors):
         for mv in found:
             by_rank = dict(zip(sb.ranks, sub_block_parts(mv, spec.P)))
             parts = {u: by_rank[u] for u in sb.participants}
             for m, user in zip(mv, sb.ranks):
                 if sb.length and m:
-                    table[(sb.index, mv, user)] = rates.sub_block_stats(
-                        abs(spec.users[user].h), parts, user)
+                    keys.append((sb.index, mv, user))
+                    links.append((abs(spec.users[user].h), parts, user))
+    table = dict(zip(keys, rates.sub_block_stats_table(links)))
 
     def gathered(k, field):
         return np.stack([np.array([
@@ -759,19 +779,18 @@ def design_search(spec: SystemSpec, weights: Sequence[float] | None = None, *,
         index, user_rates = index[:, keep], user_rates[keep]
 
     # flat[:, k(k+1)/2 + j] is user k's order in sub-block j; the slack of
-    # a candidate is the least of its non-empty sub-blocks' vector slacks
+    # a candidate is the least of its sub-blocks' vector slacks (inf where
+    # a sub-block is empty)
     n = index.shape[1]
     flat = np.empty((n, spec.K * (spec.K + 1) // 2), dtype=np.int64)
     slack = np.full(n, math.inf)
     for sb, found in zip(layout.sub_blocks, vectors):
-        by_rank = np.array(found, dtype=np.int64).reshape(
+        by_rank = np.array(list(found), dtype=np.int64).reshape(
             -1, len(sb.ranks))[index[sb.index]]
         for rank, user in enumerate(sb.ranks):
             flat[:, user * (user + 1) // 2 + sb.index] = by_rank[:, rank]
-        if sb.length:
-            slack = np.minimum(slack, np.array([min(
-                r.slack for r in _sub_block_rows(mv, sb.ranks, sb.index, spec)
-                if r.kind == "order_sum") for mv in found])[index[sb.index]])
+        slack = np.minimum(slack, np.array(list(found.values()))[
+            index[sb.index]])
     lengths = np.array([sb.length for sb in layout.sub_blocks])
     codeword = np.stack([flat[:, k * (k + 1) // 2:(k + 1) * (k + 2) // 2]
                          @ lengths[:k + 1] for k in range(spec.K)], axis=-1)

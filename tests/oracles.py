@@ -18,7 +18,9 @@ numpy all-pairs test; `design_search_reference` is the search that built its
 candidates as a Python list of rank-vector tuples, used that loop and
 packaged each returned candidate's columns in Python.  The blocked filter,
 the array candidate index and the gathered columns must give the same flags
-and rows, in the same order.
+and rows, in the same order.  `sub_block_stats_per_key` integrates both
+dimensions of one (I, V) key, as the kernel table did before it integrated
+each distinct grid once per call; the table must match it bit for bit.
 
 `rate_single_block` and `rate_two_segment` are the closed forms that the
 one combiner, `rates.combine_second_order`, reduces to.  `quadrature_mi`
@@ -314,6 +316,25 @@ def sub_block_stats_reference(g, parts, user):
     return SubBlockRateStats(mi, dispersion, 0, 0.0, 0.0)
 
 
+def block_parts(spec, sub_block, mv):
+    """(shape, amp_i, amp_q) per user of one sub-block at rank-order vector
+    mv, in participant order, as `scheme.design_search` builds them."""
+    sb = scheme.build_layout(spec).sub_blocks[sub_block]
+    by_rank = dict(zip(sb.ranks, scheme.sub_block_parts(mv, spec.P)))
+    return {u: by_rank[u] for u in sb.participants}
+
+
+def sub_block_stats_per_key(g, parts, user):
+    """(I, V) of one key from `rates.dimension_stats` on both of its grids:
+    no grid shared with another key and no one-level dimension skipped."""
+    mi = dispersion = 0.0
+    for grid in receive_grids(g, parts, user):
+        first, var = rates.dimension_stats(grid)
+        mi += first
+        dispersion += var
+    return SubBlockRateStats(mi, dispersion, 0, 0.0, 0.0)
+
+
 def active_bits_reference(payload, user, plan):
     """Bits that land on non-empty sub-blocks, in demapper order."""
     keep = []
@@ -460,7 +481,8 @@ def design_search_reference(spec, weights=None, max_sub_block_order=12,
                             pareto_only=True):
     """`scheme.design_search` over the enumerated candidates, with `combos`
     a list of rank-vector tuples from `itertools.product`, a gather index
-    built by `dict.setdefault` per sub-block, and the front loop."""
+    built by `dict.setdefault` per sub-block, every table key integrated on
+    its own by `sub_block_stats_per_key`, and the front loop."""
     layout = scheme.build_layout(spec)
     weights = [1.0] * spec.K if weights is None else weights
     cap = min(max_sub_block_order, MAX_TOTAL_ORDER)
@@ -483,12 +505,11 @@ def design_search_reference(spec, weights=None, max_sub_block_order=12,
                                                     spec)
             if r.kind == "order_sum") for mv in seen} if sb.length else {})
         for mv in seen:
-            by_rank = dict(zip(sb.ranks, scheme.sub_block_parts(mv, spec.P)))
-            parts = {u: by_rank[u] for u in sb.participants}
             for m, user in zip(mv, sb.ranks):
                 if sb.length and m:
-                    table[(sb.index, mv, user)] = rates.sub_block_stats(
-                        abs(spec.users[user].h), parts, user)
+                    table[(sb.index, mv, user)] = sub_block_stats_per_key(
+                        abs(spec.users[user].h),
+                        block_parts(spec, sb.index, mv), user)
 
     def stats_of(k, j, mv):
         return table.get((j, mv, k), rates.ZERO_STATS)

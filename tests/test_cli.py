@@ -397,6 +397,20 @@ class TestValidate:
         assert err.startswith("plan schema error:")
         assert f"plan file field {field} " in err
 
+    def test_all_silent_plan_file_exit_2(self, tmp_path, capsys):
+        # a plan file that matches its rebuilt plan but sends no bits used
+        # to PASS, although design and simulate refuse that order matrix
+        system = json.loads(
+            (ROOT / "configs" / "two_user_urllc.json").read_text())["system"]
+        plan_out = tmp_path / "plan.json"
+        plan_out.write_text(json.dumps(scheme.assign_power(
+            [[0], [0, 0]], SystemSpec.from_dict(system)).to_dict()))
+        vcfg = write_config(tmp_path, name="validate.json", system=system,
+                            validate={"plan": str(plan_out)})
+        assert main(["validate", "--config", str(vcfg)]) == EXIT_BAD_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("plan schema error:") and "sends no bits" in err
+
     @pytest.mark.parametrize("name", [
         "three_user.json", "two_user_equal_blocklength.json",
         "two_user_search.json", "two_user_urllc.json"])
@@ -434,9 +448,9 @@ class TestValidate:
 
     def test_kernel_without_interference_fails(self, tmp_path, monkeypatch,
                                                capsys):
-        kernel = rates.sub_block_stats
-        monkeypatch.setattr(rates, "sub_block_stats", lambda g, parts, user:
-                            kernel(g, {user: parts[user]}, user))
+        table = rates.sub_block_stats_table
+        monkeypatch.setattr(rates, "sub_block_stats_table", lambda keys: table(
+            [(g, {user: parts[user]}, user) for g, parts, user in keys]))
         cfg = write_config(tmp_path)
         assert main(["validate", "--config", str(cfg)]) == EXIT_CHECK_FAILED
         failed = [line for line in capsys.readouterr().out.splitlines()

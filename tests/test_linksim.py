@@ -29,7 +29,7 @@ from tinlink.linksim import (
     simulate_frame,
     tin_llr,
 )
-from tinlink.rates import sub_block_stats
+from tinlink.rates import sub_block_stats_table
 from tinlink.scheme import (
     SystemSpec,
     UserSpec,
@@ -40,9 +40,11 @@ from tinlink.scheme import (
 
 from oracles import (
     active_bits_reference as active_payload_bits,
+    bits,
     frame_seeds_reference,
     information_densities_reference,
     simulate_rows_reference,
+    sub_block_stats_per_key,
     sub_block_stats_reference,
     tin_llr_reference,
     write_csv_reference,
@@ -273,10 +275,24 @@ class TestAgainstSymbolsFirstOracles:
         for user, u in enumerate(plan.spec.users):
             for sb in active_segments(plan, user):
                 parts = plan.parts(sb.index)
-                got = sub_block_stats(abs(u.h), parts, user)
+                got, = sub_block_stats_table([(abs(u.h), parts, user)])
                 ref = sub_block_stats_reference(abs(u.h), parts, user)
                 assert abs(got.mi - ref.mi) <= 1e-14
                 assert abs(got.dispersion - ref.dispersion) <= 1e-14
+
+    @settings(max_examples=25, deadline=None)
+    @given(plan=TIN_PLANS)
+    def test_plan_table_matches_per_key_integration(self, plan):
+        # the plan's one table call against each active pair integrated on
+        # its own, bit for bit; silent pairs read exactly 0
+        for user, rate in enumerate(rates.compute_plan_rates(plan).users):
+            active = {sb.index for sb in active_segments(plan, user)}
+            for j, got in enumerate(rate.stats):
+                want = (sub_block_stats_per_key(
+                    abs(plan.spec.users[user].h), plan.parts(j), user)
+                    if j in active else rates.ZERO_STATS)
+                assert bits([got.mi, got.dispersion]) == bits(
+                    [want.mi, want.dispersion])
 
     def test_symbol_chunks_match_one_pass(self, monkeypatch):
         # a 48-element budget takes 6 or 12 symbols per kernel pass on
@@ -288,7 +304,8 @@ class TestAgainstSymbolsFirstOracles:
         def results():
             return ([demap_frame(frame, k, plan, max_log=max_log)
                      for k in range(plan.spec.K) for max_log in (False, True)],
-                    [sub_block_stats(g, plan.parts(j), 1) for j in (0, 1)])
+                    sub_block_stats_table([(g, plan.parts(j), 1)
+                                           for j in (0, 1)]))
 
         whole = results()
         monkeypatch.setattr(rates, "_ELEM_BUDGET", 48)

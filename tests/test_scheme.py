@@ -37,11 +37,13 @@ from tinlink.scheme import (
 
 from oracles import (
     bits,
+    block_parts,
     design_search_reference,
     pareto_all_pairs,
     pareto_front_loop_reference,
     pareto_reference,
     scalar_second_order,
+    sub_block_stats_per_key,
 )
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -293,6 +295,8 @@ class TestPowerAssignment:
              for n, g, a in zip(lengths, gains, phases)])
         orders = [data.draw(st.lists(st.integers(0, 3), min_size=i + 1,
                                      max_size=i + 1)) for i in range(k)]
+        # an all-silent plan file is rejected (test_corrupt_plan_dict_rejected)
+        assume(any(m for row in orders for m in row))
         assume(check_modulation_constraints(orders, spec).feasible)
         plan = assign_power(orders, spec)
         again = plan_from_dict(json.loads(json.dumps(plan.to_dict())))
@@ -310,9 +314,10 @@ class TestPowerAssignment:
         ("codeword_lengths", lambda n: [n[0] + 0.5, n[1] + 0.5],
          "codeword_lengths"),
         ("schema_version", lambda v: True, "schema_version"),
-        ("schema_version", lambda v: 1.0, "schema_version")],
+        ("schema_version", lambda v: 1.0, "schema_version"),
+        ("orders", lambda o: [[0], [0, 0]], "sends no bits")],
         ids=["inconsistent", "eta-string", "fractional-codeword-lengths",
-             "schema_version-true", "schema_version-float"])
+             "schema_version-true", "schema_version-float", "all-silent"])
     def test_corrupt_plan_dict_rejected(self, key, value, message):
         data = assign_power([[2], [4, 4]], two_user_spec()).to_dict()
         data[key] = value(data[key])
@@ -531,20 +536,20 @@ class TestDesignSearch:
                 plan.codeword_lengths) == codeword_lengths(
                     res.order_matrix(i), plan.layout)
 
-    def test_kernel_once_per_table_key(self, monkeypatch):
+    def test_kernel_once_per_distinct_grid(self, monkeypatch):
         spec = self.three_user_spec()
         layout = build_layout(spec)
         calls = []
-        kernel = rates.sub_block_stats
+        kernel = rates.dimension_stats
 
-        def counting(g, parts, user):
-            calls.append(user)
-            return kernel(g, parts, user)
+        def counting(grid):
+            calls.append(grid.shape)
+            return kernel(grid)
 
         def forbidden(*args, **kwargs):
             raise AssertionError("design_search must not build or rate plans")
 
-        monkeypatch.setattr(rates, "sub_block_stats", counting)
+        monkeypatch.setattr(rates, "dimension_stats", counting)
         monkeypatch.setattr(rates, "compute_plan_rates", forbidden)
         monkeypatch.setattr(scheme, "assign_power", forbidden)
         res = design_search(spec, max_sub_block_order=3, pareto_only=False)
@@ -553,7 +558,16 @@ class TestDesignSearch:
                 for o in matrices for k in range(spec.K)
                 for sb in layout.sub_blocks[:k + 1]
                 if sb.length and o[k][sb.index]}
-        assert len(calls) == len(keys) < len(res)
+        grids = {(grid.shape, grid.tobytes())
+                 for j, mv, k in keys
+                 for grid in rates.receive_grids(
+                     abs(spec.users[k].h), block_parts(spec, j, mv), k)
+                 if grid.shape[0] > 1}
+        assert len(calls) == len(grids) < 2 * len(keys)
+        # the reuse lives for one call: a second search integrates again
+        calls.clear()
+        design_search(spec, max_sub_block_order=3, pareto_only=False)
+        assert len(calls) == len(grids)
 
     @settings(max_examples=20, deadline=None)
     @given(data=st.data())
@@ -685,3 +699,32 @@ def test_three_user_search_matches_list_built_search(system, cap,
                                    pareto_only=pareto_only)
     assert len(got) == len(want) > 0
     assert columns(got) == columns(want)
+
+
+@pytest.mark.parametrize("system, cap", [
+    pytest.param("three_user", 6, id="three_user-6"),
+    pytest.param(FOUR_USER, 3, id="four_user-3")])
+def test_kernel_table_matches_per_key_integration(system, cap):
+    """One table over every key of a search equals each key with both of
+    its dimensions integrated on its own, bit for bit, and a one-level
+    dimension (the user puts no bits there) adds exactly 0.0."""
+    if system == "three_user":
+        system = json.loads(
+            (ROOT / "configs" / "three_user.json").read_text())["system"]
+    spec = SystemSpec.from_dict(system)
+    links = [(abs(spec.users[k].h), block_parts(spec, sb.index, mv), k)
+             for sb in build_layout(spec).sub_blocks if sb.length
+             for mv in scheme._enumerate_rank_vectors(sb.ranks, sb.index,
+                                                       spec, cap)
+             for m, k in zip(mv, sb.ranks) if m]
+    table = rates.sub_block_stats_table(links)
+    assert len(table) == len(links)
+    for got, link in zip(table, links):
+        want = sub_block_stats_per_key(*link)
+        assert bits([got.mi, got.dispersion]) == bits(
+            [want.mi, want.dispersion])
+    one_level = {grid.tobytes(): grid for link in links
+                 for grid in rates.receive_grids(*link) if grid.shape[0] == 1}
+    assert one_level
+    for grid in one_level.values():
+        assert bits(rates.dimension_stats(grid)) == bits([0.0, 0.0])
