@@ -439,15 +439,15 @@ def _random_spec(rng) -> scheme.SystemSpec:
     return scheme.SystemSpec.create(float(10 ** rng.uniform(-0.2, 1.0)), users)
 
 
-def _random_feasible_plan(spec, rng, attempts: int = 40):
-    layout = scheme.build_layout(spec)
-    for _ in range(attempts):
-        orders = []
-        for k in range(spec.K):
-            orders.append([int(rng.integers(0, 5)) for _ in range(k + 1)])
-        report = scheme.check_modulation_constraints(orders, spec, layout)
-        if report.feasible and any(m > 0 for row in orders for m in row):
-            return scheme.assign_power(orders, spec, layout, check=False)
+def _random_feasible_plan(spec, rng):
+    for _ in range(40):
+        orders = [[int(rng.integers(0, 5)) for _ in range(k + 1)]
+                  for k in range(spec.K)]
+        if any(m > 0 for row in orders for m in row):
+            try:
+                return scheme.assign_power(orders, spec)
+            except scheme.InfeasiblePlanError:
+                pass
     return None
 
 

@@ -470,8 +470,7 @@ def _match_plan(want, got, path: str = "") -> None:
                             f"rebuilt plan's {want!r}")
 
 
-def assign_power(orders, spec: SystemSpec,
-                 layout: SubBlockLayout | None = None, *,
+def assign_power(orders, spec: SystemSpec, *,
                  check: bool = True) -> SchemePlan:
     """Two-layer power assignment under the balanced sub-block rule.
 
@@ -483,7 +482,7 @@ def assign_power(orders, spec: SystemSpec,
     2^{s_i} (2^{m_i} - 1) / (2^{sum m} - 1) * P with s_i the bits of the
     stronger ranks, whenever the stacking is evenly balanced.
     """
-    layout = layout or build_layout(spec)
+    layout = build_layout(spec)
     orders = _normalize_orders(orders, spec.K)
     if check:
         report = check_modulation_constraints(orders, spec, layout)
@@ -660,22 +659,16 @@ class DesignSearchResult:
                      for k in range(self.rates.shape[1]))
 
 
-def _order_slack(rows: Sequence[ConstraintRow]) -> float:
-    """The least order_sum slack among one sub-block's feasibility rows."""
-    return min(r.slack for r in rows if r.kind == "order_sum")
-
-
-def _enumerate_rank_vectors(ranks, sub_block, spec, cap):
-    """All feasible rank-order vectors for one sub-block, budget included,
-    in lexicographic order, each mapped to its `_order_slack`; the all-zero
-    vector is always among them."""
-    found = {}
-    for mv in itertools.product(range(cap + 1), repeat=len(ranks)):
-        if sum(mv) <= cap:
-            rows = _sub_block_rows(mv, ranks, sub_block, spec)
-            if all(r.passed for r in rows):
-                found[mv] = _order_slack(rows)
-    return found
+def _vector_slack(sb: SubBlock, mv: tuple[int, ...],
+                  spec: SystemSpec) -> float | None:
+    """The least order_sum row slack of rank-order vector mv in sub-block
+    sb, None if one of its feasibility rows fails; an empty sub-block has no
+    rows, so every vector passes there at slack inf."""
+    rows = _sub_block_rows(mv, sb.ranks, sb.index, spec) if sb.length else []
+    if not all(r.passed for r in rows):
+        return None
+    return min((r.slack for r in rows if r.kind == "order_sum"),
+               default=math.inf)
 
 
 def design_search(spec: SystemSpec, weights: Sequence[float] | None = None, *,
@@ -689,20 +682,20 @@ def design_search(spec: SystemSpec, weights: Sequence[float] | None = None, *,
     candidates are Pareto-filtered over the users with positive weight (unless
     pareto_only=False).  Passing `orders` scores exactly those matrices
     instead: a malformed matrix raises SpecError, infeasible ones are skipped,
-    and none is Pareto-filtered.  The all-silent matrix is never scored.  A
-    user's (I, V) in a sub-block depends only on that sub-block's rank-order
-    vector, so one `rates.sub_block_stats_table` call fills a table keyed by
-    (sub-block, rank-order vector, user), integrating each distinct
-    per-dimension receive grid once.  A (sub-blocks, candidates) index holds
-    each candidate's vector positions; a search takes it from the product
-    grid of the vector counts, in `itertools.product` order, and each
-    vector's least order_sum slack from the same feasibility pass that found
-    it.  The table is gathered through the index into per-user (candidates,
-    sub-blocks) I and V arrays, and one combiner pass gives every
-    candidate's rates; no plan is built.  Every other column
-    is gathered through the same index from per-vector arrays (orders, order
-    slack), and the rows are sorted by descending weighted sum, ties broken
-    by the lexicographically smaller flat order matrix.
+    and none is Pareto-filtered.  The all-silent matrix is never scored.
+    Sub-block j carries users j..K-1, and a user's (I, V) there depends
+    only on its rank-order vector, so a design is one vector per sub-block.
+    `_vector_slack` decides each distinct vector once, for a search over
+    every capped vector and for listed orders over their own vectors (a
+    matrix is kept when all of its vectors pass).  Each sub-block keeps one
+    row per kept vector: every user's order there, its (I, V) from one
+    `rates.sub_block_stats_table` call, and the vector's least order_sum
+    slack.  A (sub-blocks, candidates) index, for a search the product grid
+    of the vector counts in `itertools.product` order, holds each
+    candidate's row in every sub-block, and every column is gathered
+    through it: one combiner pass gives all rates, no plan is built, and
+    the rows are sorted by descending weighted sum, ties broken by the
+    lexicographically smaller flat order matrix.
     """
     layout = build_layout(spec)
     if weights is None:
@@ -723,77 +716,77 @@ def design_search(spec: SystemSpec, weights: Sequence[float] | None = None, *,
         if not isinstance(orders, (list, tuple)) or not orders:
             raise SpecError(f"orders must be a non-empty list of order "
                             f"matrices, got {orders!r}")
-        matrices = [_normalize_orders(o, spec.K) for o in orders]
-        # position of each listed vector in its sub-block's `vectors` dict
+        listed = [[tuple(o[u][sb.index] for u in sb.ranks)
+                   for sb in layout.sub_blocks]
+                  for o in (_normalize_orders(o, spec.K) for o in orders)]
+        # decide each distinct (sub-block, vector) once, in listed order
+        slack_of = {(j, mv): _vector_slack(layout.sub_blocks[j], mv, spec)
+                    for j, mv in dict.fromkeys(
+                        (j, mv) for vs in listed for j, mv in enumerate(vs))}
+        # position of each kept matrix's vector among its sub-block's rows
         seen: list[dict[tuple[int, ...], int]] = [{} for _ in range(spec.K)]
-        rows = [[s.setdefault(tuple(o[u][sb.index] for u in sb.ranks), len(s))
-                 for s, sb in zip(seen, layout.sub_blocks)]
-                for o in matrices
-                if check_modulation_constraints(o, spec, layout).feasible]
-        vectors = [{mv: _order_slack(_sub_block_rows(
-                        mv, sb.ranks, sb.index, spec)) if sb.length
-                    else math.inf for mv in s}
-                   for s, sb in zip(seen, layout.sub_blocks)]
+        rows = [[s.setdefault(mv, len(s)) for s, mv in zip(seen, vs)]
+                for vs in listed if all(
+                    slack_of[j, mv] is not None for j, mv in enumerate(vs))]
+        vectors = [{mv: slack_of[j, mv] for mv in s} for j, s in enumerate(seen)]
         index = np.array(rows, dtype=np.intp).reshape(-1, spec.K).T
         none_left = "no configured order matrix is feasible and sends bits"
     else:
         # larger sums have no constellation
         cap = min(max_sub_block_order, MAX_TOTAL_ORDER)
-        vectors = [_enumerate_rank_vectors(sb.ranks, sb.index, spec, cap)
-                   if sb.length else {(0,) * len(sb.ranks): math.inf}
-                   for sb in layout.sub_blocks]
+        vectors = []
+        for sb in layout.sub_blocks:
+            # an empty sub-block carries only the all-zero vector
+            found = {mv: _vector_slack(sb, mv, spec) for mv in
+                     itertools.product(range(cap + 1 if sb.length else 1),
+                                       repeat=len(sb.ranks))
+                     if sum(mv) <= cap}
+            vectors.append({mv: s for mv, s in found.items() if s is not None})
         # every combination of one vector per sub-block, in product order
         index = np.indices([len(v) for v in vectors]).reshape(spec.K, -1)
         none_left = ("only the all-silent order matrix is feasible "
                      "at this power budget")
-    # the all-silent order matrix carries no bits, so it is never a design
-    silent = np.logical_and.reduce([
-        np.array([not any(mv) for mv in v], dtype=bool)[index[j]]
-        for j, v in enumerate(vectors)])
-    index = index[:, ~silent]
 
-    # one kernel table over every (sub-block, rank-order vector, user) key;
-    # index[j, i] is candidate i's position in vectors[j]
-    keys, links = [], []
+    # one row per kept vector of each sub-block: every user's order there,
+    # its (I, V) (0 where the user is silent or the sub-block is empty) and
+    # the vector's slack; index[j, i] is candidate i's row in sub-block j
+    vector_orders = [np.zeros((len(v), spec.K), np.int64) for v in vectors]
+    mi = [np.zeros((len(v), spec.K)) for v in vectors]
+    dispersion = [np.zeros((len(v), spec.K)) for v in vectors]
+    links, cells = [], []
     for sb, found in zip(layout.sub_blocks, vectors):
-        for mv in found:
+        for row, mv in enumerate(found):
             by_rank = dict(zip(sb.ranks, sub_block_parts(mv, spec.P)))
             parts = {u: by_rank[u] for u in sb.participants}
+            vector_orders[sb.index][row, list(sb.ranks)] = mv
             for m, user in zip(mv, sb.ranks):
                 if sb.length and m:
-                    keys.append((sb.index, mv, user))
                     links.append((abs(spec.users[user].h), parts, user))
-    table = dict(zip(keys, rates.sub_block_stats_table(links)))
+                    cells.append((sb.index, row, user))
+    for (j, row, user), s in zip(cells, rates.sub_block_stats_table(links)):
+        mi[j][row, user], dispersion[j][row, user] = s.mi, s.dispersion
+    # the all-silent order matrix carries no bits, so it is never a design
+    silent = np.logical_and.reduce([~o.any(axis=1)[i]
+                                    for o, i in zip(vector_orders, index)])
+    index = index[:, ~silent]
 
-    def gathered(k, field):
-        return np.stack([np.array([
-            getattr(table.get((j, mv, k), rates.ZERO_STATS), field)
-            for mv in vectors[j]])[index[j]] for j in range(k + 1)], axis=-1)
-
-    user_rates = rates.second_order_rates(
-        spec, layout, [gathered(k, "mi") for k in range(spec.K)],
-        [gathered(k, "dispersion") for k in range(spec.K)])
+    user_rates = rates.second_order_rates(spec, layout, *[
+        [np.stack([c[j][index[j], k] for j in range(k + 1)], axis=-1)
+         for k in range(spec.K)] for c in (mi, dispersion)])
     if pareto_only and orders is None:
         keep = np.flatnonzero(_pareto_flags(
             user_rates, [k for k in range(spec.K) if weights[k] > 0]))
         index, user_rates = index[:, keep], user_rates[keep]
 
-    # flat[:, k(k+1)/2 + j] is user k's order in sub-block j; the slack of
-    # a candidate is the least of its sub-blocks' vector slacks (inf where
-    # a sub-block is empty)
+    # flat[:, k(k+1)/2 + j] is user k's order in sub-block j; a candidate's
+    # slack is the least of its sub-blocks' vector slacks
     n = index.shape[1]
-    flat = np.empty((n, spec.K * (spec.K + 1) // 2), dtype=np.int64)
-    slack = np.full(n, math.inf)
-    for sb, found in zip(layout.sub_blocks, vectors):
-        by_rank = np.array(list(found), dtype=np.int64).reshape(
-            -1, len(sb.ranks))[index[sb.index]]
-        for rank, user in enumerate(sb.ranks):
-            flat[:, user * (user + 1) // 2 + sb.index] = by_rank[:, rank]
-        slack = np.minimum(slack, np.array(list(found.values()))[
-            index[sb.index]])
-    lengths = np.array([sb.length for sb in layout.sub_blocks])
-    codeword = np.stack([flat[:, k * (k + 1) // 2:(k + 1) * (k + 2) // 2]
-                         @ lengths[:k + 1] for k in range(spec.K)], axis=-1)
+    picked = [o[i] for o, i in zip(vector_orders, index)]
+    flat = np.stack([picked[j][:, k] for k in range(spec.K)
+                     for j in range(k + 1)], axis=-1)
+    codeword = sum(sb.length * p for sb, p in zip(layout.sub_blocks, picked))
+    slack = np.min([np.array(list(v.values()))[i]
+                    for v, i in zip(vectors, index)], axis=0)
     info = np.maximum(np.floor(
         user_rates * [u.N for u in spec.users]), 0).astype(np.int64)
     weighted = np.zeros(n)

@@ -16,7 +16,10 @@ The Pareto filters below are the quadratic double loop, the sort-based loop
 that tested one candidate at a time against the front found so far, and a
 numpy all-pairs test; `design_search_reference` is the search that built its
 candidates as a Python list of rank-vector tuples, used that loop and
-packaged each returned candidate's columns in Python.  The blocked filter,
+packaged each returned candidate's columns in Python, with each
+sub-block's vectors and slacks from `feasible_rank_vectors`, which asks the
+public `check_modulation_constraints` about one vector at a time, as a
+separate check of the search's own feasibility pass.  The blocked filter,
 the array candidate index and the gathered columns must give the same flags
 and rows, in the same order.  `sub_block_stats_per_key` integrates both
 dimensions of one (I, V) key, as the kernel table did before it integrated
@@ -477,33 +480,48 @@ def pareto_all_pairs(rate_tuples, dims, chunk=256):
     return flags.tolist()
 
 
+def feasible_rank_vectors(spec, sb, cap):
+    """Every rank-order vector of non-empty sub-block `sb` with total at
+    most `cap` that `scheme.check_modulation_constraints` passes on the
+    order matrix holding it alone, in lexicographic order, mapped to the
+    least slack of that report's order_sum rows for `sb`."""
+    found = {}
+    for mv in itertools.product(range(cap + 1), repeat=len(sb.ranks)):
+        if sum(mv) > cap:
+            continue
+        orders = [[0] * (k + 1) for k in range(spec.K)]
+        for user, m in zip(sb.ranks, mv):
+            orders[user][sb.index] = m
+        report = scheme.check_modulation_constraints(orders, spec)
+        if report.feasible:
+            found[mv] = min(r.slack for r in report.rows if
+                            r.kind == "order_sum" and r.sub_block == sb.index)
+    return found
+
+
 def design_search_reference(spec, weights=None, max_sub_block_order=12,
                             pareto_only=True):
-    """`scheme.design_search` over the enumerated candidates, with `combos`
-    a list of rank-vector tuples from `itertools.product`, a gather index
+    """`scheme.design_search` over the enumerated candidates, with each
+    sub-block's vectors and slacks from `feasible_rank_vectors`, `combos` a
+    list of rank-vector tuples from `itertools.product`, a gather index
     built by `dict.setdefault` per sub-block, every table key integrated on
     its own by `sub_block_stats_per_key`, and the front loop."""
     layout = scheme.build_layout(spec)
     weights = [1.0] * spec.K if weights is None else weights
     cap = min(max_sub_block_order, MAX_TOTAL_ORDER)
-    per_block = [scheme._enumerate_rank_vectors(sb.ranks, sb.index, spec, cap)
-                 if sb.length else [(0,) * len(sb.ranks)]
+    per_block = [feasible_rank_vectors(spec, sb, cap)
+                 if sb.length else {(0,) * len(sb.ranks): math.inf}
                  for sb in layout.sub_blocks]
     combos = [combo for combo in itertools.product(*per_block)
               if any(m for vec in combo for m in vec)]
     table = {}
     index = np.empty((len(combos), spec.K), dtype=np.intp)
     vectors = []
-    order_slack = []
     for sb in layout.sub_blocks:
         seen = {}
         index[:, sb.index] = [seen.setdefault(combo[sb.index], len(seen))
                               for combo in combos]
         vectors.append(list(seen))
-        order_slack.append({mv: min(
-            r.slack for r in scheme._sub_block_rows(mv, sb.ranks, sb.index,
-                                                    spec)
-            if r.kind == "order_sum") for mv in seen} if sb.length else {})
         for mv in seen:
             for m, user in zip(mv, sb.ranks):
                 if sb.length and m:
@@ -537,8 +555,7 @@ def design_search_reference(spec, weights=None, max_sub_block_order=12,
             [m for orders in matrix for m in orders], row,
             [max(0, math.floor(r * u.N)) for r, u in zip(row, spec.users)],
             list(scheme.codeword_lengths(matrix, layout)),
-            min((order_slack[j][mv] for j, mv in enumerate(combo)
-                 if order_slack[j]), default=math.inf)))
+            min(per_block[j][mv] for j, mv in enumerate(combo))))
     rows.sort(key=lambda r: (-r[0], r[1]))
     n_flat = spec.K * (spec.K + 1) // 2
     return scheme.DesignSearchResult(

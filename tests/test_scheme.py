@@ -39,6 +39,7 @@ from oracles import (
     bits,
     block_parts,
     design_search_reference,
+    feasible_rank_vectors,
     pareto_all_pairs,
     pareto_front_loop_reference,
     pareto_reference,
@@ -517,6 +518,19 @@ class TestDesignSearch:
         sums = res.weighted_sum.tolist()
         assert sums == sorted(sums, reverse=True)
 
+    def test_empty_sub_block_orders_unconstrained(self):
+        """An empty sub-block sends no symbols: a search puts only zeros
+        there, and a listed order there is never checked, so a matrix with
+        9 bits in it is kept at the same slack as one with 2."""
+        spec = two_user_spec(n1=32, n2=32)
+        res = design_search(spec, max_sub_block_order=4, pareto_only=False)
+        assert len(res) and all(res.order_matrix(i)[1][1] == 0
+                                for i in range(len(res)))
+        res = design_search(spec, orders=[[[2], [2, 2]], [[2], [2, 9]]])
+        assert sorted(res.order_matrix(i) for i in range(len(res))) == [
+            ((2,), (2, 2)), ((2,), (2, 9))]
+        assert bits(res.min_order_slack[0]) == bits(res.min_order_slack[1])
+
     @staticmethod
     def three_user_spec():
         # users 1 and 2 share a blocklength, so sub-block 2 is empty
@@ -714,8 +728,7 @@ def test_kernel_table_matches_per_key_integration(system, cap):
     spec = SystemSpec.from_dict(system)
     links = [(abs(spec.users[k].h), block_parts(spec, sb.index, mv), k)
              for sb in build_layout(spec).sub_blocks if sb.length
-             for mv in scheme._enumerate_rank_vectors(sb.ranks, sb.index,
-                                                       spec, cap)
+             for mv in feasible_rank_vectors(spec, sb, cap)
              for m, k in zip(mv, sb.ranks) if m]
     table = rates.sub_block_stats_table(links)
     assert len(table) == len(links)
@@ -728,3 +741,52 @@ def test_kernel_table_matches_per_key_integration(system, cap):
     assert one_level
     for grid in one_level.values():
         assert bits(rates.dimension_stats(grid)) == bits([0.0, 0.0])
+
+
+@pytest.mark.parametrize("system", [
+    pytest.param("three_user", id="three_user"),
+    pytest.param(FOUR_USER, id="four_user")])
+def test_listed_orders_match_search(system):
+    """Listing every candidate of a search, plus an infeasible and the
+    all-silent matrix, scores exactly the search's rows: both paths share
+    one feasibility pass and one row table."""
+    if system == "three_user":
+        system = json.loads(
+            (ROOT / "configs" / "three_user.json").read_text())["system"]
+    spec = SystemSpec.from_dict(system)
+    search = design_search(spec, max_sub_block_order=3, pareto_only=False)
+    all_silent = [[0] * (k + 1) for k in range(spec.K)]
+    infeasible = [[13]] + all_silent[1:]
+    assert not check_modulation_constraints(infeasible, spec).feasible
+    listed = [search.order_matrix(i) for i in range(len(search))]
+    got = design_search(spec, orders=listed + [infeasible, all_silent])
+    assert len(got) == len(search) > 100
+    assert columns(got) == columns(search)
+
+
+def test_listed_orders_build_rows_once_per_vector(monkeypatch):
+    """The listed `two_user_urllc.json` design builds feasibility rows once
+    per distinct (sub-block, vector) and never checks a whole matrix."""
+    calls = {"rows": 0, "check": 0}
+    rows, check = scheme._sub_block_rows, scheme.check_modulation_constraints
+
+    def counting_rows(*args):
+        calls["rows"] += 1
+        return rows(*args)
+
+    def counting_check(*args, **kwargs):
+        calls["check"] += 1
+        return check(*args, **kwargs)
+
+    monkeypatch.setattr(scheme, "_sub_block_rows", counting_rows)
+    monkeypatch.setattr(scheme, "check_modulation_constraints",
+                        counting_check)
+    cfg = json.loads((ROOT / "configs" / "two_user_urllc.json").read_text())
+    spec = SystemSpec.from_dict(cfg["system"])
+    listed = cfg["design"]["orders"]
+    res = design_search(spec, cfg["design"]["weights"], orders=listed)
+    layout = build_layout(spec)
+    distinct = {(sb.index, tuple(o[u][sb.index] for u in sb.ranks))
+                for o in listed for sb in layout.sub_blocks}
+    assert len(res) == len(listed) and len(distinct) == 5
+    assert calls == {"rows": 5, "check": 0}
