@@ -318,8 +318,7 @@ def cmd_simulate(cfg: Mapping, args) -> int:
               "n_bits", "bit_errors", "uncoded_ber", "mean_symbol_power",
               "zero_noise_roundtrip"]
     # one pass over the frames: each is simulated once, demapped for every
-    # user and dropped, and the demapper set-up is built once per segment
-    demappers = linksim.plan_demappers(plan)
+    # user and dropped
     n_bits = [0] * spec.K
     n_err = [0] * spec.K
     clean_ok = [True] * spec.K
@@ -333,11 +332,11 @@ def cmd_simulate(cfg: Mapping, args) -> int:
                  if f == 0 else None)
         for k in range(spec.K):
             sent = payloads[k]  # every codeword bit is on a demapped segment
-            llr = linksim.demap_frame(frame, k, plan, demappers=demappers)
+            llr = linksim.demap_frame(frame, k, plan)
             n_err[k] += int(np.count_nonzero(linksim.hard_bits(llr) != sent))
             n_bits[k] += sent.size
             if quiet is not None:
-                llr0 = linksim.demap_frame(quiet, k, plan, demappers=demappers)
+                llr0 = linksim.demap_frame(quiet, k, plan)
                 clean_ok[k] = bool(np.array_equal(linksim.hard_bits(llr0),
                                                   sent))
     line = _line_template([build_id(), str(seed), str(samples)],

@@ -14,8 +14,9 @@ sent and demapped at the plan's channels; to use others, rebuild the plan
 
 `cli simulate` simulates each frame once, demaps it for every user and drops
 it before the next, so no run holds more than one frame (and the zero-noise
-frame); the per-(user, sub-block) demapper set-up (receive grids and Gray
-bit masks, `SegmentDemapper`) is built once per plan by `plan_demappers`.
+frame).  The demapper set-up of each (user, sub-block) segment (rotation,
+receive grids and Gray bit halves) is the plan's `SchemePlan.segments`,
+which `scheme.assign_power` builds once per plan.
 """
 from __future__ import annotations
 
@@ -26,15 +27,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .constellations import gray_sequence
-from .rates import (
-    compute_plan_rates,
-    dimension_densities,
-    log_sum_exp,
-    receive_grids,
-    tin_loglik,
-)
-from .scheme import SchemePlan, SubBlock, build_frame, map_bits
+from .rates import compute_plan_rates, dimension_densities, log_sum_exp, tin_loglik
+from .scheme import SchemePlan, build_frame, map_bits
 
 
 class SimulationError(ValueError):
@@ -101,57 +95,8 @@ def seeded_frame(plan: SchemePlan, seed: int, index: int
 # Exact TIN LLR demapping
 # ---------------------------------------------------------------------------
 
-def active_segments(plan: SchemePlan, user: int) -> list[SubBlock]:
-    """The user's non-empty sub-blocks that carry at least one of its bits,
-    in frame order: the segments a demapper reads."""
-    return [sb for sb in plan.layout.sub_blocks[:user + 1]
-            if sb.length > 0 and plan.entries[(user, sb.index)].order > 0]
-
-
-@dataclass(frozen=True)
-class SegmentDemapper:
-    """The demapper set-up of one user's sub-block segment.
-
-    rotation is conj(h)/|h| for the user's channel h in the plan, which
-    turns y = h x + z into |h| x + z'.  dims has one entry for I and one for
-    Q where the user's label has bits: the coordinate (0 for I, 1 for Q), the
-    receive grid from `rates.receive_grids`, and a (2 bits, levels / 2)
-    array whose row b lists the level positions with Gray label bit b equal
-    to 0 and row bits + b those with it equal to 1.
-    """
-
-    rotation: complex
-    dims: tuple[tuple[int, np.ndarray, np.ndarray], ...]
-
-
-def segment_demapper(plan: SchemePlan, user: int, sub_block: int
-                     ) -> SegmentDemapper:
-    """Build the set-up of one (user, sub-block) segment at the user's
-    channel; to demap at another channel, rebuild the plan on that spec."""
-    h = plan.spec.users[user].h
-    grids = receive_grids(abs(h), plan.parts(sub_block), user)
-    dims = []
-    for d, (n_bits, grid) in enumerate(
-            zip(plan.entries[(user, sub_block)].shape, grids)):
-        if n_bits == 0:
-            continue
-        shifts = np.arange(n_bits - 1, -1, -1)[:, None]
-        bit = (gray_sequence(n_bits) >> shifts) & 1
-        halves = np.nonzero(np.concatenate([bit == 0, bit == 1]))[1]
-        dims.append((d, grid, halves.reshape(2 * n_bits, -1)))
-    return SegmentDemapper(np.conj(h) / abs(h), tuple(dims))
-
-
-def plan_demappers(plan: SchemePlan
-                   ) -> dict[tuple[int, int], SegmentDemapper]:
-    """`segment_demapper` of every active (user, sub-block) segment."""
-    return {(k, sb.index): segment_demapper(plan, k, sb.index)
-            for k in range(plan.spec.K) for sb in active_segments(plan, k)}
-
-
 def tin_llr(y: np.ndarray, user: int, sub_block: int, plan: SchemePlan, *,
-            max_log: bool = False,
-            demapper: SegmentDemapper | None = None) -> np.ndarray:
+            max_log: bool = False) -> np.ndarray:
     """Exact per-bit LLRs for one user's sub-block segment under TIN.
 
     Interference enters only through its marginal law: the metric for each
@@ -161,22 +106,25 @@ def tin_llr(y: np.ndarray, user: int, sub_block: int, plan: SchemePlan, *,
     levels.  Returns an (n_symbols, m) array with the convention
     LLR = log P(bit=0 | y) / P(bit=1 | y) in nats, so the sign of the LLR at
     zero noise recovers the transmitted bit.  max_log replaces the sums with
-    maxima.  demapper is `segment_demapper(plan, user, sub_block)`, passed
-    in to build it once for many segments; it is built here if None.
+    maxima.  The set-up is the plan's segment; a pair without one (the
+    user sends no bits there) gives an (n_symbols, 0) array.
     """
-    demapper = demapper or segment_demapper(plan, user, sub_block)
-    y = np.asarray(y, dtype=complex).ravel() * demapper.rotation
+    y = np.asarray(y, dtype=complex).ravel()
+    segment = plan.segments.get((user, sub_block))
+    if segment is None:
+        return np.zeros((y.size, 0))
+    y = y * segment.rotation
     coords = (y.real, y.imag)
     reduce = np.max if max_log else log_sum_exp
     rows = []
-    for d, grid, halves in demapper.dims:
+    for d, grid, halves in segment.dims:
         # ll is (levels, symbols), so each reduction over a half of the
         # levels is an elementwise pass over contiguous symbols
         ll = tin_loglik(coords[d], grid, max_log=max_log).T
         per_half = reduce(ll[halves], axis=1)
         n_bits = halves.shape[0] // 2
         rows.append(per_half[:n_bits] - per_half[n_bits:])
-    return np.concatenate(rows).T if rows else np.zeros((y.size, 0))
+    return np.concatenate(rows).T
 
 
 def hard_bits(llr: np.ndarray) -> np.ndarray:
@@ -185,19 +133,11 @@ def hard_bits(llr: np.ndarray) -> np.ndarray:
 
 
 def demap_frame(frame: ReceivedFrame, user: int, plan: SchemePlan, *,
-                max_log: bool = False,
-                demappers: Mapping[tuple[int, int], SegmentDemapper]
-                | None = None) -> np.ndarray:
-    """Concatenated LLRs for every active sub-block segment of one user.
-
-    demappers maps (user, sub-block) to its set-up, as `plan_demappers`
-    builds it once per plan; a segment without one builds its own.
-    """
-    demappers = demappers or {}
-    parts = [tin_llr(frame.y[user][sb.start:sb.stop], user, sb.index, plan,
-                     max_log=max_log,
-                     demapper=demappers.get((user, sb.index))).ravel()
-             for sb in active_segments(plan, user)]
+                max_log: bool = False) -> np.ndarray:
+    """Concatenated LLRs of every segment of one user, in frame order."""
+    parts = [tin_llr(frame.y[user][seg.sub_block.start:seg.sub_block.stop],
+                     user, j, plan, max_log=max_log).ravel()
+             for (k, j), seg in plan.segments.items() if k == user]
     return np.concatenate(parts) if parts else np.zeros(0)
 
 
@@ -220,23 +160,23 @@ class DensityCheckRow:
 
 
 def information_densities(frame: ReceivedFrame, user: int, sub_block: int,
-                          plan: SchemePlan, *,
-                          demapper: SegmentDemapper | None = None
-                          ) -> np.ndarray:
+                          plan: SchemePlan) -> np.ndarray:
     """Per-symbol information densities of one received sub-block segment.
 
     The density is the sum of the I and Q parts; the sent levels are read
     from the unit symbols, whose coordinates sit on the half-integer grid;
-    a dimension without label bits has one level and adds nothing.
-    demapper is `segment_demapper(plan, user, sub_block)`, built if None.
+    a dimension without label bits has one level and adds nothing, so a
+    pair without a segment (the user sends no bits there) gives zeros.
     """
-    demapper = demapper or segment_demapper(plan, user, sub_block)
     sb = plan.layout.sub_blocks[sub_block]
-    y = frame.y[user][sb.start:sb.stop] * demapper.rotation
     sent = frame.symbols[user][sb.start:sb.stop]
-    coords = ((y.real, sent.real), (y.imag, sent.imag))
     dens = np.zeros(sent.size)
-    for d, grid, _ in demapper.dims:
+    segment = plan.segments.get((user, sub_block))
+    if segment is None:
+        return dens
+    y = frame.y[user][sb.start:sb.stop] * segment.rotation
+    coords = ((y.real, sent.real), (y.imag, sent.imag))
+    for d, grid, _ in segment.dims:
         yd, unit = coords[d]
         idx = np.rint(unit + (grid.shape[0] - 1) / 2).astype(np.int64)
         dens += dimension_densities(yd, grid, idx)
@@ -248,21 +188,24 @@ def empirical_id_check(plan: SchemePlan, user: int, n_frames: int, seed: int,
     """Compare sampled information densities against the rate engine.
 
     Simulates n_frames independent frames, samples per-symbol densities for
-    each sub-block of the user, and flags sub-blocks whose empirical mean or
+    each segment of the user, and flags sub-blocks whose empirical mean or
     variance deviates from the quadrature (I, V) by more than sigma_limit
-    standard errors of the sample.
+    standard errors of the sample.  Raises SimulationError when there is
+    nothing to sample: n_frames < 1, or a user without a segment.
     """
-    rows = []
-    per_block: dict[int, list[np.ndarray]] = {}
-    demappers = {sb.index: segment_demapper(plan, user, sb.index)
-                 for sb in active_segments(plan, user)}
+    if n_frames < 1:
+        raise SimulationError(f"n_frames must be positive, got {n_frames}")
+    per_block: dict[int, list[np.ndarray]] = {
+        j: [] for k, j in plan.segments if k == user}
+    if not per_block:
+        raise SimulationError(f"user {user} sends no bits in this plan")
     for f in range(n_frames):
         _, frame = seeded_frame(plan, seed, f)
-        for j, demapper in demappers.items():
-            per_block.setdefault(j, []).append(information_densities(
-                frame, user, j, plan, demapper=demapper))
+        for j, chunks in per_block.items():
+            chunks.append(information_densities(frame, user, j, plan))
     exact = compute_plan_rates(plan).users[user].stats
-    for j, chunks in sorted(per_block.items()):
+    rows = []
+    for j, chunks in per_block.items():
         samples = np.concatenate(chunks)
         ref = exact[j]
         n = samples.size

@@ -10,7 +10,10 @@ likelihoods: `dimension_stats` takes one dimension's (I_d, V_d) from it by
 Gauss-Hermite quadrature, `sub_block_stats_table` sums them into the (I, V)
 table of `compute_plan_rates` or `scheme.design_search`, integrating each
 distinct receive grid once per call, and `linksim` takes its LLRs and
-information densities from it.  Likelihood sums go through log-sum-exp, so
+information densities from it.  The table takes each link's receive grids:
+`compute_plan_rates` reads them from the plan's segments, which
+`scheme.assign_power` builds once per plan, and `scheme.design_search`
+builds them with `receive_grids`.  Likelihood sums go through log-sum-exp, so
 values stay finite for any amplitudes.
 
 One array combiner, `combine_second_order`, turns per-sub-block (I, V) into
@@ -36,7 +39,7 @@ import functools
 import math
 from dataclasses import dataclass
 from statistics import NormalDist
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -592,21 +595,22 @@ def dimension_stats(grid: np.ndarray) -> tuple[float, float]:
     return first, max(second - first * first, 0.0)
 
 
-def sub_block_stats_table(keys: Sequence[tuple[float, Mapping, int]]
+def sub_block_stats_table(links: Iterable[Sequence[np.ndarray]]
                           ) -> list[SubBlockRateStats]:
-    """(I, V) of each (g, parts, user) key as the sums of its I and Q parts.
+    """(I, V) of each link as the sums of its grids' (I_d, V_d).
 
-    g is the user's |h| and parts the sub-block's (shape, amp_i, amp_q) per
-    user (see `receive_grids`).  Each distinct grid is integrated once per
-    call by `dimension_stats`, keyed by its shape and bytes, so only
-    byte-equal grids share a result.  A one-level dimension (the user puts
-    no bits there) is skipped: its density is exactly 0.
+    A link is one user's receive grids in one sub-block, from
+    `receive_grids` or the dims of a plan segment.  Each distinct grid is
+    integrated once per call by `dimension_stats`, keyed by its shape and
+    bytes, so only byte-equal grids share a result.  A one-level grid (the
+    user puts no bits in that dimension) is skipped: its density is
+    exactly 0.
     """
     done: dict[tuple, tuple[float, float]] = {}
     table = []
-    for g, parts, user in keys:
+    for grids in links:
         mi = dispersion = 0.0
-        for grid in receive_grids(g, parts, user):
+        for grid in grids:
             if grid.shape[0] == 1:
                 continue
             key = (grid.shape, grid.tobytes())
@@ -634,14 +638,12 @@ def compute_plan_rates(plan) -> RateResult:
     """Evaluate every user's second-order rate for a transmission plan.
 
     Per-(user, sub-block) (I, V) come from one `sub_block_stats_table` call
-    over the plan's active pairs; the rates are the one-row case of
-    `second_order_rates`.
+    over the grids of the plan's segments; the rates are the one-row case
+    of `second_order_rates`.
     """
-    active = [(k, sb.index) for k in range(plan.spec.K)
-              for sb in plan.layout.sub_blocks[:k + 1]
-              if sb.length and plan.orders[k][sb.index]]
-    table = dict(zip(active, sub_block_stats_table(
-        [(abs(plan.spec.users[k].h), plan.parts(j), k) for k, j in active])))
+    table = dict(zip(plan.segments, sub_block_stats_table(
+        [[grid for _, grid, _ in seg.dims]
+         for seg in plan.segments.values()])))
     stats = [[table.get((k, sb.index), ZERO_STATS)
               for sb in plan.layout.sub_blocks[:k + 1]]
              for k in range(plan.spec.K)]

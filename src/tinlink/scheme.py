@@ -8,7 +8,10 @@ superimposed frame carries the full per-symbol power budget, which fixes all
 per-user sub-block powers once the modulation orders are known.
 
 Only channel magnitudes enter plan construction, so plans are invariant to a
-common phase rotation of the channel coefficients.
+common phase rotation of the channel coefficients, except for the rotations
+conj(h)/|h| in `SchemePlan.segments`: the receive set-up of every segment
+that carries bits, which the rate kernel integrates and the demapper
+evaluates, built once per plan by `assign_power`.
 """
 from __future__ import annotations
 
@@ -27,6 +30,7 @@ from .constellations import (
     LabeledConstellation,
     build_rect_qam,
     grid_energy,
+    gray_sequence,
     silent,
     superposition_factors,
 )
@@ -375,9 +379,31 @@ class PlanEntry:
     power: float
 
 
+@dataclass(frozen=True)
+class Segment:
+    """The receive set-up of one user's sub-block segment.
+
+    sub_block gives the segment's symbol range.  rotation is conj(h)/|h| for
+    the user's channel h in the plan, which turns y = h x + z into
+    |h| x + z'.  dims has one entry for I and one for Q where the user's
+    label has bits: the coordinate (0 for I, 1 for Q), the receive grid from
+    `rates.receive_grids`, and a (2 bits, levels / 2) array whose row b
+    lists the level positions with Gray label bit b equal to 0 and row
+    bits + b those with it equal to 1.
+    """
+
+    sub_block: SubBlock
+    rotation: complex
+    dims: tuple[tuple[int, np.ndarray, np.ndarray], ...]
+
+
 @dataclass
 class SchemePlan:
-    """Validated transmission plan for one system spec."""
+    """Validated transmission plan for one system spec.
+
+    segments maps every (user, sub-block) pair with a non-empty sub-block and
+    a non-zero order to its `Segment`, in frame order (user, then sub-block).
+    """
 
     spec: SystemSpec
     layout: SubBlockLayout
@@ -386,6 +412,7 @@ class SchemePlan:
     eta: tuple[float, ...]
     sub_block_power: tuple[float, ...]
     codeword_lengths: tuple[int, ...]
+    segments: dict[tuple[int, int], Segment]
 
     def sub_block_signals(self, user: int, sub_block: int
                           ) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -506,11 +533,34 @@ def assign_power(orders, spec: SystemSpec, *,
                 shape=shape, part=part, factor_i=fi, factor_q=fq,
                 amp_i=amp_i, amp_q=amp_q, tx_points=tx,
                 power=float(np.mean(np.abs(tx) ** 2)))
-    n_k = codeword_lengths(orders, layout)
-    return SchemePlan(spec=spec, layout=layout, orders=orders,
+    plan = SchemePlan(spec=spec, layout=layout, orders=orders,
                       entries=entries, eta=tuple(etas),
                       sub_block_power=tuple(powers),
-                      codeword_lengths=n_k)
+                      codeword_lengths=codeword_lengths(orders, layout),
+                      segments={})
+    plan.segments.update(((k, sb.index), build_segment(plan, k, sb.index))
+                         for k in range(spec.K)
+                         for sb in layout.sub_blocks[:k + 1]
+                         if sb.length and orders[k][sb.index])
+    return plan
+
+
+def build_segment(plan: SchemePlan, user: int, sub_block: int) -> Segment:
+    """The `Segment` of one (user, sub-block) pair at the user's channel;
+    to demap at another channel, rebuild the plan on that spec."""
+    h = plan.spec.users[user].h
+    grids = rates.receive_grids(abs(h), plan.parts(sub_block), user)
+    dims = []
+    for d, (n_bits, grid) in enumerate(
+            zip(plan.entries[(user, sub_block)].shape, grids)):
+        if n_bits == 0:
+            continue
+        shifts = np.arange(n_bits - 1, -1, -1)[:, None]
+        bit = (gray_sequence(n_bits) >> shifts) & 1
+        halves = np.nonzero(np.concatenate([bit == 0, bit == 1]))[1]
+        dims.append((d, grid, halves.reshape(2 * n_bits, -1)))
+    return Segment(plan.layout.sub_blocks[sub_block], np.conj(h) / abs(h),
+                   tuple(dims))
 
 
 @dataclass(frozen=True)
@@ -763,7 +813,9 @@ def design_search(spec: SystemSpec, weights: Sequence[float] | None = None, *,
                 if sb.length and m:
                     links.append((abs(spec.users[user].h), parts, user))
                     cells.append((sb.index, row, user))
-    for (j, row, user), s in zip(cells, rates.sub_block_stats_table(links)):
+    table = rates.sub_block_stats_table(
+        rates.receive_grids(*link) for link in links)
+    for (j, row, user), s in zip(cells, table):
         mi[j][row, user], dispersion[j][row, user] = s.mi, s.dispersion
     # the all-silent order matrix carries no bits, so it is never a design
     silent = np.logical_and.reduce([~o.any(axis=1)[i]

@@ -300,6 +300,16 @@ def tin_llr_reference(y, user, sub_block, plan, *, max_log=False):
     return np.stack(cols, axis=1) if cols else np.zeros((y.size, 0))
 
 
+def bit_halves_reference(n_bits):
+    """(2 n_bits, levels / 2) level positions: row b those whose Gray label
+    bit b (most significant first) is 0, row n_bits + b those where it is 1,
+    each found by testing every label."""
+    labels = gray_sequence(n_bits).tolist()
+    return np.array([[p for p, label in enumerate(labels)
+                      if (label >> (n_bits - 1 - b)) & 1 == value]
+                     for value in (0, 1) for b in range(n_bits)])
+
+
 def sub_block_stats_reference(g, parts, user):
     """(I, V) by Gauss-Hermite quadrature over the symbols-first kernel."""
     nodes, weights = _hermite_rule(GH_NODES)

@@ -313,7 +313,7 @@ class TestSimulate:
     def test_each_frame_simulated_once(self, tmp_path, monkeypatch):
         # every frame, and the zero-noise frame, is simulated once for all
         # users, with the noise seeds of the frame-seed policy, and each
-        # active segment's demapper set-up is built once
+        # active segment's set-up is built once, by the run's one plan
         n_frames = 4
         cfg = json.loads((ROOT / "configs" / "three_user.json").read_text())
         cfg["simulate"] = {"orders": [[2], [2, 4], [2, 4, 2]],
@@ -322,7 +322,7 @@ class TestSimulate:
         path.write_text(json.dumps(cfg))
         calls = {"frames": [], "setups": [], "llrs": 0}
         simulate_frame = linksim.simulate_frame
-        segment_demapper = linksim.segment_demapper
+        build_segment = scheme.build_segment
         tin_llr = linksim.tin_llr
 
         def count_frame(plan, payloads, seed, **kwargs):
@@ -331,26 +331,24 @@ class TestSimulate:
 
         def count_setup(plan, user, sub_block):
             calls["setups"].append((user, sub_block))
-            return segment_demapper(plan, user, sub_block)
+            return build_segment(plan, user, sub_block)
 
         def count_llr(*args, **kwargs):
             calls["llrs"] += 1
             return tin_llr(*args, **kwargs)
 
         monkeypatch.setattr(linksim, "simulate_frame", count_frame)
-        monkeypatch.setattr(linksim, "segment_demapper", count_setup)
+        monkeypatch.setattr(scheme, "build_segment", count_setup)
         monkeypatch.setattr(linksim, "tin_llr", count_llr)
         assert main(["simulate", "--config", str(path),
                      "--out", str(tmp_path / "sim.csv")]) == EXIT_OK
-        plan = scheme.assign_power(cfg["simulate"]["orders"],
-                                   cli.spec_from_config(cfg))
-        segments = [(k, sb.index) for k in range(plan.spec.K)
-                    for sb in linksim.active_segments(plan, k)]
+        segments = [(k, j) for k, row in enumerate(cfg["simulate"]["orders"])
+                    for j, m in enumerate(row) if m]
         seed = cfg["sampling"]["seed"]
         assert sorted(calls["frames"]) == sorted(
             [(frame_seeds_reference(seed, f)[1], 1.0)
              for f in range(n_frames)] + [(seed, 0.0)])
-        assert sorted(calls["setups"]) == segments
+        assert calls["setups"] == segments
         assert calls["llrs"] == (n_frames + 1) * len(segments)
 
 
@@ -448,9 +446,10 @@ class TestValidate:
 
     def test_kernel_without_interference_fails(self, tmp_path, monkeypatch,
                                                capsys):
+        # one interferer-sum column per grid: the interference-free kernel
         table = rates.sub_block_stats_table
-        monkeypatch.setattr(rates, "sub_block_stats_table", lambda keys: table(
-            [(g, {user: parts[user]}, user) for g, parts, user in keys]))
+        monkeypatch.setattr(rates, "sub_block_stats_table", lambda links: table(
+            [[grid[:, :1] for grid in grids] for grids in links]))
         cfg = write_config(tmp_path)
         assert main(["validate", "--config", str(cfg)]) == EXIT_CHECK_FAILED
         failed = [line for line in capsys.readouterr().out.splitlines()

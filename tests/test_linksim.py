@@ -5,6 +5,7 @@ import json
 import math
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from scipy.special import logsumexp
 from tinlink import cli, linksim, rates
 from tinlink.linksim import (
     SimulationError,
-    active_segments,
     deinterleave,
     demap_frame,
     dump_frames,
@@ -25,11 +25,10 @@ from tinlink.linksim import (
     load_frame_dump,
     random_interleaver,
     random_payloads,
-    segment_demapper,
     simulate_frame,
     tin_llr,
 )
-from tinlink.rates import sub_block_stats_table
+from tinlink.rates import receive_grids, sub_block_stats_table
 from tinlink.scheme import (
     SystemSpec,
     UserSpec,
@@ -40,6 +39,7 @@ from tinlink.scheme import (
 
 from oracles import (
     active_bits_reference as active_payload_bits,
+    bit_halves_reference,
     bits,
     frame_seeds_reference,
     information_densities_reference,
@@ -246,6 +246,47 @@ class TestTinLlr:
         assert bers[1] < bers[0]
 
 
+class TestPlanSegments:
+    @settings(max_examples=30, deadline=None)
+    @given(plan=TIN_PLANS)
+    def test_segments_are_the_active_pairs_set_up(self, plan):
+        # keys in frame order, each grid the one `receive_grids` builds, each
+        # dimension's bit halves the Gray-label oracle's
+        assert list(plan.segments) == [
+            (k, sb.index) for k in range(plan.spec.K)
+            for sb in plan.layout.sub_blocks[:k + 1]
+            if sb.length > 0 and plan.orders[k][sb.index] > 0]
+        for (k, j), seg in plan.segments.items():
+            h = plan.spec.users[k].h
+            assert seg.sub_block is plan.layout.sub_blocks[j]
+            assert seg.rotation == np.conj(h) / abs(h)
+            shape = plan.entries[(k, j)].shape
+            grids = receive_grids(abs(h), plan.parts(j), k)
+            assert [d for d, _, _ in seg.dims] == [
+                d for d in (0, 1) if shape[d]]
+            for d, grid, halves in seg.dims:
+                assert grid.shape == grids[d].shape
+                assert grid.tobytes() == grids[d].tobytes()
+                assert np.array_equal(halves, bit_halves_reference(shape[d]))
+        # the rates read the segments' grids and build none
+        with mock.patch.object(rates, "receive_grids",
+                               side_effect=AssertionError("grids rebuilt")):
+            rates.compute_plan_rates(plan)
+
+    def test_silent_pairs_demap_to_nothing(self):
+        # user 1 is silent in sub-block 0 of the first plan and everywhere
+        # in the second: no segment, no LLR columns, no frame LLRs
+        spec = urllc_plan(n1=16, n2=24).spec
+        for orders in ([[2], [0, 4]], [[2], [0, 0]]):
+            plan = assign_power(orders, spec)
+            frame = simulate_frame(plan, random_payloads(plan, 5), 6)
+            assert tin_llr(frame.y[1][:16], 1, 0, plan).shape == (16, 0)
+            tail = ([tin_llr(frame.y[1][16:], 1, 1, plan).ravel()]
+                    if orders[1][1] else [])
+            assert np.array_equal(demap_frame(frame, 1, plan),
+                                  np.concatenate([np.zeros(0), *tail]))
+
+
 class TestAgainstSymbolsFirstOracles:
     """The symbols-last kernel, the hoisted demapper set-up and the single
     frame loop against the forms they replaced (tests/oracles.py)."""
@@ -257,9 +298,12 @@ class TestAgainstSymbolsFirstOracles:
         frame = simulate_frame(plan, random_payloads(plan, seed), seed + 1)
         for user in range(plan.spec.K):
             got = []
-            for sb in active_segments(plan, user):
+            for sb in plan.layout.sub_blocks[:user + 1]:
                 y = frame.y[user][sb.start:sb.stop]
                 llr = tin_llr(y, user, sb.index, plan, max_log=max_log)
+                if not (sb.length and plan.orders[user][sb.index]):
+                    assert llr.shape == (sb.length, 0)  # a silent pair
+                    continue
                 ref = tin_llr_reference(y, user, sb.index, plan,
                                         max_log=max_log)
                 np.testing.assert_allclose(llr, ref, rtol=1e-12, atol=0)
@@ -272,13 +316,12 @@ class TestAgainstSymbolsFirstOracles:
     @settings(max_examples=25, deadline=None)
     @given(plan=TIN_PLANS)
     def test_sub_block_stats_match_oracle(self, plan):
-        for user, u in enumerate(plan.spec.users):
-            for sb in active_segments(plan, user):
-                parts = plan.parts(sb.index)
-                got, = sub_block_stats_table([(abs(u.h), parts, user)])
-                ref = sub_block_stats_reference(abs(u.h), parts, user)
-                assert abs(got.mi - ref.mi) <= 1e-14
-                assert abs(got.dispersion - ref.dispersion) <= 1e-14
+        for user, j in plan.segments:
+            g, parts = abs(plan.spec.users[user].h), plan.parts(j)
+            got, = sub_block_stats_table([receive_grids(g, parts, user)])
+            ref = sub_block_stats_reference(g, parts, user)
+            assert abs(got.mi - ref.mi) <= 1e-14
+            assert abs(got.dispersion - ref.dispersion) <= 1e-14
 
     @settings(max_examples=25, deadline=None)
     @given(plan=TIN_PLANS)
@@ -286,11 +329,12 @@ class TestAgainstSymbolsFirstOracles:
         # the plan's one table call against each active pair integrated on
         # its own, bit for bit; silent pairs read exactly 0
         for user, rate in enumerate(rates.compute_plan_rates(plan).users):
-            active = {sb.index for sb in active_segments(plan, user)}
             for j, got in enumerate(rate.stats):
+                active = (plan.layout.sub_blocks[j].length
+                          and plan.orders[user][j])
                 want = (sub_block_stats_per_key(
                     abs(plan.spec.users[user].h), plan.parts(j), user)
-                    if j in active else rates.ZERO_STATS)
+                    if active else rates.ZERO_STATS)
                 assert bits([got.mi, got.dispersion]) == bits(
                     [want.mi, want.dispersion])
 
@@ -304,7 +348,7 @@ class TestAgainstSymbolsFirstOracles:
         def results():
             return ([demap_frame(frame, k, plan, max_log=max_log)
                      for k in range(plan.spec.K) for max_log in (False, True)],
-                    sub_block_stats_table([(g, plan.parts(j), 1)
+                    sub_block_stats_table([receive_grids(g, plan.parts(j), 1)
                                            for j in (0, 1)]))
 
         whole = results()
@@ -343,30 +387,27 @@ class TestInformationDensities:
     @settings(max_examples=30, deadline=None)
     @given(plan=TIN_PLANS, seed=st.integers(0, 10 ** 6))
     def test_matches_per_call_grid_oracle(self, plan, seed):
-        # densities from a prebuilt demapper, from one built per call, and
-        # from both dimensions' grids built per call are bit-identical
+        # densities from the plan's segments and from both dimensions' grids
+        # built per call are bit-identical; a silent pair reads zeros
         frame = simulate_frame(plan, random_payloads(plan, seed), seed + 1)
         for user in range(plan.spec.K):
             for sb in plan.layout.sub_blocks[:user + 1]:
                 want = information_densities_reference(frame, user, sb.index,
                                                        plan)
-                demapper = segment_demapper(plan, user, sb.index)
-                for got in (information_densities(frame, user, sb.index, plan),
-                            information_densities(frame, user, sb.index, plan,
-                                                  demapper=demapper)):
-                    assert got.tobytes() == want.tobytes()
+                got = information_densities(frame, user, sb.index, plan)
+                assert got.tobytes() == want.tobytes()
 
-    def test_id_check_builds_each_segment_once(self, monkeypatch):
-        plan = urllc_plan(n1=16, n2=24)
-        built = []
-
-        def count_setup(plan, user, sub_block):
-            built.append((user, sub_block))
-            return segment_demapper(plan, user, sub_block)
-
-        monkeypatch.setattr(linksim, "segment_demapper", count_setup)
-        empirical_id_check(plan, 1, n_frames=5, seed=3)
-        assert built == [(1, 0), (1, 1)]
+    @pytest.mark.parametrize("orders, user, n_frames, message", [
+        ([[2], [4, 4]], 1, 0, "n_frames must be positive, got 0"),
+        ([[2], [4, 4]], 1, -3, "n_frames must be positive, got -3"),
+        ([[2], [0, 0]], 1, 5, "user 1 sends no bits"),
+    ], ids=["zero_frames", "negative_frames", "silent_user"])
+    def test_id_check_rejects_empty_sample(self, orders, user, n_frames,
+                                           message):
+        # a check over zero samples would pass vacuously
+        plan = assign_power(orders, urllc_plan(n1=16, n2=24).spec)
+        with pytest.raises(SimulationError, match=message):
+            empirical_id_check(plan, user, n_frames=n_frames, seed=1)
 
     def test_id_check_frames_follow_seed_policy(self, monkeypatch):
         # the frames are those `simulate` draws for the same seed

@@ -730,7 +730,8 @@ def test_kernel_table_matches_per_key_integration(system, cap):
              for sb in build_layout(spec).sub_blocks if sb.length
              for mv in feasible_rank_vectors(spec, sb, cap)
              for m, k in zip(mv, sb.ranks) if m]
-    table = rates.sub_block_stats_table(links)
+    table = rates.sub_block_stats_table(
+        [rates.receive_grids(*link) for link in links])
     assert len(table) == len(links)
     for got, link in zip(table, links):
         want = sub_block_stats_per_key(*link)
