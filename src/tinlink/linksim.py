@@ -121,7 +121,9 @@ def tin_llr(y: np.ndarray, user: int, sub_block: int, plan: SchemePlan, *,
         # ll is (levels, symbols), so each reduction over a half of the
         # levels is an elementwise pass over contiguous symbols
         ll = tin_loglik(coords[d], grid, max_log=max_log).T
-        per_half = reduce(ll[halves], axis=1)
+        # a 1-bit dimension has one level per half: nothing to reduce
+        per_half = (ll[halves[:, 0]] if halves.shape[1] == 1
+                    else reduce(ll[halves], axis=1))
         n_bits = halves.shape[0] // 2
         rows.append(per_half[:n_bits] - per_half[n_bits:])
     return np.concatenate(rows).T

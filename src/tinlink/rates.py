@@ -13,12 +13,14 @@ distinct receive grid once per call, and `linksim` takes its LLRs and
 information densities from it.  The table takes each link's receive grids:
 `compute_plan_rates` reads them from the plan's segments, which
 `scheme.assign_power` builds once per plan, and `scheme.design_search`
-builds them with `receive_grids`.  Likelihood sums go through log-sum-exp, so
-values stay finite for any amplitudes.
+builds each distinct one once by its `grid_key`.  `receive_grid` is the one
+grid formula, and `receive_grids` applies it in I and Q.  Likelihood sums
+go through log-sum-exp, so values stay finite for any amplitudes.
 
 One array combiner, `combine_second_order`, turns per-sub-block (I, V) into
-second-order rates over a leading batch axis: every design candidate at
-once (`second_order_rates`, with `compute_plan_rates` the one-row case) and
+second-order rates over a leading batch axis: design candidates one user
+at a time (`user_rates`; `second_order_rates` stacks every user, with
+`compute_plan_rates` the one-row case) and
 every benchmark power split at once (`bc_gaussian_rates`,
 `bc_shell_rates`).
 
@@ -291,25 +293,46 @@ def quadrature_mi_dispersion(desired, interferers, h, n_nodes: int = 64
 # Per-dimension TIN kernel
 # ---------------------------------------------------------------------------
 
+def grid_key(g: float, parts: Mapping, user: int, d: int) -> tuple:
+    """(g, own, others): what one user's receive grid in dimension d (0 for
+    I, 1 for Q) depends on, as `receive_grid` takes it.
+
+    own is the user's (bits, amplitude) in d and others the co-scheduled
+    users' (bits, amplitude) in d, in user order.
+    """
+    def dim(part):
+        return part[0][d], part[1 + d]
+
+    return g, dim(parts[user]), tuple(dim(p) for u, p in parts.items()
+                                      if u != user)
+
+
+def receive_grid(g: float, own: tuple[int, float],
+                 others: Sequence[tuple[int, float]]) -> np.ndarray:
+    """Noiseless receive points g (x + t) of one user in one dimension.
+
+    A (levels, interferer sums) array: rows x are the desired levels in
+    position order, the order `build_rect_qam` Gray-labels them in, and
+    columns t the sums of the other users' levels (a silent co-scheduled
+    user adds the single level 0).  own and others are (bits, amplitude)
+    pairs, as `grid_key` gives them.
+    """
+    def levels(bits, amp):
+        n = 1 << bits
+        return amp * (np.arange(n) - (n - 1) / 2)
+
+    return g * (levels(*own)[:, None]
+                + _combo_sums([levels(*p) for p in others])[None, :])
+
+
 def receive_grids(g: float, parts: Mapping, user: int) -> list[np.ndarray]:
-    """Noiseless receive points g (x + t) of one user in I, then in Q.
+    """One user's receive grids in I, then in Q, from `receive_grid`.
 
     parts maps every user co-scheduled in a sub-block to its (shape, amp_i,
     amp_q), as `SchemePlan.parts` and `scheme.sub_block_parts` give them,
-    and g is the user's |h|.  Each dimension's grid is a (levels,
-    interferer sums) array: rows x are the desired levels in position order,
-    the order `build_rect_qam` Gray-labels them in, and columns t the sums
-    of the other users' levels (a silent co-scheduled user adds the single
-    level 0).
+    and g is the user's |h|.
     """
-    def levels(part, d):
-        n = 1 << part[0][d]
-        return part[1 + d] * (np.arange(n) - (n - 1) / 2)
-
-    others = [p for u, p in parts.items() if u != user]
-    return [g * (levels(parts[user], d)[:, None]
-                 + _combo_sums([levels(p, d) for p in others])[None, :])
-            for d in (0, 1)]
+    return [receive_grid(*grid_key(g, parts, user, d)) for d in (0, 1)]
 
 
 def log_sum_exp(a: np.ndarray, axis: int) -> np.ndarray:
@@ -623,15 +646,23 @@ def sub_block_stats_table(links: Iterable[Sequence[np.ndarray]]
     return table
 
 
-def second_order_rates(spec, layout, mi, dispersion) -> np.ndarray:
-    """Every user's second-order rate for a batch of candidates, (n, K).
+def user_rates(spec, layout, k: int, mi, dispersion) -> np.ndarray:
+    """User k's second-order rate for a batch of candidates, (n,).
 
-    mi[k] and dispersion[k] are (n, k + 1) arrays of user k's (I, V) in each
-    sub-block up to its own, 0 where it is silent or the block is empty.
+    mi and dispersion are (n, k + 1) arrays of its (I, V) in each sub-block
+    up to its own, 0 where it is silent or the block is empty.
     """
-    return np.stack([combine_second_order(
-        [sb.length for sb in layout.sub_blocks[:k + 1]], mi[k], dispersion[k],
-        user.eps, user.N).rate for k, user in enumerate(spec.users)], axis=-1)
+    return combine_second_order(
+        [sb.length for sb in layout.sub_blocks[:k + 1]], mi, dispersion,
+        spec.users[k].eps, spec.users[k].N).rate
+
+
+def second_order_rates(spec, layout, mi, dispersion) -> np.ndarray:
+    """Every user's `user_rates` for a batch of candidates, (n, K);
+    mi[k] and dispersion[k] are user k's arrays."""
+    return np.stack([user_rates(spec, layout, k, m, v)
+                     for k, (m, v) in enumerate(zip(mi, dispersion))],
+                    axis=-1)
 
 
 def compute_plan_rates(plan) -> RateResult:

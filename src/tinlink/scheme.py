@@ -740,12 +740,18 @@ def design_search(spec: SystemSpec, weights: Sequence[float] | None = None, *,
     matrix is kept when all of its vectors pass).  Each sub-block keeps one
     row per kept vector: every user's order there, its (I, V) from one
     `rates.sub_block_stats_table` call, and the vector's least order_sum
-    slack.  A (sub-blocks, candidates) index, for a search the product grid
-    of the vector counts in `itertools.product` order, holds each
-    candidate's row in every sub-block, and every column is gathered
-    through it: one combiner pass gives all rates, no plan is built, and
-    the rows are sorted by descending weighted sum, ties broken by the
-    lexicographically smaller flat order matrix.
+    slack.  The table's links share their grids: each distinct multi-level
+    receive grid (`rates.grid_key`) is built once per call, and one-level
+    grids, whose density is 0, never.  A (sub-blocks, candidates) index,
+    for a search the product grid of the vector counts in
+    `itertools.product` order, holds each candidate's row in every
+    sub-block, and every column is gathered through it, so no plan is
+    built.  A Pareto-filtered search keeps `_chain_front` of the
+    candidates, which filters along the sub-block chain before its flat
+    pass: on three_user.json at cap 4, 245 of the 2,624 candidates reach
+    that pass.  One combiner pass per user gives the kept candidates'
+    rates, and the rows are sorted by descending weighted sum, ties broken
+    by the lexicographically smaller flat order matrix.
     """
     layout = build_layout(spec)
     if weights is None:
@@ -803,6 +809,8 @@ def design_search(spec: SystemSpec, weights: Sequence[float] | None = None, *,
     vector_orders = [np.zeros((len(v), spec.K), np.int64) for v in vectors]
     mi = [np.zeros((len(v), spec.K)) for v in vectors]
     dispersion = [np.zeros((len(v), spec.K)) for v in vectors]
+    # each link's multi-level grids, every distinct one built once
+    grids: dict[tuple, np.ndarray] = {}
     links, cells = [], []
     for sb, found in zip(layout.sub_blocks, vectors):
         for row, mv in enumerate(found):
@@ -810,25 +818,39 @@ def design_search(spec: SystemSpec, weights: Sequence[float] | None = None, *,
             parts = {u: by_rank[u] for u in sb.participants}
             vector_orders[sb.index][row, list(sb.ranks)] = mv
             for m, user in zip(mv, sb.ranks):
-                if sb.length and m:
-                    links.append((abs(spec.users[user].h), parts, user))
-                    cells.append((sb.index, row, user))
-    table = rates.sub_block_stats_table(
-        rates.receive_grids(*link) for link in links)
-    for (j, row, user), s in zip(cells, table):
+                if not (sb.length and m):
+                    continue
+                link = []
+                for d in (0, 1):
+                    key = rates.grid_key(abs(spec.users[user].h), parts,
+                                         user, d)
+                    if key[1][0]:  # a one-level grid has density 0
+                        if key not in grids:
+                            grids[key] = rates.receive_grid(*key)
+                        link.append(grids[key])
+                links.append(link)
+                cells.append((sb.index, row, user))
+    for (j, row, user), s in zip(cells, rates.sub_block_stats_table(links)):
         mi[j][row, user], dispersion[j][row, user] = s.mi, s.dispersion
+
+    def rates_of(k, index):
+        """User k's rates at the candidates whose rows index holds."""
+        return rates.user_rates(spec, layout, k, *[
+            np.stack([c[j][index[j], k] for j in range(k + 1)], axis=-1)
+            for c in (mi, dispersion)])
+
     # the all-silent order matrix carries no bits, so it is never a design
     silent = np.logical_and.reduce([~o.any(axis=1)[i]
                                     for o, i in zip(vector_orders, index)])
-    index = index[:, ~silent]
-
-    user_rates = rates.second_order_rates(spec, layout, *[
-        [np.stack([c[j][index[j], k] for j in range(k + 1)], axis=-1)
-         for k in range(spec.K)] for c in (mi, dispersion)])
     if pareto_only and orders is None:
-        keep = np.flatnonzero(_pareto_flags(
-            user_rates, [k for k in range(spec.K) if weights[k] > 0]))
-        index, user_rates = index[:, keep], user_rates[keep]
+        keep = _chain_front(lambda k, at: rates_of(k, index[:, at]),
+                            [len(v) for v in vectors], silent,
+                            [k for k in range(spec.K) if weights[k] > 0])
+    else:
+        keep = np.flatnonzero(~silent)
+    index = index[:, keep]
+    user_rates = np.stack([rates_of(k, index) for k in range(spec.K)],
+                          axis=-1)
 
     # flat[:, k(k+1)/2 + j] is user k's order in sub-block j; a candidate's
     # slack is the least of its sub-blocks' vector slacks
@@ -852,14 +874,78 @@ def design_search(spec: SystemSpec, weights: Sequence[float] | None = None, *,
         explanation=None if n else none_left)
 
 
+def _chain_front(rates_of, counts: Sequence[int], dropped,
+                 dims: Sequence[int]) -> np.ndarray:
+    """Positions of the Pareto front over `dims` of the candidates in
+    `itertools.product` order of one of counts[j] vectors per sub-block,
+    leaving out the dropped ones (the all-silent candidate).
+
+    rates_of(k, at) gives user k's rates at candidate positions `at` (an
+    index array or a slice), and user k's rate depends only on the vectors
+    of sub-blocks 0..k.  So each run of counts[-1] consecutive candidates
+    shares every rate but the last user's, and only its candidates with the
+    largest last rate can be on the front (all of them on a tie); the
+    dropped candidates count as -inf there and are removed afterwards.
+    Each run of counts[-2] * counts[-1] candidates shares every rate but the
+    last two users', so only its front over those two can be on the front
+    (`_pair_fronts`).  A level is skipped when none of its users is in
+    dims.  `_pareto_flags` then filters the survivors.
+    """
+    K = len(counts)
+    dropped = np.asarray(dropped, dtype=bool)
+    at = np.flatnonzero(~dropped)
+    if K - 1 in dims:
+        runs = np.where(dropped, -np.inf,
+                        rates_of(K - 1, slice(None))).reshape(-1, counts[-1])
+        at = np.flatnonzero((runs == runs.max(axis=1, keepdims=True)).ravel()
+                            & ~dropped)
+    if K > 1 and {K - 2, K - 1} & set(dims):
+        a, b = (rates_of(k, at) if k in dims else np.zeros(len(at))
+                for k in (K - 2, K - 1))
+        at = at[_pair_fronts(at // (counts[-2] * counts[-1]), a, b)]
+    flags = _pareto_flags(np.stack([rates_of(k, at) for k in dims], axis=-1),
+                          range(len(dims)))
+    return at[np.asarray(flags, dtype=bool)]
+
+
+def _pair_fronts(group, a, b) -> np.ndarray:
+    """Flags of the points that no point of their own group dominates in
+    (a, b): at least as large in both and larger in one.
+
+    Sorted by group, then descending a, then descending b, a point is
+    dominated exactly when an earlier point of its group with a larger a
+    has a b at least as large, or the first point of its run of equal a
+    has a larger b.  The b values are replaced by their ranks, offset by
+    group, so one running maximum serves every group.
+    """
+    order = np.lexsort((-b, -a, group))
+    group, a = group[order], a[order]
+    rank = np.unique(b, return_inverse=True)[1][order] + 1
+    base = group * (int(rank.max(initial=0)) + 1)
+    # base + the best rank of the group so far, at every point
+    best = np.maximum.accumulate(base + rank)
+    starts = np.ones(len(a), dtype=bool)
+    starts[1:] = (group[1:] != group[:-1]) | (a[1:] != a[:-1])
+    first = np.flatnonzero(starts)
+    run = np.cumsum(starts) - 1
+    # the best rank of the group before each run, <= 0 when there is none
+    prior = np.zeros(len(first), dtype=best.dtype)
+    prior[1:] = best[first[1:] - 1] - base[first[1:]]
+    dominated = (prior[run] >= rank) | (rank[first][run] > rank)
+    flags = np.empty(len(order), dtype=bool)
+    flags[order] = ~dominated
+    return flags
+
+
 def _pareto_flags(rate_tuples, dims) -> list[bool]:
     """Non-domination flags over the given rate dimensions: a point is
     flagged unless another point is at least as large in every dimension
     and larger in one, so equal points never dominate each other.
 
-    Points are visited in descending lexicographic order, in blocks of
-    `_PARETO_BLOCK` rows, so every point that dominates another is visited
-    before it or in the same block.  Dominance is transitive, so a point is
+    `design_search` runs it only on the survivors of `_chain_front`'s
+    levels.  Points are visited in descending lexicographic order, in
+    blocks of `_PARETO_BLOCK` rows, so every point that dominates another
+    is visited before it or in the same block.  Dominance is transitive, so a point is
     dominated exactly when a point of the front found so far or of its own
     block dominates it.  Each block is tested against both in one set of
     2-D comparisons, one dimension at a time, and its survivors join the

@@ -300,6 +300,20 @@ def tin_llr_reference(y, user, sub_block, plan, *, max_log=False):
     return np.stack(cols, axis=1) if cols else np.zeros((y.size, 0))
 
 
+def tin_llr_reduced_reference(y, segment, *, max_log=False):
+    """`linksim.tin_llr` on one segment with every half of the levels
+    reduced, also a half that holds one level: the form before 1-bit
+    dimensions took their one log-likelihood as it is."""
+    y = np.asarray(y, dtype=complex).ravel() * segment.rotation
+    reduce = np.max if max_log else rates.log_sum_exp
+    rows = []
+    for d, grid, halves in segment.dims:
+        ll = rates.tin_loglik((y.real, y.imag)[d], grid, max_log=max_log).T
+        per_half = reduce(ll[halves], axis=1)
+        rows.append(per_half[:len(halves) // 2] - per_half[len(halves) // 2:])
+    return np.concatenate(rows).T
+
+
 def bit_halves_reference(n_bits):
     """(2 n_bits, levels / 2) level positions: row b those whose Gray label
     bit b (most significant first) is 0, row n_bits + b those where it is 1,

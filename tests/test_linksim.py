@@ -46,6 +46,7 @@ from oracles import (
     simulate_rows_reference,
     sub_block_stats_per_key,
     sub_block_stats_reference,
+    tin_llr_reduced_reference,
     tin_llr_reference,
     write_csv_reference,
 )
@@ -312,6 +313,22 @@ class TestAgainstSymbolsFirstOracles:
             framed = demap_frame(frame, user, plan, max_log=max_log)
             assert np.array_equal(framed, np.concatenate(got) if got
                                   else np.zeros(0))
+
+    @settings(max_examples=30, deadline=None)
+    @given(plan=TIN_PLANS, seed=st.integers(0, 2 ** 32 - 1),
+           scale=st.sampled_from([0.0, 1.0, 3.5]), max_log=st.booleans())
+    def test_one_level_halves_match_reduction(self, plan, seed, scale,
+                                              max_log):
+        # a 1-bit dimension's halves hold one level each; taking its
+        # log-likelihood as it is must equal the one-element reduction bit
+        # for bit, at zero, unit and 3.5 times the unit noise
+        frame = simulate_frame(plan, random_payloads(plan, seed), seed + 1)
+        for (user, j), segment in plan.segments.items():
+            sb, h = segment.sub_block, plan.spec.users[user].h
+            clean = h * frame.x[sb.start:sb.stop]
+            y = clean + scale * (frame.y[user][sb.start:sb.stop] - clean)
+            assert bits(tin_llr(y, user, j, plan, max_log=max_log)) == bits(
+                tin_llr_reduced_reference(y, segment, max_log=max_log))
 
     @settings(max_examples=25, deadline=None)
     @given(plan=TIN_PLANS)

@@ -28,6 +28,8 @@ from tinlink.scheme import (
     codeword_lengths,
     design_search,
     map_bits,
+    _chain_front,
+    _pair_fronts,
     _pareto_flags,
     part_shapes,
     plan_from_dict,
@@ -655,24 +657,67 @@ class TestParetoFilter:
         assert flags == pareto_all_pairs(rows, dims)
         assert flags == pareto_front_loop_reference(rows, dims)
 
-    def test_three_user_flags_match_all_pairs(self, monkeypatch):
-        """The filter's input in the bundled three_user.json design: all
-        12,635 candidates' rates."""
-        seen = []
-        blocked = scheme._pareto_flags
+    @settings(max_examples=150, deadline=None)
+    @given(counts=st.lists(st.integers(1, 4), min_size=1, max_size=4),
+           seed=st.integers(0, 2 ** 32 - 1), n_free=st.integers(0, 6),
+           data=st.data())
+    def test_chain_front_matches_all_pairs(self, counts, seed, n_free, data):
+        """Candidates in product order of counts[j] vectors per sub-block,
+        user k's rate a function of the vectors of sub-blocks 0..k only:
+        the nested filter returns exactly the positions of the all-pairs
+        front of the candidates it does not drop, for any positive-weight
+        users (the last one's weight 0 too) and with or without a dropped
+        row, whatever that row's rates."""
+        rng = np.random.default_rng(seed)
+        pool = np.concatenate([[-np.inf, np.inf, -0.0, 0.0, 0.5, 1.0],
+                               rng.uniform(-2.0, 2.0, n_free)])
+        K, n = len(counts), math.prod(counts)
+        rate_rows = np.stack([
+            np.broadcast_to(rng.choice(pool, counts[:k + 1]).reshape(
+                counts[:k + 1] + [1] * (K - k - 1)), counts).ravel()
+            for k in range(K)], axis=-1)
+        dims = sorted(data.draw(st.sets(st.integers(0, K - 1), min_size=1)))
+        dropped = np.zeros(n, dtype=bool)
+        drop = data.draw(st.one_of(st.none(), st.just(0),
+                                   st.integers(0, n - 1)))
+        if drop is not None:
+            dropped[drop] = True
+        got = _chain_front(lambda k, at: rate_rows[at, k], counts, dropped,
+                           dims)
+        kept = np.flatnonzero(~dropped)
+        for oracle in (pareto_all_pairs, pareto_front_loop_reference):
+            flags = np.array(oracle(rate_rows[kept], dims), dtype=bool)
+            assert got.tolist() == kept[flags].tolist()
 
-        def recording(rate_tuples, dims):
-            flags = blocked(rate_tuples, dims)
-            seen.append((rate_tuples, dims, flags))
-            return flags
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(0, 150), n_groups=st.integers(1, 6),
+           seed=st.integers(0, 2 ** 32 - 1), n_free=st.integers(0, 8))
+    def test_pair_fronts_match_all_pairs(self, n, n_groups, seed, n_free):
+        """Each point is flagged exactly when it is on the all-pairs front
+        of its own group, with groups in any order, ties, infinities and
+        signed zeros."""
+        rng = np.random.default_rng(seed)
+        pool = np.concatenate([[-np.inf, np.inf, -0.0, 0.0, 0.5, 1.0],
+                               rng.uniform(-2.0, 2.0, n_free)])
+        group = rng.integers(0, n_groups, n)
+        points = rng.choice(pool, size=(n, 2))
+        flags = _pair_fronts(group, points[:, 0], points[:, 1])
+        for g in range(n_groups):
+            mine = group == g
+            assert flags[mine].tolist() == pareto_all_pairs(points[mine],
+                                                            [0, 1])
 
-        monkeypatch.setattr(scheme, "_pareto_flags", recording)
+    def test_three_user_flags_match_all_pairs(self):
+        """The bundled three_user.json design keeps exactly the all-pairs
+        front of all 12,635 candidates' rates, every column bit for bit."""
         spec = SystemSpec.from_dict(json.loads(
             (ROOT / "configs" / "three_user.json").read_text())["system"])
-        design_search(spec, max_sub_block_order=6)
-        [(rate_tuples, dims, flags)] = seen
-        assert len(rate_tuples) == 12_635 and list(dims) == [0, 1, 2]
-        assert flags == pareto_all_pairs(rate_tuples, dims)
+        full = design_search(spec, max_sub_block_order=6, pareto_only=False)
+        assert len(full) == 12_635
+        flags = np.array(pareto_all_pairs(full.rates, [0, 1, 2]), dtype=bool)
+        front = design_search(spec, max_sub_block_order=6)
+        assert len(front) == flags.sum() > 0
+        assert columns(front) == columns(full, flags)
 
 
 def columns(result, rows=slice(None)):
@@ -697,6 +742,7 @@ FOUR_USER = {"P": 1.0, "users": [
     pytest.param("three_user", 4, True, id="4-True"),
     pytest.param("three_user", 6, True, id="6-True"),
     pytest.param("three_user", 4, False, id="4-False"),
+    pytest.param(FOUR_USER, 3, True, id="four_user-3-True"),
     pytest.param(FOUR_USER, 3, False, id="four_user-3-False")])
 def test_three_user_search_matches_list_built_search(system, cap,
                                                      pareto_only):
@@ -742,6 +788,35 @@ def test_kernel_table_matches_per_key_integration(system, cap):
     assert one_level
     for grid in one_level.values():
         assert bits(rates.dimension_stats(grid)) == bits([0.0, 0.0])
+
+
+def test_search_builds_each_grid_once(monkeypatch):
+    """The three_user.json search at cap 4 builds each distinct receive grid
+    once and never a one-level one: 46 grids for its 84 links, whose 129
+    multi-level grids all reach the kernel table."""
+    built, tables = [], []
+    build, table = rates.receive_grid, rates.sub_block_stats_table
+
+    def counting_build(*key):
+        grid = build(*key)
+        built.append((key, grid.shape[0]))
+        return grid
+
+    def recording_table(links):
+        links = list(links)
+        tables.append(links)
+        return table(links)
+
+    monkeypatch.setattr(rates, "receive_grid", counting_build)
+    monkeypatch.setattr(rates, "sub_block_stats_table", recording_table)
+    spec = SystemSpec.from_dict(json.loads(
+        (ROOT / "configs" / "three_user.json").read_text())["system"])
+    design_search(spec, max_sub_block_order=4)
+    keys = [key for key, _ in built]
+    assert len(keys) == len(set(keys)) == 46
+    assert min(levels for _, levels in built) > 1
+    [links] = tables
+    assert len(links) == 84 and sum(map(len, links)) == 129
 
 
 @pytest.mark.parametrize("system", [
