@@ -25,12 +25,9 @@ from .rates import (
     SubBlockRateStats,
     compute_plan_rates,
     estimate_mi_dispersion,
-    gaussian_benchmark,
     qfunc,
     qfunc_inv,
     quadrature_mi_dispersion,
-    second_order_rate,
-    shell_benchmark,
 )
 from .linksim import (
     ReceivedFrame,
@@ -77,12 +74,9 @@ __all__ = [
     "SubBlockRateStats",
     "compute_plan_rates",
     "estimate_mi_dispersion",
-    "gaussian_benchmark",
     "qfunc",
     "qfunc_inv",
     "quadrature_mi_dispersion",
-    "second_order_rate",
-    "shell_benchmark",
     "ReceivedFrame",
     "SimulationError",
     "demap_frame",

@@ -439,9 +439,11 @@ def _random_spec(rng) -> scheme.SystemSpec:
 
 
 def _random_feasible_plan(spec, rng):
+    sub_blocks = scheme.build_layout(spec).sub_blocks
     for _ in range(40):
-        orders = [[int(rng.integers(0, 5)) for _ in range(k + 1)]
-                  for k in range(spec.K)]
+        # orders in an empty sub-block must be 0 (their draw is still taken)
+        orders = [[int(rng.integers(0, 5)) * (sb.length > 0)
+                   for sb in sub_blocks[:k + 1]] for k in range(spec.K)]
         if any(m > 0 for row in orders for m in row):
             try:
                 return scheme.assign_power(orders, spec)
@@ -454,8 +456,6 @@ def _accounting_ok(plan, tol: float = 1e-9) -> bool:
     """Per-sub-block powers sum to the budget wherever anyone transmits."""
     spec = plan.spec
     for sb in plan.layout.sub_blocks:
-        if sb.length == 0:
-            continue
         total = sum(plan.entries[(u, sb.index)].power for u in sb.participants)
         active = any(plan.entries[(u, sb.index)].order > 0
                      for u in sb.participants)

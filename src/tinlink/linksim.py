@@ -20,10 +20,8 @@ which `scheme.assign_power` builds once per plan.
 """
 from __future__ import annotations
 
-import os
-import struct
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -227,102 +225,3 @@ def empirical_id_check(plan: SchemePlan, user: int, n_frames: int, seed: int,
             ok=bool(mi_sigma <= sigma_limit and v_sigma <= sigma_limit)))
     return tuple(rows)
 
-
-# ---------------------------------------------------------------------------
-# Interleaver hook and frame dumps
-# ---------------------------------------------------------------------------
-
-def random_interleaver(n: int, seed: int) -> np.ndarray:
-    """Seedable uniform random permutation for bit interleaving."""
-    return np.random.default_rng(seed).permutation(n)
-
-
-def interleave(bits, permutation: np.ndarray) -> np.ndarray:
-    bits = np.asarray(bits)
-    out = np.empty_like(bits)
-    out[permutation] = bits
-    return out
-
-
-def deinterleave(bits, permutation: np.ndarray) -> np.ndarray:
-    return np.asarray(bits)[permutation]
-
-
-_DUMP_MAGIC = b"TINLNKD1"
-
-
-def dump_frames(path, records: Sequence[tuple[np.ndarray, np.ndarray,
-                                              np.ndarray, np.ndarray]]) -> None:
-    """Write (bits, symbols, y, llrs) records for external decoder runs.
-
-    Layout (all little-endian): 8-byte magic, uint64 record count; per record
-    four uint64 lengths (bits, symbols, y, llrs) followed by the payloads as
-    float64 arrays: bits as 0.0/1.0, complex vectors as interleaved re/im
-    pairs, LLRs flattened symbol-major.
-    """
-    with open(path, "wb") as fh:
-        fh.write(_DUMP_MAGIC)
-        fh.write(struct.pack("<Q", len(records)))
-        for bits, symbols, y, llrs in records:
-            bits = np.asarray(bits, dtype=np.float64).ravel()
-            sym = np.asarray(symbols, dtype=complex).ravel()
-            yv = np.asarray(y, dtype=complex).ravel()
-            ll = np.asarray(llrs, dtype=np.float64).ravel()
-            fh.write(struct.pack("<4Q", bits.size, sym.size, yv.size, ll.size))
-            bits.astype("<f8").tofile(fh)
-            _complex_to_file(sym, fh)
-            _complex_to_file(yv, fh)
-            ll.astype("<f8").tofile(fh)
-
-
-def _complex_to_file(arr: np.ndarray, fh) -> None:
-    inter = np.empty(2 * arr.size, dtype="<f8")
-    inter[0::2] = arr.real
-    inter[1::2] = arr.imag
-    inter.tofile(fh)
-
-
-def load_frame_dump(path) -> list[tuple[np.ndarray, np.ndarray,
-                                        np.ndarray, np.ndarray]]:
-    """Read back a dump_frames file.
-
-    Raises SimulationError unless the file holds exactly the records its
-    header announces: a short header, a short payload and bytes after the
-    last record are all rejected.
-    """
-    with open(path, "rb") as fh:
-        end = os.fstat(fh.fileno()).st_size
-        if fh.read(8) != _DUMP_MAGIC:
-            raise SimulationError("not a frame dump file")
-        (count,) = _read_header(fh, "<Q")
-        records = []
-        for _ in range(count):
-            nb, ns, ny, nl = _read_header(fh, "<4Q")
-            bits = _read_floats(fh, nb, end).astype(np.int64)
-            sym = _complex_from_file(fh, ns, end)
-            yv = _complex_from_file(fh, ny, end)
-            ll = _read_floats(fh, nl, end)
-            records.append((bits, sym, yv, ll))
-        if fh.tell() != end:
-            raise SimulationError(
-                f"frame dump has {end - fh.tell()} bytes after its "
-                f"{count} records")
-    return records
-
-
-def _read_header(fh, fmt: str) -> tuple[int, ...]:
-    raw = fh.read(struct.calcsize(fmt))
-    if len(raw) != struct.calcsize(fmt):
-        raise SimulationError("frame dump header is truncated")
-    return struct.unpack(fmt, raw)
-
-
-def _read_floats(fh, n: int, end: int) -> np.ndarray:
-    if 8 * n > end - fh.tell():
-        raise SimulationError("frame dump payload is truncated")
-    return np.fromfile(fh, dtype="<f8", count=n)
-
-
-def _complex_from_file(fh, n: int, end: int) -> np.ndarray:
-    raw = _read_floats(fh, 2 * n, end)
-    return raw[0::2] + 1j * raw[1::2]

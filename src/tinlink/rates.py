@@ -430,14 +430,6 @@ def combine_second_order(lengths, mis, dispersions, eps: float,
     return SecondOrderRate(rate, first / n_total, penalty / n_total, rate <= 0.0)
 
 
-def second_order_rate(lengths, stats: Sequence[SubBlockRateStats], eps: float,
-                      n_total: int) -> SecondOrderRate:
-    """Second-order rate for one user from its per-sub-block statistics."""
-    return combine_second_order(
-        lengths, [s.mi for s in stats], [s.dispersion for s in stats],
-        eps, n_total)
-
-
 def berry_esseen_diagnostic(lengths, stats: Sequence[SubBlockRateStats],
                             n_total: int, c0: float = 0.5600) -> float:
     """Berry-Esseen constant of the length-weighted density sum (diagnostic).
@@ -495,18 +487,6 @@ def shell_stats(p_eff):
     # which differs in the last bit on some inputs
     v = LOG2E ** 2 * p_eff * (p_eff + 2.0) / np.float_power(p_eff + 1.0, 2)
     return mi[()], v[()]
-
-
-def gaussian_benchmark(sinrs, lengths, eps: float, n_total: int) -> SecondOrderRate:
-    """Second-order rate of Gaussian codes over heterogeneous sub-blocks."""
-    mis, vs = zip(*(gaussian_stats(g) for g in sinrs))
-    return combine_second_order(lengths, mis, vs, eps, n_total)
-
-
-def shell_benchmark(p_eff: float, n: int, eps: float) -> SecondOrderRate:
-    """Second-order rate of shell codes on an interference-free link."""
-    mi, v = shell_stats(p_eff)
-    return combine_second_order([n], [mi], [v], eps, n)
 
 
 def sinr(signal_power: float, interference_power: float) -> float:

@@ -237,7 +237,11 @@ class FeasibilityReport:
         return tuple(r for r in self.rows if not r.passed)
 
 
-def _normalize_orders(orders, K: int) -> tuple[tuple[int, ...], ...]:
+def _normalize_orders(orders, layout: SubBlockLayout
+                      ) -> tuple[tuple[int, ...], ...]:
+    """The order matrix as int tuples; SpecError unless every order is a
+    non-negative integer, and 0 in an empty sub-block."""
+    K = len(layout.sub_blocks)
     try:
         if len(orders) != K:
             raise SpecError(f"orders must have {K} rows")
@@ -250,6 +254,10 @@ def _normalize_orders(orders, K: int) -> tuple[tuple[int, ...], ...]:
             raise SpecError(f"orders row {k} must have {k + 1} entries")
         if any(m < 0 for m in row):
             raise SpecError("modulation orders must be non-negative")
+        for sb, m in zip(layout.sub_blocks, row):
+            if m and not sb.length:
+                raise SpecError(f"user {k + 1} has order {m} in sub-block "
+                                f"{sb.index + 1}, which holds no symbols")
     return tuple(raw)
 
 
@@ -288,31 +296,34 @@ def sub_block_parts(mv: Sequence[int], P: float
             for shape, (fi, fq) in zip(shapes, factors)]
 
 
-def _sub_block_rows(mv: Sequence[int], ranks: Sequence[int], sub_block: int,
+def _sub_block_rows(mv: Sequence[int], sb: SubBlock,
                     spec: SystemSpec) -> list[ConstraintRow]:
-    """Feasibility rows for one sub-block's rank-ordered order vector."""
+    """Feasibility rows for one sub-block's rank-ordered order vector; an
+    empty sub-block sends nothing and has none."""
+    if not sb.length:
+        return []
     rows = []
     S = spec.P
     total = sum(mv)
-    for i, user in enumerate(ranks):
+    for i, user in enumerate(sb.ranks):
         suffix = sum(mv[i:])
         snr6 = 6.0 * S * abs(spec.users[user].h) ** 2
         arg = 1.0 + snr6 if i == 0 else snr6
         rhs = math.floor(math.log2(arg)) if arg > 0 else -math.inf
         passed = suffix == 0 or suffix <= rhs
         rows.append(ConstraintRow(
-            kind="order_sum", sub_block=sub_block, rank=i, user=user,
+            kind="order_sum", sub_block=sb.index, rank=i, user=user,
             lhs=float(suffix), rhs=float(rhs), slack=float(rhs - suffix),
             passed=passed))
     if total >= 1:
         shapes, factors, eta = sub_block_geometry(mv)
         eta_sq = eta * eta
-        d_sup = eta_sq * S * abs(spec.users[ranks[0]].h) ** 2
+        d_sup = eta_sq * S * abs(spec.users[sb.ranks[0]].h) ** 2
         rows.append(ConstraintRow(
-            kind="superimposed_distance", sub_block=sub_block, rank=0,
-            user=ranks[0], lhs=d_sup, rhs=1.0, slack=d_sup - 1.0,
+            kind="superimposed_distance", sub_block=sb.index, rank=0,
+            user=sb.ranks[0], lhs=d_sup, rhs=1.0, slack=d_sup - 1.0,
             passed=d_sup >= 1.0 - DMIN_TOL))
-        for i, user in enumerate(ranks):
+        for i, user in enumerate(sb.ranks):
             if mv[i] == 0:
                 continue
             a, b = shapes[i]
@@ -321,7 +332,7 @@ def _sub_block_rows(mv: Sequence[int], ranks: Sequence[int], sub_block: int,
                 [fq * fq] if a == 0 else [fi * fi, fq * fq])
             d_ind = eta_sq * S * abs(spec.users[user].h) ** 2 * min(active)
             rows.append(ConstraintRow(
-                kind="min_distance", sub_block=sub_block, rank=i, user=user,
+                kind="min_distance", sub_block=sb.index, rank=i, user=user,
                 lhs=d_ind, rhs=1.0, slack=d_ind - 1.0,
                 passed=d_ind >= 1.0 - DMIN_TOL))
     return rows
@@ -340,13 +351,11 @@ def check_modulation_constraints(orders, spec: SystemSpec,
     for odd splits; a plan is feasible when every row passes.
     """
     layout = layout or build_layout(spec)
-    orders = _normalize_orders(orders, spec.K)
+    orders = _normalize_orders(orders, layout)
     rows: list[ConstraintRow] = []
     for sb in layout.sub_blocks:
-        if sb.length == 0:
-            continue
         mv = [orders[u][sb.index] for u in sb.ranks]
-        rows.extend(_sub_block_rows(mv, sb.ranks, sb.index, spec))
+        rows.extend(_sub_block_rows(mv, sb, spec))
     return FeasibilityReport(rows=tuple(rows),
                              feasible=all(r.passed for r in rows))
 
@@ -401,8 +410,8 @@ class Segment:
 class SchemePlan:
     """Validated transmission plan for one system spec.
 
-    segments maps every (user, sub-block) pair with a non-empty sub-block and
-    a non-zero order to its `Segment`, in frame order (user, then sub-block).
+    segments maps every (user, sub-block) pair with a non-zero order to its
+    `Segment`, in frame order (user, then sub-block).
     """
 
     spec: SystemSpec
@@ -510,7 +519,7 @@ def assign_power(orders, spec: SystemSpec, *,
     stronger ranks, whenever the stacking is evenly balanced.
     """
     layout = build_layout(spec)
-    orders = _normalize_orders(orders, spec.K)
+    orders = _normalize_orders(orders, layout)
     if check:
         report = check_modulation_constraints(orders, spec, layout)
         if not report.feasible:
@@ -541,7 +550,7 @@ def assign_power(orders, spec: SystemSpec, *,
     plan.segments.update(((k, sb.index), build_segment(plan, k, sb.index))
                          for k in range(spec.K)
                          for sb in layout.sub_blocks[:k + 1]
-                         if sb.length and orders[k][sb.index])
+                         if orders[k][sb.index])
     return plan
 
 
@@ -584,7 +593,7 @@ def verify_min_distances(plan: SchemePlan) -> tuple[MinDistanceRow, ...]:
     users = plan.spec.users
     rows = []
     for sb in plan.layout.sub_blocks:
-        if sb.length == 0 or plan.sub_block_power[sb.index] == 0:
+        if plan.sub_block_power[sb.index] == 0:
             continue
         root = plan.eta[sb.index] * math.sqrt(plan.sub_block_power[sb.index])
         strongest = sb.ranks[0]
@@ -614,14 +623,14 @@ def verify_min_distances(plan: SchemePlan) -> tuple[MinDistanceRow, ...]:
 
 def codeword_lengths(orders, layout: SubBlockLayout) -> tuple[int, ...]:
     """n_k = sum over sub-blocks of (sub-block length) * (order there)."""
-    orders = _normalize_orders(orders, len(layout.sub_blocks))
+    orders = _normalize_orders(orders, layout)
     return tuple(sum(sb.length * row[sb.index]
                      for sb in layout.sub_blocks[:k + 1])
                  for k, row in enumerate(orders))
 
 
 def map_bits(bits, user: int, plan: SchemePlan) -> np.ndarray:
-    """Map a user's interleaved codeword onto its unit-energy symbol vector.
+    """Map a user's codeword onto its unit-energy symbol vector.
 
     Consecutive groups of m_{k,j} bits (most significant first) select points
     of the sub-block-j constellation by Gray label; the output has one
@@ -637,8 +646,6 @@ def map_bits(bits, user: int, plan: SchemePlan) -> np.ndarray:
     for sb in plan.layout.sub_blocks[:user + 1]:
         entry = plan.entries[(user, sb.index)]
         m = entry.order
-        if sb.length == 0:
-            continue
         if m == 0:
             segments.append(np.zeros(sb.length, dtype=complex))
             continue
@@ -713,8 +720,8 @@ def _vector_slack(sb: SubBlock, mv: tuple[int, ...],
                   spec: SystemSpec) -> float | None:
     """The least order_sum row slack of rank-order vector mv in sub-block
     sb, None if one of its feasibility rows fails; an empty sub-block has no
-    rows, so every vector passes there at slack inf."""
-    rows = _sub_block_rows(mv, sb.ranks, sb.index, spec) if sb.length else []
+    rows, so its one vector, all zeros, passes there at slack inf."""
+    rows = _sub_block_rows(mv, sb, spec)
     if not all(r.passed for r in rows):
         return None
     return min((r.slack for r in rows if r.kind == "order_sum"),
@@ -774,7 +781,7 @@ def design_search(spec: SystemSpec, weights: Sequence[float] | None = None, *,
                             f"matrices, got {orders!r}")
         listed = [[tuple(o[u][sb.index] for u in sb.ranks)
                    for sb in layout.sub_blocks]
-                  for o in (_normalize_orders(o, spec.K) for o in orders)]
+                  for o in (_normalize_orders(o, layout) for o in orders)]
         # decide each distinct (sub-block, vector) once, in listed order
         slack_of = {(j, mv): _vector_slack(layout.sub_blocks[j], mv, spec)
                     for j, mv in dict.fromkeys(
@@ -818,7 +825,7 @@ def design_search(spec: SystemSpec, weights: Sequence[float] | None = None, *,
             parts = {u: by_rank[u] for u in sb.participants}
             vector_orders[sb.index][row, list(sb.ranks)] = mv
             for m, user in zip(mv, sb.ranks):
-                if not (sb.length and m):
+                if not m:
                     continue
                 link = []
                 for d in (0, 1):

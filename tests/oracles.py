@@ -23,7 +23,10 @@ separate check of the search's own feasibility pass.  The blocked filter,
 the array candidate index and the gathered columns must give the same flags
 and rows, in the same order.  `sub_block_stats_per_key` integrates both
 dimensions of one (I, V) key, as the kernel table did before it integrated
-each distinct grid once per call; the table must match it bit for bit.
+each distinct grid once per call; the table must match it bit for bit.  It
+and `information_densities_reference` build their grids from the level
+enumeration `dimension_levels_reference`, not from `rates.receive_grids`,
+so the grid formula is checked too.
 
 `rate_single_block` and `rate_two_segment` are the closed forms that the
 one combiner, `rates.combine_second_order`, reduces to.  `quadrature_mi`
@@ -56,7 +59,6 @@ from tinlink.rates import (
     _lse_over_alts,
     dimension_densities,
     qfunc_inv,
-    receive_grids,
 )
 
 
@@ -352,10 +354,12 @@ def block_parts(spec, sub_block, mv):
 
 
 def sub_block_stats_per_key(g, parts, user):
-    """(I, V) of one key from `rates.dimension_stats` on both of its grids:
-    no grid shared with another key and no one-level dimension skipped."""
+    """(I, V) of one key from `rates.dimension_stats` on both of its grids,
+    built from `dimension_levels_reference`: no grid shared with another key
+    and no one-level dimension skipped."""
     mi = dispersion = 0.0
-    for grid in receive_grids(g, parts, user):
+    for levels, sums in dimension_levels_reference(parts, user):
+        grid = g * (levels[:, None] + sums[None, :])
         first, var = rates.dimension_stats(grid)
         mi += first
         dispersion += var
@@ -425,15 +429,17 @@ def simulate_rows_reference(plan, n_frames, seed, samples, bid):
 
 def information_densities_reference(frame, user, sub_block, plan):
     """Per-symbol densities with both dimensions' receive grids built for
-    the call, a one-level dimension included."""
+    the call from `dimension_levels_reference`, a one-level dimension
+    included."""
     h = plan.spec.users[user].h
     sb = plan.layout.sub_blocks[sub_block]
     y = frame.y[user][sb.start:sb.stop] * (np.conj(h) / abs(h))
     sent = frame.symbols[user][sb.start:sb.stop]
     dens = np.zeros(sent.size)
-    for yd, unit, grid in zip((y.real, y.imag), (sent.real, sent.imag),
-                              receive_grids(abs(h), plan.parts(sub_block),
-                                            user)):
+    for yd, unit, (levels, sums) in zip(
+            (y.real, y.imag), (sent.real, sent.imag),
+            dimension_levels_reference(plan.parts(sub_block), user)):
+        grid = abs(h) * (levels[:, None] + sums[None, :])
         idx = np.rint(unit + (grid.shape[0] - 1) / 2).astype(np.int64)
         dens += dimension_densities(yd, grid, idx)
     return dens

@@ -17,10 +17,10 @@ from tinlink.linksim import (
     simulate_frame,
 )
 from tinlink.rates import (
+    combine_second_order,
     estimate_mi_dispersion,
     gaussian_stats,
     quadrature_mi_dispersion,
-    second_order_rate,
     shell_stats,
     compute_plan_rates,
 )
@@ -95,10 +95,13 @@ def test_criterion_4_reduction_identities():
     pts_weak = scale(build_gray_qam(4), normalization_factor(4)).points
     s1 = estimate_mi_dispersion(pts_strong, [pts_weak], H1, 20_000, 99)
     s2 = estimate_mi_dispersion(pts_weak, [], H2, 20_000, 99)
-    general_two = second_order_rate([128, 128], [s1, s2], 1e-4, 256).rate
+    general_two = combine_second_order(
+        [128, 128], [s1.mi, s2.mi], [s1.dispersion, s2.dispersion], 1e-4,
+        256).rate
     closed_two = rate_two_segment(128, s1, 128, s2, 1e-4, 256)
     rel_a = abs(general_two - closed_two) / abs(closed_two)
-    general_one = second_order_rate([128], [s1], 1e-6, 128).rate
+    general_one = combine_second_order([128], [s1.mi], [s1.dispersion], 1e-6,
+                                       128).rate
     closed_one = rate_single_block(s1.mi, s1.dispersion, 128, 1e-6)
     rel_b = abs(general_one - closed_one) / abs(closed_one)
     # equal blocklengths collapse the two-segment form to the single block
@@ -182,8 +185,9 @@ def _random_feasible_case(rng):
             continue
         layout_lengths = np.diff(np.r_[0, lengths])
         for _ in range(60):
-            orders = [[int(rng.integers(0, 5)) for _ in range(i + 1)]
-                      for i in range(k)]
+            # an empty sub-block takes order 0 after its draw
+            orders = [[int(rng.integers(0, 5)) * int(layout_lengths[j] > 0)
+                       for j in range(i + 1)] for i in range(k)]
             active = all(
                 any(orders[u][j] > 0 for u in range(j, k))
                 for j in range(k) if layout_lengths[j] > 0)

@@ -609,6 +609,51 @@ class TestConfigHandling:
 ROOT = Path(__file__).resolve().parent.parent
 
 
+class TestEmptySubBlockOrders:
+    """An order in the empty sub-block 2 of two_user_equal_blocklength.json
+    exits 2 with a message naming the user and the sub-block.  Design kept
+    [[2], [2, 9]] as a 9-bit design, stopped [[2], [2, 17]] on its
+    cumulative order and exited 3 on [[8], [8, 17]] without a reason;
+    simulate and a validate plan file took such orders as they were."""
+
+    SYSTEM = json.loads((ROOT / "configs" / "two_user_equal_blocklength.json"
+                         ).read_text())["system"]
+
+    def assert_rejected(self, capsys, order):
+        err = capsys.readouterr().err
+        assert f"user 2 has order {order} in sub-block 2, " in err
+
+    @pytest.mark.parametrize("orders", [
+        [[2], [2, 9]], [[2], [2, 17]], [[8], [8, 17]]],
+        ids=["2|2,9", "2|2,17", "8|8,17"])
+    def test_design_orders_exit_2(self, tmp_path, capsys, orders):
+        cfg = write_config(tmp_path, system=self.SYSTEM,
+                           design={"orders": [orders]})
+        assert main(["design", "--config", str(cfg),
+                     "--out", str(tmp_path / "d.csv")]) == EXIT_BAD_CONFIG
+        self.assert_rejected(capsys, orders[1][1])
+
+    def test_simulate_orders_exit_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, system=self.SYSTEM, simulate={
+            "orders": [[2], [2, 9]], "n_frames": 1})
+        out = tmp_path / "sim.csv"
+        assert main(["simulate", "--config", str(cfg),
+                     "--out", str(out)]) == EXIT_BAD_CONFIG
+        self.assert_rejected(capsys, 9)
+        assert not out.exists()
+
+    def test_validate_plan_exit_2(self, tmp_path, capsys):
+        data = scheme.assign_power([[2], [2, 0]],
+                                   SystemSpec.from_dict(self.SYSTEM)).to_dict()
+        data["orders"] = [[2], [2, 9]]
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps(data))
+        cfg = write_config(tmp_path, system=self.SYSTEM,
+                           validate={"plan": str(plan)})
+        assert main(["validate", "--config", str(cfg)]) == EXIT_BAD_CONFIG
+        self.assert_rejected(capsys, 9)
+
+
 # ---------------------------------------------------------------------------
 # CSV line path against the per-cell csv.writer oracle
 # ---------------------------------------------------------------------------

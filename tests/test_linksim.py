@@ -1,4 +1,4 @@
-"""Channel simulation, exact TIN LLRs, density checks, interleaver, dumps."""
+"""Channel simulation, exact TIN LLRs and density checks."""
 import cmath
 import itertools
 import json
@@ -15,15 +15,10 @@ from scipy.special import logsumexp
 from tinlink import cli, linksim, rates
 from tinlink.linksim import (
     SimulationError,
-    deinterleave,
     demap_frame,
-    dump_frames,
     empirical_id_check,
     hard_bits,
     information_densities,
-    interleave,
-    load_frame_dump,
-    random_interleaver,
     random_payloads,
     simulate_frame,
     tin_llr,
@@ -33,6 +28,7 @@ from tinlink.scheme import (
     SystemSpec,
     UserSpec,
     assign_power,
+    build_layout,
     check_modulation_constraints,
     map_bits,
 )
@@ -72,8 +68,10 @@ def feasible_plans(draw):
         draw(st.floats(1.0, 10.0)),
         [UserSpec(n, draw(st.floats(1e-7, 0.4)), g * cmath.exp(1j * a))
          for n, g, a in zip(lengths, gains, phases)])
-    orders = [draw(st.lists(st.integers(0, 3), min_size=i + 1,
-                            max_size=i + 1)) for i in range(k)]
+    # an empty sub-block takes order 0 after its draw
+    orders = [[m * (sb.length > 0) for m, sb in zip(
+        draw(st.lists(st.integers(0, 3), min_size=i + 1, max_size=i + 1)),
+        build_layout(spec).sub_blocks)] for i in range(k)]
     assume(any(m for row in orders for m in row))
     assume(check_modulation_constraints(orders, spec).feasible)
     return assign_power(orders, spec)
@@ -468,49 +466,3 @@ class TestInformationDensities:
         d1 = information_densities(f1, 0, 0, plan)
         d2 = information_densities(f2, 0, 0, plan)
         assert np.array_equal(d1, d2)
-
-
-class TestInterleaverAndDump:
-    def test_interleaver_roundtrip(self):
-        bits = np.random.default_rng(0).integers(0, 2, size=257)
-        perm = random_interleaver(bits.size, seed=13)
-        assert np.array_equal(deinterleave(interleave(bits, perm), perm), bits)
-        assert sorted(perm.tolist()) == list(range(bits.size))
-
-    def test_frame_dump_roundtrip(self, tmp_path):
-        plan = urllc_plan(n1=16, n2=24)
-        payloads = random_payloads(plan, 41)
-        frame = simulate_frame(plan, payloads, 42)
-        llr = demap_frame(frame, 1, plan)
-        records = [(payloads[1], frame.symbols[1], frame.y[1], llr)]
-        path = tmp_path / "frames.bin"
-        dump_frames(path, records)
-        back = load_frame_dump(path)
-        assert len(back) == 1
-        bits, sym, y, ll = back[0]
-        assert np.array_equal(bits, payloads[1])
-        assert np.allclose(sym, frame.symbols[1])
-        assert np.allclose(y, frame.y[1])
-        assert np.allclose(ll, llr)
-
-    @pytest.fixture
-    def dump_bytes(self, tmp_path):
-        plan = urllc_plan(n1=16, n2=24)
-        payloads = random_payloads(plan, 43)
-        frame = simulate_frame(plan, payloads, 44)
-        path = tmp_path / "frames.bin"
-        dump_frames(path, [(payloads[0], frame.symbols[0], frame.y[0],
-                            demap_frame(frame, 0, plan))])
-        return path.read_bytes()
-
-    @pytest.mark.parametrize("edit, message", [
-        (lambda raw: raw[:-16], "payload is truncated"),
-        (lambda raw: raw[:20], "header is truncated"),
-        (lambda raw: raw + bytes(8), "8 bytes after its 1 records"),
-    ], ids=["short_payload", "short_header", "trailing_bytes"])
-    def test_malformed_dump_rejected(self, dump_bytes, tmp_path, edit,
-                                     message):
-        path = tmp_path / "bad.bin"
-        path.write_bytes(edit(dump_bytes))
-        with pytest.raises(SimulationError, match=message):
-            load_frame_dump(path)

@@ -17,20 +17,16 @@ from tinlink.constellations import (
 from tinlink.rates import (
     LOG2E,
     RateEngineError,
-    SubBlockRateStats,
     bc_gaussian_rates,
     bc_shell_rates,
     berry_esseen_diagnostic,
     combine_second_order,
     compute_plan_rates,
     estimate_mi_dispersion,
-    gaussian_benchmark,
     gaussian_stats,
     qfunc,
     qfunc_inv,
     quadrature_mi_dispersion,
-    second_order_rate,
-    shell_benchmark,
     shell_stats,
 )
 from tinlink.scheme import (
@@ -241,28 +237,27 @@ class TestEstimator:
 
 
 class TestSecondOrderCombiners:
-    def stats(self, mi, v):
-        return SubBlockRateStats(mi, v, 1000, 0.0, 0.0)
-
     def test_zero_dispersion(self):
-        r = second_order_rate([50, 50], [self.stats(2.0, 0.0),
-                                         self.stats(1.0, 0.0)], 1e-6, 100)
+        r = combine_second_order([50, 50], [2.0, 1.0], [0.0, 0.0], 1e-6, 100)
         assert r.rate == pytest.approx(1.5, abs=1e-12)
 
     def test_eps_half_gives_first_order(self):
-        r = second_order_rate([100], [self.stats(2.0, 3.0)], 0.5, 100)
+        r = combine_second_order([100], [2.0], [3.0], 0.5, 100)
         assert r.rate == pytest.approx(2.0, abs=1e-12)
 
     def test_reduction_to_single_block(self):
         st = estimate_mi_dispersion(unit_qam(2), [unit_qam(2)], 1.7, 5000, 9)
-        general = second_order_rate([128], [st], 1e-5, 128).rate
+        general = combine_second_order([128], [st.mi], [st.dispersion], 1e-5,
+                                       128).rate
         closed = rate_single_block(st.mi, st.dispersion, 128, 1e-5)
         assert abs(general - closed) <= 1e-9 * max(1.0, abs(closed))
 
     def test_reduction_two_segments(self):
         s1 = estimate_mi_dispersion(unit_qam(2), [unit_qam(2)], 1.7, 5000, 9)
         s2 = estimate_mi_dispersion(unit_qam(4), [], 1.2, 5000, 9)
-        general = second_order_rate([128, 128], [s1, s2], 1e-4, 256).rate
+        general = combine_second_order(
+            [128, 128], [s1.mi, s2.mi], [s1.dispersion, s2.dispersion], 1e-4,
+            256).rate
         closed = rate_two_segment(128, s1, 128, s2, 1e-4, 256)
         assert abs(general - closed) <= 1e-9 * max(1.0, abs(closed))
         # equal-length degenerate case: second segment empty
@@ -271,15 +266,14 @@ class TestSecondOrderCombiners:
         assert abs(degenerate - single) <= 1e-9 * max(1.0, abs(single))
 
     def test_monotone_in_eps_and_blocklength(self):
-        st = [self.stats(2.0, 1.5)]
-        r1 = second_order_rate([100], st, 1e-6, 100).rate
-        r2 = second_order_rate([100], st, 1e-3, 100).rate
-        r3 = second_order_rate([400], st, 1e-6, 400).rate
+        r1 = combine_second_order([100], [2.0], [1.5], 1e-6, 100).rate
+        r2 = combine_second_order([100], [2.0], [1.5], 1e-3, 100).rate
+        r3 = combine_second_order([400], [2.0], [1.5], 1e-6, 400).rate
         assert r1 < r2
         assert r1 < r3
 
     def test_negative_rate_flagged(self):
-        r = second_order_rate([16], [self.stats(0.05, 4.0)], 1e-9, 16)
+        r = combine_second_order([16], [0.05], [4.0], 1e-9, 16)
         assert r.rate < 0.0 and r.nonpositive
 
     def test_negative_dispersion_rejected(self):
@@ -311,34 +305,40 @@ class TestSecondOrderCombiners:
 
 class TestBenchmarks:
     def test_gaussian_zero_sinr(self):
-        r = gaussian_benchmark([0.0], [128], 1e-6, 128)
+        mi, v = gaussian_stats(0.0)
+        r = combine_second_order([128], [mi], [v], 1e-6, 128)
         assert r.rate == 0.0
 
     def test_gaussian_closed_form_example(self):
         # independent oracle: closed form with the bisection-based inverse
-        got = gaussian_benchmark([10.0], [128], 1e-6, 128).rate
+        mi, v = gaussian_stats(10.0)
+        got = combine_second_order([128], [mi], [v], 1e-6, 128).rate
         want = math.log2(11.0) - math.sqrt(
             2.0 * LOG2E ** 2 * (10.0 / 11.0) / 128.0) * bisect_qinv(1e-6)
         assert got == pytest.approx(want, abs=1e-9)
         assert got == pytest.approx(2.642, abs=5e-4)
 
     def test_gaussian_eps_half_is_capacity(self):
-        r = gaussian_benchmark([10.0], [128], 0.5, 128)
+        mi, v = gaussian_stats(10.0)
+        r = combine_second_order([128], [mi], [v], 0.5, 128)
         assert r.rate == pytest.approx(math.log2(11.0), abs=1e-12)
 
     def test_shell_vanishing_power(self):
-        r = shell_benchmark(1e-9, 128, 1e-6)
+        mi, v = shell_stats(1e-9)
+        r = combine_second_order([128], [mi], [v], 1e-6, 128)
         assert abs(r.rate) < 1e-4
 
     @pytest.mark.parametrize("p", [0.5, 2.0, 10.0, 100.0])
     def test_shell_beats_gaussian(self, p):
-        rs = shell_benchmark(p, 128, 1e-6).rate
-        rg = gaussian_benchmark([p], [128], 1e-6, 128).rate
-        assert shell_stats(p)[1] <= gaussian_stats(p)[1]
+        (mi_s, v_s), (mi_g, v_g) = shell_stats(p), gaussian_stats(p)
+        rs = combine_second_order([128], [mi_s], [v_s], 1e-6, 128).rate
+        rg = combine_second_order([128], [mi_g], [v_g], 1e-6, 128).rate
+        assert v_s <= v_g
         assert rs >= rg
 
     def test_shell_eps_half_is_capacity(self):
-        r = shell_benchmark(10.0, 128, 0.5)
+        mi, v = shell_stats(10.0)
+        r = combine_second_order([128], [mi], [v], 0.5, 128)
         assert r.rate == pytest.approx(math.log2(11.0), abs=1e-12)
 
     @pytest.mark.parametrize("stats, reference", [
@@ -463,7 +463,7 @@ class TestShortBlocklengthGap:
         # lands within 10% of the Gaussian perfect-SIC benchmark at the same
         # power split (the small-dispersion effect that makes TIN competitive)
         from tinlink.scheme import SystemSpec, UserSpec, assign_power
-        from tinlink.rates import compute_plan_rates, gaussian_benchmark
+        from tinlink.rates import compute_plan_rates
         spec = SystemSpec.create(1.0, [
             UserSpec(200, 1e-6, math.sqrt(10 ** 2.4)),
             UserSpec(200, 1e-6, math.sqrt(10 ** 1.2))])
@@ -474,8 +474,9 @@ class TestShortBlocklengthGap:
         g1 = p1 * abs(spec.users[0].h) ** 2
         g2 = p2 * abs(spec.users[1].h) ** 2 / (
             1.0 + p1 * abs(spec.users[1].h) ** 2)
-        bench = (gaussian_benchmark([g1], [200], 1e-6, 200).rate
-                 + gaussian_benchmark([g2], [200], 1e-6, 200).rate)
+        (mi1, v1), (mi2, v2) = gaussian_stats(g1), gaussian_stats(g2)
+        bench = (combine_second_order([200], [mi1], [v1], 1e-6, 200).rate
+                 + combine_second_order([200], [mi2], [v2], 1e-6, 200).rate)
         assert sum(qam.rates) >= 0.9 * bench
 
 

@@ -221,7 +221,9 @@ class TestPowerAssignment:
             users = [UserSpec(int(lengths[i]), 1e-5, float(mags[i]))
                      for i in range(k)]
             spec = SystemSpec.create(float(10 ** rng.uniform(-0.2, 0.8)), users)
-            orders = [[int(rng.integers(0, 4)) for _ in range(i + 1)]
+            # an empty sub-block takes order 0 after its draw
+            orders = [[int(rng.integers(0, 4)) * (sb.length > 0)
+                       for sb in build_layout(spec).sub_blocks[:i + 1]]
                       for i in range(k)]
             if not check_modulation_constraints(orders, spec).feasible:
                 continue
@@ -296,8 +298,11 @@ class TestPowerAssignment:
             [UserSpec(n, data.draw(st.floats(1e-7, 0.4)),
                       g * complex(math.cos(a), math.sin(a)))
              for n, g, a in zip(lengths, gains, phases)])
-        orders = [data.draw(st.lists(st.integers(0, 3), min_size=i + 1,
-                                     max_size=i + 1)) for i in range(k)]
+        # an empty sub-block takes order 0 after its draw
+        orders = [[m * (sb.length > 0) for m, sb in zip(
+            data.draw(st.lists(st.integers(0, 3), min_size=i + 1,
+                               max_size=i + 1)),
+            build_layout(spec).sub_blocks)] for i in range(k)]
         # an all-silent plan file is rejected (test_corrupt_plan_dict_rejected)
         assume(any(m for row in orders for m in row))
         assume(check_modulation_constraints(orders, spec).feasible)
@@ -374,8 +379,10 @@ class TestMappingAndFrames:
     def test_zero_length_sub_block_contributes_nothing(self):
         spec = two_user_spec(n1=128, n2=128)
         layout = build_layout(spec)
-        n = codeword_lengths([[2], [4, 4]], layout)
+        n = codeword_lengths([[2], [4, 0]], layout)
         assert n == (256, 512)  # tail sub-block has zero symbols
+        with pytest.raises(SpecError, match="sub-block 2"):
+            codeword_lengths([[2], [4, 4]], layout)
 
     def test_example_bit_split(self):
         plan = self.three_user_plan()
@@ -520,18 +527,22 @@ class TestDesignSearch:
         sums = res.weighted_sum.tolist()
         assert sums == sorted(sums, reverse=True)
 
-    def test_empty_sub_block_orders_unconstrained(self):
+    def test_empty_sub_block_orders_rejected(self):
         """An empty sub-block sends no symbols: a search puts only zeros
-        there, and a listed order there is never checked, so a matrix with
-        9 bits in it is kept at the same slack as one with 2."""
+        there, and a non-zero order there is a SpecError naming the user
+        and the sub-block (numbered from 1), wherever a matrix comes in."""
         spec = two_user_spec(n1=32, n2=32)
         res = design_search(spec, max_sub_block_order=4, pareto_only=False)
         assert len(res) and all(res.order_matrix(i)[1][1] == 0
                                 for i in range(len(res)))
-        res = design_search(spec, orders=[[[2], [2, 2]], [[2], [2, 9]]])
-        assert sorted(res.order_matrix(i) for i in range(len(res))) == [
-            ((2,), (2, 2)), ((2,), (2, 9))]
-        assert bits(res.min_order_slack[0]) == bits(res.min_order_slack[1])
+        message = "user 2 has order 9 in sub-block 2, which holds no symbols"
+        for call in (
+                lambda o: design_search(spec, orders=[[[2], [2, 0]], o]),
+                lambda o: check_modulation_constraints(o, spec),
+                lambda o: assign_power(o, spec, check=False),
+                lambda o: codeword_lengths(o, build_layout(spec))):
+            with pytest.raises(SpecError, match=message):
+                call([[2], [2, 9]])
 
     @staticmethod
     def three_user_spec():
