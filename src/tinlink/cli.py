@@ -317,28 +317,33 @@ def cmd_simulate(cfg: Mapping, args) -> int:
     header = ["build_id", "seed", "n_noise_samples", "user", "n_frames",
               "n_bits", "bit_errors", "uncoded_ber", "mean_symbol_power",
               "zero_noise_roundtrip"]
-    # one pass over the frames: each is simulated once, demapped for every
-    # user and dropped
+    # one pass over the frames in blocks (`linksim.frame_blocks`): each block
+    # is synthesized once, each of its segments demapped once for all its
+    # frames and users, and dropped; the zero-noise frame is the first
+    # frame's h x, not a second synthesis
     n_bits = [0] * spec.K
     n_err = [0] * spec.K
-    clean_ok = [True] * spec.K
+    clean_ok = None
     power_acc = 0.0
     power_n = 0
-    for f in range(n_frames):
-        payloads, frame = linksim.seeded_frame(plan, seed, f)
-        power_acc += float(np.sum(np.abs(frame.x) ** 2))
-        power_n += frame.x.size
-        quiet = (linksim.simulate_frame(plan, payloads, seed, noise_scale=0.0)
-                 if f == 0 else None)
+    for block in linksim.frame_blocks(plan, seed, n_frames):
+        # one sum per frame, added in frame order
+        for power in np.sum(np.abs(block.x) ** 2, axis=1).tolist():
+            power_acc += power
+        power_n += block.x.size
+        if clean_ok is None:
+            quiet = linksim.zero_noise(block.row(0), plan)
+            clean_ok = [bool(np.array_equal(
+                linksim.demap_frame(quiet, k, plan) < 0, quiet.payloads[k]))
+                for k in range(spec.K)]
+            del quiet  # its arrays are views of the block's
         for k in range(spec.K):
-            sent = payloads[k]  # every codeword bit is on a demapped segment
-            llr = linksim.demap_frame(frame, k, plan)
-            n_err[k] += int(np.count_nonzero(linksim.hard_bits(llr) != sent))
+            sent = block.payloads[k]  # every bit is on a demapped segment
+            hard = linksim.demap_frame(block, k, plan) < 0
+            n_err[k] += int(np.count_nonzero(hard != sent))
             n_bits[k] += sent.size
-            if quiet is not None:
-                llr0 = linksim.demap_frame(quiet, k, plan)
-                clean_ok[k] = bool(np.array_equal(linksim.hard_bits(llr0),
-                                                  sent))
+        # drop the block before the next one is synthesized
+        del block
     line = _line_template([build_id(), str(seed), str(samples)],
                           "%s,%s,%s,%s,%.12g,%.12g,%s")
     _write_lines(args.out, header, (

@@ -630,57 +630,60 @@ def codeword_lengths(orders, layout: SubBlockLayout) -> tuple[int, ...]:
 
 
 def map_bits(bits, user: int, plan: SchemePlan) -> np.ndarray:
-    """Map a user's codeword onto its unit-energy symbol vector.
+    """Map a user's codewords onto unit-energy symbol vectors.
 
-    Consecutive groups of m_{k,j} bits (most significant first) select points
-    of the sub-block-j constellation by Gray label; the output has one
-    complex symbol per transmit slot and unit grid spacing (power is applied
-    by build_frame).
+    bits holds one codeword on its last axis, after any leading (frame)
+    axes.  Consecutive groups of m_{k,j} bits (most significant first)
+    select points of the sub-block-j constellation by Gray label; the output
+    has the same leading axes and one complex symbol per transmit slot, with
+    unit grid spacing (power is applied by build_frame).
     """
-    bits = np.asarray(bits, dtype=np.int64).ravel()
+    bits = np.asarray(bits, dtype=np.int64)
     n_k = plan.codeword_lengths[user]
-    if bits.size != n_k:
-        raise SpecError(f"user {user} expects {n_k} bits, got {bits.size}")
-    segments = []
+    if bits.shape[-1:] != (n_k,):
+        raise SpecError(f"user {user} expects {n_k} bits, got shape "
+                        f"{bits.shape}")
+    lead = bits.shape[:-1]
+    out = np.zeros(lead + (plan.spec.users[user].N,), dtype=complex)
     pos = 0
     for sb in plan.layout.sub_blocks[:user + 1]:
         entry = plan.entries[(user, sb.index)]
         m = entry.order
         if m == 0:
-            segments.append(np.zeros(sb.length, dtype=complex))
             continue
         take = sb.length * m
-        seg = bits[pos:pos + take].reshape(sb.length, m)
+        seg = bits[..., pos:pos + take].reshape(lead + (sb.length, m))
         pos += take
         weights = 1 << np.arange(m - 1, -1, -1)
-        idx = seg @ weights
-        segments.append(entry.part.points[idx])
-    return np.concatenate(segments) if segments else np.zeros(0, dtype=complex)
+        out[..., sb.start:sb.stop] = entry.part.points[seg @ weights]
+    return out
 
 
 def build_frame(symbols: Mapping[int, np.ndarray], plan: SchemePlan
                 ) -> tuple[np.ndarray, dict[int, np.ndarray]]:
     """Apply the power assignment and superimpose all users' packets.
 
-    symbols maps each user to its unit symbol vector (from map_bits). Returns
-    the length-N_K superimposed frame x and each user's power-scaled packet.
+    symbols maps each user to its unit symbol vectors (from map_bits), with
+    the same leading (frame) axes for every user.  Returns the superimposed
+    frames x, N_K symbols on the last axis, and each user's power-scaled
+    packets.
     """
-    n_total = plan.layout.boundaries[-1]
-    x = np.zeros(n_total, dtype=complex)
+    lead = np.shape(symbols[0])[:-1]
+    x = np.zeros(lead + (plan.layout.boundaries[-1],), dtype=complex)
     packets: dict[int, np.ndarray] = {}
     for user in range(plan.spec.K):
         v = np.asarray(symbols[user], dtype=complex)
         n_user = plan.spec.users[user].N
-        if v.size != n_user:
+        if v.shape != lead + (n_user,):
             raise SpecError(f"user {user} symbol vector must have {n_user} entries")
-        xk = np.empty(n_user, dtype=complex)
+        xk = np.empty(lead + (n_user,), dtype=complex)
         for sb in plan.layout.sub_blocks[:user + 1]:
             entry = plan.entries[(user, sb.index)]
-            seg = v[sb.start:sb.stop]
-            xk[sb.start:sb.stop] = (entry.amp_i * seg.real
-                                    + 1j * (entry.amp_q * seg.imag))
+            seg = v[..., sb.start:sb.stop]
+            xk[..., sb.start:sb.stop] = (entry.amp_i * seg.real
+                                         + 1j * (entry.amp_q * seg.imag))
         packets[user] = xk
-        x[:n_user] += xk
+        x[..., :n_user] += xk
     return x, packets
 
 

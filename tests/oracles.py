@@ -434,7 +434,7 @@ def information_densities_reference(frame, user, sub_block, plan):
     h = plan.spec.users[user].h
     sb = plan.layout.sub_blocks[sub_block]
     y = frame.y[user][sb.start:sb.stop] * (np.conj(h) / abs(h))
-    sent = frame.symbols[user][sb.start:sb.stop]
+    sent = scheme.map_bits(frame.payloads[user], user, plan)[sb.start:sb.stop]
     dens = np.zeros(sent.size)
     for yd, unit, (levels, sums) in zip(
             (y.real, y.imag), (sent.real, sent.imag),

@@ -310,34 +310,77 @@ class TestSimulate:
             assert float(r["mean_symbol_power"]) == pytest.approx(1.0, abs=0.1)
             assert 0.0 <= float(r["uncoded_ber"]) < 0.5
 
+    # every cell but build_id of `simulate` before frames were synthesized
+    # and demapped in blocks: the link-3u benchmark plan at 60 frames and
+    # the bundled two-user URLLC config
+    @pytest.mark.parametrize("config, orders, n_frames, seed, lines", [
+        ("three_user.json", [[2], [2, 4], [2, 4, 2]], 60, 1, [
+            "1,10000,1,60,24000,63,0.002625,1.00031708683,yes",
+            "1,10000,2,60,216000,4881,0.0225972222222,1.00031708683,yes",
+            "1,10000,3,60,336000,22289,0.0663363095238,1.00031708683,yes"]),
+        ("two_user_urllc.json", None, None, None, [
+            "20240803,200000,1,200,51200,3771,0.07365234375,0.998175595238,yes",
+            "20240803,200000,2,200,204800,35714,0.174384765625,"
+            "0.998175595238,yes"]),
+    ], ids=["link-3u", "two_user_urllc"])
+    def test_simulate_cells_pinned(self, tmp_path, config, orders, n_frames,
+                                   seed, lines):
+        cfg = json.loads((ROOT / "configs" / config).read_text())
+        if orders is not None:
+            cfg["simulate"] = {"orders": orders, "n_frames": n_frames}
+        path = tmp_path / "sim.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "sim.csv"
+        argv = ["simulate", "--config", str(path), "--out", str(out)]
+        assert main(argv + (["--seed", str(seed)] if seed else [])) == EXIT_OK
+        got = out.read_text().splitlines()
+        assert got[0].startswith("build_id,")
+        assert [line.split(",", 1)[1] for line in got[1:]] == lines
+
     def test_each_frame_simulated_once(self, tmp_path, monkeypatch):
-        # every frame, and the zero-noise frame, is simulated once for all
-        # users, with the noise seeds of the frame-seed policy, and each
-        # active segment's set-up is built once, by the run's one plan
-        n_frames = 4
+        # frames are synthesized in blocks: every frame's payload and noise
+        # seeds are drawn once, the zero-noise frame is the first frame
+        # without noise rather than a second synthesis, each active
+        # segment's set-up is built once, by the run's one plan, and each
+        # segment is demapped once per block (on 1-D samples) plus once for
+        # the zero-noise frame
+        per_block = max(1, linksim._BLOCK_SYMBOLS // 2000)
+        n_frames = per_block + 2  # a full block and a partial one
         cfg = json.loads((ROOT / "configs" / "three_user.json").read_text())
         cfg["simulate"] = {"orders": [[2], [2, 4], [2, 4, 2]],
                            "n_frames": n_frames}
         path = tmp_path / "sim.json"
         path.write_text(json.dumps(cfg))
-        calls = {"frames": [], "setups": [], "llrs": 0}
-        simulate_frame = linksim.simulate_frame
+        calls = {"seeds": [], "frames": 0, "setups": [], "llrs": [],
+                 "synth": 0}
+        default_rng = np.random.default_rng
+        build_frame = scheme.build_frame
         build_segment = scheme.build_segment
         tin_llr = linksim.tin_llr
 
-        def count_frame(plan, payloads, seed, **kwargs):
-            calls["frames"].append((seed, kwargs.get("noise_scale", 1.0)))
-            return simulate_frame(plan, payloads, seed, **kwargs)
+        def record_rng(seed):
+            calls["seeds"].append(seed)
+            return default_rng(seed)
+
+        def count_frame(*args, **kwargs):
+            calls["frames"] += 1
+            raise AssertionError("simulate_frame is the one-frame API")
+
+        def count_synth(symbols, plan):
+            calls["synth"] += 1
+            return build_frame(symbols, plan)
 
         def count_setup(plan, user, sub_block):
             calls["setups"].append((user, sub_block))
             return build_segment(plan, user, sub_block)
 
-        def count_llr(*args, **kwargs):
-            calls["llrs"] += 1
-            return tin_llr(*args, **kwargs)
+        def count_llr(y, user, sub_block, plan, **kwargs):
+            calls["llrs"].append((np.ndim(y), len(y), user, sub_block))
+            return tin_llr(y, user, sub_block, plan, **kwargs)
 
+        monkeypatch.setattr(np.random, "default_rng", record_rng)
         monkeypatch.setattr(linksim, "simulate_frame", count_frame)
+        monkeypatch.setattr(linksim, "build_frame", count_synth)
         monkeypatch.setattr(scheme, "build_segment", count_setup)
         monkeypatch.setattr(linksim, "tin_llr", count_llr)
         assert main(["simulate", "--config", str(path),
@@ -345,11 +388,20 @@ class TestSimulate:
         segments = [(k, j) for k, row in enumerate(cfg["simulate"]["orders"])
                     for j, m in enumerate(row) if m]
         seed = cfg["sampling"]["seed"]
-        assert sorted(calls["frames"]) == sorted(
-            [(frame_seeds_reference(seed, f)[1], 1.0)
-             for f in range(n_frames)] + [(seed, 0.0)])
+        assert sorted(calls["seeds"]) == sorted(
+            s for f in range(n_frames) for s in frame_seeds_reference(seed, f))
+        assert calls["frames"] == 0
+        assert calls["synth"] == 2
         assert calls["setups"] == segments
-        assert calls["llrs"] == (n_frames + 1) * len(segments)
+        assert len(calls["llrs"]) == (2 + 1) * len(segments)
+        assert {ndim for ndim, *_ in calls["llrs"]} == {1}
+        bounds = [0] + [u["N"] for u in cfg["system"]["users"]]
+        for k, j in segments:
+            lengths = sorted(n for _, n, user, sb in calls["llrs"]
+                             if (user, sb) == (k, j))
+            width = bounds[j + 1] - bounds[j]
+            assert lengths == sorted([width, width * per_block,
+                                      width * (n_frames - per_block)])
 
 
 class TestValidate:

@@ -28,6 +28,7 @@ from tinlink.scheme import (
     SystemSpec,
     UserSpec,
     assign_power,
+    build_frame,
     build_layout,
     check_modulation_constraints,
     map_bits,
@@ -161,6 +162,8 @@ class TestTinLlr:
                  assign_power([[2], [1, 3], [2, 3, 1]], three)]
         for n, plan in enumerate(plans):
             frame = simulate_frame(plan, random_payloads(plan, 4 + n), 40 + n)
+            _, packets = build_frame({k: map_bits(frame.payloads[k], k, plan)
+                                      for k in range(plan.spec.K)}, plan)
             for user in range(plan.spec.K):
                 h = plan.spec.users[user].h
                 for sb in plan.layout.sub_blocks[:user + 1]:
@@ -187,7 +190,7 @@ class TestTinLlr:
                             np.testing.assert_allclose(llr[:, b], ref,
                                                        rtol=0, atol=1e-9)
                     sent = np.argmin(np.abs(
-                        frame.packets[user][sb.start:sb.stop, None]
+                        packets[user][sb.start:sb.stop, None]
                         - desired[None, :]), axis=1)
                     ref = m + (per_point[np.arange(y.size), sent]
                                - logsumexp(per_point, axis=1)) / math.log(2)
@@ -398,6 +401,72 @@ class TestAgainstSymbolsFirstOracles:
             line.split(",", 1)[1] for line in want]
 
 
+class TestFrameBlocks:
+    """Blocks of 1 and 3 frames against the default block (all 7 frames of
+    these runs in one) and the per-frame user-loop oracle: the last block
+    of a 7-frame run is partial, and no output may move."""
+
+    @staticmethod
+    def plan():
+        spec = SystemSpec.create(1.0, [
+            UserSpec(24, 1e-6, 30.0 * cmath.exp(1.9j)),
+            UserSpec(32, 1e-5, 12.0 * cmath.exp(-0.4j)),
+            UserSpec(48, 1e-4, 5.0 * cmath.exp(2.8j))])
+        return assign_power([[2], [1, 3], [2, 3, 1]], spec)
+
+    @pytest.mark.parametrize("frames_per_block", [1, 3])
+    def test_simulate_csv_across_block_boundaries(self, tmp_path, monkeypatch,
+                                                  frames_per_block):
+        plan = self.plan()
+        n_total = plan.layout.boundaries[-1]
+        assert linksim._BLOCK_SYMBOLS // n_total >= 7
+        cfg = {"schema_version": 1, "system": plan.spec.to_dict(),
+               "sampling": {"n_noise_samples": 1000},
+               "simulate": {"orders": [list(r) for r in plan.orders],
+                            "n_frames": 7}}
+        config = tmp_path / "sim.json"
+        config.write_text(json.dumps(cfg))
+
+        def run(name):
+            out = tmp_path / name
+            assert cli.main(["simulate", "--config", str(config),
+                             "--out", str(out), "--seed", "17"]) == 0
+            return out.read_bytes()
+
+        whole = run("whole.csv")
+        monkeypatch.setattr(linksim, "_BLOCK_SYMBOLS",
+                            frames_per_block * n_total)
+        blocked = run("blocked.csv")
+        assert blocked == whole
+        ref = tmp_path / "ref.csv"
+        got = blocked.decode().splitlines()
+        write_csv_reference(ref, got[0].split(","),
+                            simulate_rows_reference(plan, 7, 17, 1000, "-"))
+        assert [line.split(",", 1)[1] for line in got] == [
+            line.split(",", 1)[1] for line in ref.read_text().splitlines()]
+
+    @pytest.mark.parametrize("frames_per_block", [1, 3])
+    def test_id_check_across_block_boundaries(self, monkeypatch,
+                                              frames_per_block):
+        plan = self.plan()
+        whole = empirical_id_check(plan, 1, n_frames=7, seed=5)
+        monkeypatch.setattr(linksim, "_BLOCK_SYMBOLS",
+                            frames_per_block * plan.layout.boundaries[-1])
+        assert empirical_id_check(plan, 1, n_frames=7, seed=5) == whole
+
+    def test_one_frame_is_the_one_frame_block(self):
+        # simulate_frame(seed) is frame 0 of a run whose noise seed is seed
+        plan = self.plan()
+        block = next(linksim.frame_blocks(plan, 30, 7))
+        payloads = random_payloads(plan, 30)
+        frame = simulate_frame(plan, payloads, 31)
+        first = block.row(0)
+        for k in range(plan.spec.K):
+            assert np.array_equal(first.payloads[k], payloads[k])
+            assert first.y[k].tobytes() == frame.y[k].tobytes()
+        assert first.x.tobytes() == frame.x.tobytes()
+
+
 class TestInformationDensities:
     @settings(max_examples=30, deadline=None)
     @given(plan=TIN_PLANS, seed=st.integers(0, 10 ** 6))
@@ -425,23 +494,19 @@ class TestInformationDensities:
             empirical_id_check(plan, user, n_frames=n_frames, seed=1)
 
     def test_id_check_frames_follow_seed_policy(self, monkeypatch):
-        # the frames are those `simulate` draws for the same seed
+        # the frames are those `simulate` draws for the same seed: each
+        # frame's payload and noise generators are seeded once, by policy
         seeds = []
+        default_rng = np.random.default_rng
 
-        def record_payloads(plan, seed):
-            seeds.append(("payloads", seed))
-            return random_payloads(plan, seed)
+        def record_rng(seed):
+            seeds.append(seed)
+            return default_rng(seed)
 
-        def record_frame(plan, payloads, seed, **kwargs):
-            seeds.append(("noise", seed))
-            return simulate_frame(plan, payloads, seed, **kwargs)
-
-        monkeypatch.setattr(linksim, "random_payloads", record_payloads)
-        monkeypatch.setattr(linksim, "simulate_frame", record_frame)
+        monkeypatch.setattr(np.random, "default_rng", record_rng)
         empirical_id_check(urllc_plan(n1=16, n2=24), 1, n_frames=3, seed=40)
-        assert seeds == [(kind, s) for f in range(3) for kind, s in
-                         zip(("payloads", "noise"),
-                             frame_seeds_reference(40, f))]
+        assert sorted(seeds) == sorted(
+            s for f in range(3) for s in frame_seeds_reference(40, f))
 
     def test_matches_rate_engine_within_4_sigma(self):
         # full design-point blocklengths; ~1e5 sampled symbols for user 2

@@ -425,6 +425,27 @@ class TestMappingAndFrames:
         with pytest.raises(SpecError):
             map_bits(np.zeros(5601, dtype=np.int64), 2, plan)
 
+    def test_frame_axis_is_row_by_row(self):
+        # a block of frames maps and superimposes each row as one frame
+        plan = self.three_user_plan()
+        rng = np.random.default_rng(8)
+        bits = {k: rng.integers(0, 2, (3, n), dtype=np.uint8)
+                for k, n in enumerate(plan.codeword_lengths)}
+        symbols = {k: map_bits(b, k, plan) for k, b in bits.items()}
+        x, packets = build_frame(symbols, plan)
+        assert x.shape == (3, 2000)
+        for f in range(3):
+            row = {k: map_bits(b[f], k, plan) for k, b in bits.items()}
+            x_f, packets_f = build_frame(row, plan)
+            assert x[f].tobytes() == x_f.tobytes()
+            for k in row:
+                assert symbols[k][f].tobytes() == row[k].tobytes()
+                assert packets[k][f].tobytes() == packets_f[k].tobytes()
+        with pytest.raises(SpecError):
+            map_bits(bits[2][:, :-1], 2, plan)
+        with pytest.raises(SpecError):
+            build_frame({**symbols, 1: symbols[1][:2]}, plan)
+
     def test_single_user_frame_is_own_packet(self):
         spec = SystemSpec.create(1.0, [UserSpec(32, 1e-6, 3.0)])
         plan = assign_power([[2]], spec)
