@@ -3,8 +3,8 @@ and validation suites driven by JSON configs, emitting RFC-4180 CSV.
 
 Outputs are reproducible: every row carries the package build id, the seed,
 and the sample count, and reruns with identical inputs are byte-identical.
-Exit codes: 0 success, 1 validation failure, 2 invalid config or schema,
-3 no feasible design.
+Exit codes: 0 success, 1 validation failure, 2 invalid config or schema
+(also a config too large to run in memory), 3 no feasible design.
 """
 from __future__ import annotations
 
@@ -236,6 +236,12 @@ def cmd_rate_region(cfg: Mapping, args, benchmarks_only: bool = False) -> int:
     steps = _read(section, "power_steps", 17, int)
     if steps < 2:
         raise ConfigError("rate_region.power_steps must be >= 2")
+    # `_power_splits` crosses simplices of steps^(dims - 1) points each
+    n_splits = steps ** (sum(len(sb.participants)
+                             for sb in layout.sub_blocks if sb.length) - 1)
+    too_many = f"{n_splits} power splits (power_steps {steps}) are too many"
+    if n_splits > np.iinfo(np.intp).max:
+        raise ConfigError(too_many)
     cap = _read(section, "max_sub_block_order", scheme.DEFAULT_ORDER_CAP, int)
     if cap < 1:
         raise ConfigError(
@@ -259,10 +265,13 @@ def cmd_rate_region(cfg: Mapping, args, benchmarks_only: bool = False) -> int:
             return EXIT_NO_DESIGN
         qam_rows = zip(result.orders.tolist(), result.rates.tolist())
 
-    powers = _power_splits(spec, layout, steps)
-    gauss_sic = rates.bc_gaussian_rates(spec, layout, powers, mode="sic")
-    gauss_tin = rates.bc_gaussian_rates(spec, layout, powers, mode="tin")
-    shell = rates.bc_shell_rates(spec, layout, powers, mode="sic")
+    try:
+        powers = _power_splits(spec, layout, steps)
+        gauss_sic = rates.bc_gaussian_rates(spec, layout, powers, mode="sic")
+        gauss_tin = rates.bc_gaussian_rates(spec, layout, powers, mode="tin")
+        shell = rates.bc_shell_rates(spec, layout, powers, mode="sic")
+    except MemoryError as exc:
+        raise ConfigError(too_many) from exc
     has_shell = ~np.isnan(shell).any(axis=1)
     qam = _line_template(lead + ["qam_tin", ""],
                          _orders_cell(spec.K) + rate_cells)
@@ -318,7 +327,7 @@ def cmd_simulate(cfg: Mapping, args) -> int:
               "n_bits", "bit_errors", "uncoded_ber", "mean_symbol_power",
               "zero_noise_roundtrip"]
     # one pass over the frames in blocks (`linksim.frame_blocks`): each block
-    # is synthesized once, each of its segments demapped once for all its
+    # is synthesized once, each of its links demapped once for all its
     # frames and users, and dropped; the zero-noise frame is the first
     # frame's h x, not a second synthesis
     n_bits = [0] * spec.K
@@ -418,12 +427,13 @@ def _validation_checks(seed: int):
 
     # per-dimension kernel against the 2-D quadrature oracle on the same plan
     worst = 0.0
-    for k, user in enumerate(rates.compute_plan_rates(plan).users):
-        for j, st in enumerate(user.stats):
+    result = rates.compute_plan_rates(plan)
+    for k in range(spec.K):
+        for j in range(k + 1):
             oracle = rates.quadrature_mi_dispersion(
                 *plan.sub_block_signals(k, j), spec.users[k].h)
-            worst = max(worst, abs(st.mi - oracle.mi),
-                        abs(st.dispersion - oracle.dispersion))
+            worst = max(worst, abs(result.mi[k, j] - oracle.mi),
+                        abs(result.dispersion[k, j] - oracle.dispersion))
     yield ("kernel_vs_quadrature", worst <= _KERNEL_TOL,
            f"worst_gap={worst:.3g} tol={_KERNEL_TOL:.3g}")
 
@@ -553,8 +563,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         return _COMMANDS[args.command](cfg, args)
     except (ConfigError, scheme.SpecError, rates.RateEngineError,
             constellations.ConstellationError, linksim.SimulationError,
-            OSError) as exc:  # OSError: an --out or --plan-out not writable
-        print(f"error: {exc}", file=sys.stderr)
+            OSError, MemoryError) as exc:  # unwritable output, run too large
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_BAD_CONFIG
 
 

@@ -14,13 +14,12 @@ sent and demapped at the plan's channels; to use others, rebuild the plan
 
 `cli simulate` and `empirical_id_check` walk a run's frames in blocks
 (`frame_blocks`) of at most `_BLOCK_SYMBOLS` symbols: each block is
-synthesized once along a leading frame axis, each of its (user, sub-block)
-segments is demapped (one `tin_llr` call) or its densities taken in one
-pass over all its frames, and the block is dropped before the next, so a
-run holds one block (and, in `simulate`, the zero-noise frame) and its
-memory does not grow with the number of frames.  The demapper set-up of
-each segment (rotation, receive grids and Gray bit halves) is the plan's
-`SchemePlan.segments`, which `scheme.assign_power` builds once per plan.
+synthesized once along a leading frame axis, each (user, sub-block) link
+that carries bits is demapped (one `tin_llr` call) or its densities taken
+in one pass over all its frames, and the block is dropped before the next,
+so a run's memory does not grow with the number of frames.  A link's
+demapper set-up is its user's `UserSpec.rotation` and its plan entry's
+`dims`, which `scheme.assign_power` builds once per plan.
 """
 from __future__ import annotations
 
@@ -42,8 +41,8 @@ class SimulationError(ValueError):
 # ---------------------------------------------------------------------------
 
 # Symbols that one block of `frame_blocks` holds at most (4 frames at
-# N_K = 2000).  A block is synthesized, and each of its segments demapped,
-# in one numpy pass, so per-call overhead is paid per block, not per frame.
+# N_K = 2000).  A block is synthesized, and each of its links demapped, in
+# one numpy pass, so per-call overhead is paid per block, not per frame.
 # The demapper's temporaries grow with the block, never with the run: on
 # `simulate` of three_user.json, 3-frame blocks ran about 10% slower and
 # 8-frame blocks peaked about 1.5 MiB higher than 4-frame ones.
@@ -158,18 +157,18 @@ def tin_llr(y: np.ndarray, user: int, sub_block: int, plan: SchemePlan, *,
     levels.  Returns an (n_symbols, m) array with the convention
     LLR = log P(bit=0 | y) / P(bit=1 | y) in nats, so the sign of the LLR at
     zero noise recovers the transmitted bit.  max_log replaces the sums with
-    maxima.  The set-up is the plan's segment; a pair without one (the
-    user sends no bits there) gives an (n_symbols, 0) array.
+    maxima.  The set-up is the plan entry's dims; a pair that carries no
+    bits (or has no entry) gives an (n_symbols, 0) array.
     """
     y = np.asarray(y, dtype=complex).ravel()
-    segment = plan.segments.get((user, sub_block))
-    if segment is None:
+    entry = plan.entries.get((user, sub_block))
+    if entry is None or not entry.dims:
         return np.zeros((y.size, 0))
-    y = y * segment.rotation
+    y = y * plan.spec.users[user].rotation
     coords = (y.real, y.imag)
     reduce = np.max if max_log else log_sum_exp
     rows = []
-    for d, grid, halves in segment.dims:
+    for d, grid, halves in entry.dims:
         # ll is (levels, symbols), so each reduction over a half of the
         # levels is an elementwise pass over contiguous symbols
         ll = tin_loglik(coords[d], grid, max_log=max_log).T
@@ -188,16 +187,16 @@ def hard_bits(llr: np.ndarray) -> np.ndarray:
 
 def demap_frame(frame: ReceivedFrame, user: int, plan: SchemePlan, *,
                 max_log: bool = False) -> np.ndarray:
-    """Concatenated LLRs of every segment of one user, in frame order.
+    """Concatenated LLRs of one user's links that carry bits, in frame order.
 
-    A block is demapped with one `tin_llr` call per segment over all its
+    A block is demapped with one `tin_llr` call per link over all its
     frames; the LLRs keep the block's leading frame axis, one row per frame.
     """
     y = frame.y[user]
     lead = y.shape[:-1]
-    parts = [tin_llr(y[..., seg.sub_block.start:seg.sub_block.stop].ravel(),
-                     user, j, plan, max_log=max_log).reshape(lead + (-1,))
-             for (k, j), seg in plan.segments.items() if k == user]
+    parts = [tin_llr(y[..., sb.start:sb.stop].ravel(), user, sb.index, plan,
+                     max_log=max_log).reshape(lead + (-1,))
+             for sb, m in zip(plan.layout.sub_blocks, plan.orders[user]) if m]
     return np.concatenate(parts, axis=-1) if parts else np.zeros(lead + (0,))
 
 
@@ -226,20 +225,20 @@ def information_densities(frame: ReceivedFrame, user: int, sub_block: int,
     The density is the sum of the I and Q parts; the sent levels are read
     from the payloads' unit symbols (`map_bits`), whose coordinates sit on
     the half-integer grid; a dimension without label bits has one level and
-    adds nothing, so a pair without a segment (the user sends no bits there)
-    gives zeros.  A block gives the densities of its frames one after the
-    other.
+    adds nothing, so a pair that carries no bits (or has no entry) gives
+    zeros.  A block gives the densities of its frames one after the other.
     """
     sb = plan.layout.sub_blocks[sub_block]
     sent = map_bits(frame.payloads[user], user, plan)[..., sb.start:sb.stop]
     sent = sent.ravel()
     dens = np.zeros(sent.size)
-    segment = plan.segments.get((user, sub_block))
-    if segment is None:
+    entry = plan.entries.get((user, sub_block))
+    if entry is None or not entry.dims:
         return dens
-    y = frame.y[user][..., sb.start:sb.stop].ravel() * segment.rotation
+    y = (frame.y[user][..., sb.start:sb.stop].ravel()
+         * plan.spec.users[user].rotation)
     coords = ((y.real, sent.real), (y.imag, sent.imag))
-    for d, grid, _ in segment.dims:
+    for d, grid, _ in entry.dims:
         yd, unit = coords[d]
         idx = np.rint(unit + (grid.shape[0] - 1) / 2).astype(np.int64)
         dens += dimension_densities(yd, grid, idx)
@@ -250,26 +249,26 @@ def empirical_id_check(plan: SchemePlan, user: int, n_frames: int, seed: int,
                        *, sigma_limit: float = 4.0) -> tuple[DensityCheckRow, ...]:
     """Compare sampled information densities against the rate engine.
 
-    Simulates n_frames independent frames, samples per-symbol densities for
-    each segment of the user, and flags sub-blocks whose empirical mean or
-    variance deviates from the quadrature (I, V) by more than sigma_limit
-    standard errors of the sample.  Raises SimulationError when there is
-    nothing to sample: n_frames < 1, or a user without a segment.
+    Simulates n_frames independent frames, samples per-symbol densities on
+    each of the user's links that carry bits, and flags sub-blocks whose
+    empirical mean or variance deviates from the quadrature (I, V) by more
+    than sigma_limit standard errors of the sample.  Raises SimulationError
+    when there is nothing to sample: n_frames < 1, or a silent user.
     """
     if n_frames < 1:
         raise SimulationError(f"n_frames must be positive, got {n_frames}")
     per_block: dict[int, list[np.ndarray]] = {
-        j: [] for k, j in plan.segments if k == user}
+        j: [] for j, m in enumerate(plan.orders[user]) if m}
     if not per_block:
         raise SimulationError(f"user {user} sends no bits in this plan")
     for block in frame_blocks(plan, seed, n_frames):
         for j, chunks in per_block.items():
             chunks.append(information_densities(block, user, j, plan))
-    exact = compute_plan_rates(plan).users[user].stats
+    exact = compute_plan_rates(plan)
+    ref_mi, ref_v = exact.mi[user].tolist(), exact.dispersion[user].tolist()
     rows = []
     for j, chunks in per_block.items():
         samples = np.concatenate(chunks)
-        ref = exact[j]
         n = samples.size
         emp_mi = float(samples.mean())
         emp_v = float(samples.var(ddof=1))
@@ -277,12 +276,12 @@ def empirical_id_check(plan: SchemePlan, user: int, n_frames: int, seed: int,
         # variance-of-variance from the fourth central moment
         m4 = float(np.mean((samples - emp_mi) ** 4))
         se_var = np.sqrt(max(m4 - emp_v ** 2, 0.0) / n)
-        mi_sigma = abs(emp_mi - ref.mi) / se_mean
-        v_sigma = abs(emp_v - ref.dispersion) / se_var
+        mi_sigma = abs(emp_mi - ref_mi[j]) / se_mean
+        v_sigma = abs(emp_v - ref_v[j]) / se_var
         rows.append(DensityCheckRow(
             user=user, sub_block=j, n_samples=n,
             empirical_mi=emp_mi, empirical_dispersion=emp_v,
-            reference_mi=ref.mi, reference_dispersion=ref.dispersion,
+            reference_mi=ref_mi[j], reference_dispersion=ref_v[j],
             mi_sigma=float(mi_sigma), dispersion_sigma=float(v_sigma),
             ok=bool(mi_sigma <= sigma_limit and v_sigma <= sigma_limit)))
     return tuple(rows)

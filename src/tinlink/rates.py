@@ -7,22 +7,19 @@ separately in I and Q, so after rotating y by conj(h)/|h| the information
 density splits into independent I and Q parts and I = I_I + I_Q,
 V = V_I + V_Q.  One per-dimension kernel, `tin_loglik`, gives the TIN
 likelihoods: `dimension_stats` takes one dimension's (I_d, V_d) from it by
-Gauss-Hermite quadrature, `sub_block_stats_table` sums them into the (I, V)
-table of `compute_plan_rates` or `scheme.design_search`, integrating each
-distinct receive grid once per call, and `linksim` takes its LLRs and
-information densities from it.  The table takes each link's receive grids:
-`compute_plan_rates` reads them from the plan's segments, which
-`scheme.assign_power` builds once per plan, and `scheme.design_search`
-builds each distinct one once by its `grid_key`.  `receive_grid` is the one
-grid formula, and `receive_grids` applies it in I and Q.  Likelihood sums
-go through log-sum-exp, so values stay finite for any amplitudes.
+Gauss-Hermite quadrature, `sub_block_stats_table` sums them into the
+(links, 2) (I, V) array of `compute_plan_rates` or `scheme.design_search`,
+integrating each distinct receive grid once per call, and `linksim` takes
+its LLRs and information densities from it.  `compute_plan_rates` reads
+the grids from the plan entries' dims, built once per plan, and
+`scheme.design_search` builds each distinct one once by its `grid_key`.
+`receive_grid` is the one grid formula, and `receive_grids` applies it in I
+and Q.  Likelihood sums go through log-sum-exp, so values stay finite.
 
 One array combiner, `combine_second_order`, turns per-sub-block (I, V) into
-second-order rates over a leading batch axis: design candidates one user
-at a time (`user_rates`; `second_order_rates` stacks every user, with
-`compute_plan_rates` the one-row case) and
-every benchmark power split at once (`bc_gaussian_rates`,
-`bc_shell_rates`).
+second-order rates over a leading batch axis: design candidates one user at
+a time (`user_rates`, with `compute_plan_rates` the one-row case) and every
+benchmark power split at once (`bc_gaussian_rates`, `bc_shell_rates`).
 
 The kernel's independent oracles enumerate the 2-D desired x interferer
 tuples with no I/Q factorisation and share one 2-D density,
@@ -159,16 +156,15 @@ def _lse_over_alts(xt: np.ndarray, xa: np.ndarray, zr: np.ndarray,
 
 @dataclass(frozen=True)
 class SubBlockRateStats:
-    """Per-(user, sub-block) mutual information and dispersion.
+    """One link's mutual information and dispersion from an oracle.
 
     mi and dispersion are in bits and bits**2 per complex symbol, and
     third_abs_moment is the centred third absolute moment E|i - I|^3 of the
     information density.  From the Monte Carlo estimator, sample_count and
     the standard errors describe the noise averaging (symbol tuples are
     enumerated exactly) and third_abs_moment is filled on request.  From
-    quadrature, which carries no sampling error, sample_count and the
-    standard errors are 0; the 2-D oracle `quadrature_mi_dispersion` fills
-    third_abs_moment and the per-dimension kernel leaves it None.
+    the 2-D quadrature oracle, which carries no sampling error, sample_count
+    and the standard errors are 0; the per-dimension kernel returns arrays.
     """
 
     mi: float
@@ -177,9 +173,6 @@ class SubBlockRateStats:
     std_err_mi: float
     std_err_dispersion: float
     third_abs_moment: float | None = None
-
-
-ZERO_STATS = SubBlockRateStats(0.0, 0.0, 0, 0.0, 0.0, 0.0)
 
 
 class _DensityContext:
@@ -329,8 +322,8 @@ def receive_grids(g: float, parts: Mapping, user: int) -> list[np.ndarray]:
     """One user's receive grids in I, then in Q, from `receive_grid`.
 
     parts maps every user co-scheduled in a sub-block to its (shape, amp_i,
-    amp_q), as `SchemePlan.parts` and `scheme.sub_block_parts` give them,
-    and g is the user's |h|.
+    amp_q), in user order, from `scheme.sub_block_parts`, and g is the
+    user's |h|.
     """
     return [receive_grid(*grid_key(g, parts, user, d)) for d in (0, 1)]
 
@@ -561,24 +554,13 @@ def bc_shell_rates(spec, layout, powers: Mapping[tuple[int, int], np.ndarray],
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class UserRate:
-    """Second-order rate of one user and its (I, V) per sub-block; the
-    blocklengths and error target are the plan's."""
-
-    user: int
-    rate: float
-    stats: tuple[SubBlockRateStats, ...]
-
-
-@dataclass(frozen=True)
 class RateResult:
-    """Per-user second-order rates for one transmission plan."""
+    """Per-user second-order rates of one plan, and each link's (I, V) as
+    (K, K) arrays indexed [user, sub-block], 0 where the user sends nothing."""
 
-    users: tuple[UserRate, ...]
-
-    @property
-    def rates(self) -> tuple[float, ...]:
-        return tuple(u.rate for u in self.users)
+    rates: tuple[float, ...]
+    mi: np.ndarray
+    dispersion: np.ndarray
 
 
 def dimension_stats(grid: np.ndarray) -> tuple[float, float]:
@@ -599,15 +581,14 @@ def dimension_stats(grid: np.ndarray) -> tuple[float, float]:
 
 
 def sub_block_stats_table(links: Iterable[Sequence[np.ndarray]]
-                          ) -> list[SubBlockRateStats]:
-    """(I, V) of each link as the sums of its grids' (I_d, V_d).
+                          ) -> np.ndarray:
+    """(links, 2) array of each link's (I, V): its grids' (I_d, V_d) summed.
 
     A link is one user's receive grids in one sub-block, from
-    `receive_grids` or the dims of a plan segment.  Each distinct grid is
+    `receive_grids` or a plan entry's dims.  Each distinct grid is
     integrated once per call by `dimension_stats`, keyed by its shape and
-    bytes, so only byte-equal grids share a result.  A one-level grid (the
-    user puts no bits in that dimension) is skipped: its density is
-    exactly 0.
+    bytes, so only byte-equal grids share a result.  A one-level grid (no
+    bits in that dimension) is skipped: its density is exactly 0.
     """
     done: dict[tuple, tuple[float, float]] = {}
     table = []
@@ -622,8 +603,8 @@ def sub_block_stats_table(links: Iterable[Sequence[np.ndarray]]
             first, var = done[key]
             mi += first
             dispersion += var
-        table.append(SubBlockRateStats(mi, dispersion, 0, 0.0, 0.0))
-    return table
+        table.append((mi, dispersion))
+    return np.array(table, dtype=float).reshape(-1, 2)
 
 
 def user_rates(spec, layout, k: int, mi, dispersion) -> np.ndarray:
@@ -637,30 +618,17 @@ def user_rates(spec, layout, k: int, mi, dispersion) -> np.ndarray:
         spec.users[k].eps, spec.users[k].N).rate
 
 
-def second_order_rates(spec, layout, mi, dispersion) -> np.ndarray:
-    """Every user's `user_rates` for a batch of candidates, (n, K);
-    mi[k] and dispersion[k] are user k's arrays."""
-    return np.stack([user_rates(spec, layout, k, m, v)
-                     for k, (m, v) in enumerate(zip(mi, dispersion))],
-                    axis=-1)
-
-
 def compute_plan_rates(plan) -> RateResult:
-    """Evaluate every user's second-order rate for a transmission plan.
-
-    Per-(user, sub-block) (I, V) come from one `sub_block_stats_table` call
-    over the grids of the plan's segments; the rates are the one-row case
-    of `second_order_rates`.
-    """
-    table = dict(zip(plan.segments, sub_block_stats_table(
-        [[grid for _, grid, _ in seg.dims]
-         for seg in plan.segments.values()])))
-    stats = [[table.get((k, sb.index), ZERO_STATS)
-              for sb in plan.layout.sub_blocks[:k + 1]]
-             for k in range(plan.spec.K)]
-    rates = second_order_rates(
-        plan.spec, plan.layout, [[[s.mi for s in row]] for row in stats],
-        [[[s.dispersion for s in row]] for row in stats])[0].tolist()
-    return RateResult(users=tuple(
-        UserRate(user=k, rate=rate, stats=tuple(stats[k]))
-        for k, rate in enumerate(rates)))
+    """Every user's second-order rate for a plan: the (I, V) of its entries
+    that carry bits come from one `sub_block_stats_table` call over their
+    dims, and each rate is the one-row case of `user_rates`."""
+    K = plan.spec.K
+    links = [e for e in plan.entries.values() if e.order]
+    table = sub_block_stats_table([[grid for _, grid, _ in e.dims]
+                                   for e in links])
+    mi, dispersion = np.zeros((2, K, K))
+    at = ([e.user for e in links], [e.sub_block for e in links])
+    mi[at], dispersion[at] = table[:, 0], table[:, 1]
+    rates = tuple(float(user_rates(plan.spec, plan.layout, k, mi[k, :k + 1],
+                                   dispersion[k, :k + 1])) for k in range(K))
+    return RateResult(rates, mi, dispersion)

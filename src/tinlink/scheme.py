@@ -8,10 +8,10 @@ superimposed frame carries the full per-symbol power budget, which fixes all
 per-user sub-block powers once the modulation orders are known.
 
 Only channel magnitudes enter plan construction, so plans are invariant to a
-common phase rotation of the channel coefficients, except for the rotations
-conj(h)/|h| in `SchemePlan.segments`: the receive set-up of every segment
-that carries bits, which the rate kernel integrates and the demapper
-evaluates, built once per plan by `assign_power`.
+common phase rotation of the channel coefficients but for the receive
+rotations conj(h)/|h| (`UserSpec.rotation`).  A (user, sub-block) link has
+one record, its `PlanEntry`, whose `dims` hold the receive grids and Gray
+bit halves that the rate kernel integrates and the demapper evaluates.
 """
 from __future__ import annotations
 
@@ -80,6 +80,11 @@ class UserSpec:
     eps: float
     h: complex
 
+    @property
+    def rotation(self) -> complex:
+        """conj(h)/|h|, which turns y = h x + z into |h| x + z'."""
+        return np.conj(self.h) / abs(self.h)
+
 
 @dataclass(frozen=True)
 class SystemSpec:
@@ -99,11 +104,19 @@ class SystemSpec:
             raise SpecError("total power must be positive")
         if not users:
             raise SpecError("at least one user required")
-        for u in users:
+        # a sweep splits the frame energy N_K P, and the shell dispersion
+        # squares receive SNRs of up to 6 N_K P |h_k|^2, which is inf when
+        # |h_k|^2 overflows, as other code squares |h_k| on its own
+        for k, u in enumerate(users):
             if u.N <= 0:
                 raise SpecError("blocklengths must be positive")
             if not 0.0 < u.eps < 0.5:
                 raise SpecError(f"error target {u.eps} outside (0, 0.5)")
+            snr = 6.0 * max(v.N for v in users) * P * (abs(u.h) * abs(u.h))
+            if not math.isfinite(snr * snr):
+                raise SpecError(f"user {k + 1} (N = {u.N}) is out of range: "
+                                f"its receive SNR 6 N_K P |h|^2 = {snr:.3g} "
+                                f"at P = {P!r} overflows when squared")
             if abs(u.h) == 0.0:
                 raise SpecError("channel coefficients must be non-zero")
         order = sorted(range(len(users)), key=lambda i: users[i].N)
@@ -366,12 +379,17 @@ def check_modulation_constraints(orders, spec: SystemSpec,
 
 @dataclass(frozen=True)
 class PlanEntry:
-    """One user's modulation inside one sub-block, after power assignment.
+    """One user's link in one sub-block, after power assignment.
 
     amp_i / amp_q are the full per-dimension amplitudes applied to the unit
     constellation (normalizer, sub-block power, and superposition stretch
     included); they are equal whenever the stacking is evenly balanced, in
-    which case the entry reduces to one complex scale.
+    which case the entry reduces to one complex scale.  dims is the link's
+    receive set-up after rotation by `UserSpec.rotation`, empty where the
+    order is 0, else one (coordinate, grid, halves) per dimension with bits:
+    0 for I or 1 for Q, the receive grid from `rates.receive_grids`, and a
+    (2 bits, levels / 2) array whose row b lists the level positions with
+    Gray label bit b equal to 0 and row bits + b those with it equal to 1.
     """
 
     user: int
@@ -386,23 +404,6 @@ class PlanEntry:
     amp_q: float
     tx_points: np.ndarray
     power: float
-
-
-@dataclass(frozen=True)
-class Segment:
-    """The receive set-up of one user's sub-block segment.
-
-    sub_block gives the segment's symbol range.  rotation is conj(h)/|h| for
-    the user's channel h in the plan, which turns y = h x + z into
-    |h| x + z'.  dims has one entry for I and one for Q where the user's
-    label has bits: the coordinate (0 for I, 1 for Q), the receive grid from
-    `rates.receive_grids`, and a (2 bits, levels / 2) array whose row b
-    lists the level positions with Gray label bit b equal to 0 and row
-    bits + b those with it equal to 1.
-    """
-
-    sub_block: SubBlock
-    rotation: complex
     dims: tuple[tuple[int, np.ndarray, np.ndarray], ...]
 
 
@@ -410,8 +411,9 @@ class Segment:
 class SchemePlan:
     """Validated transmission plan for one system spec.
 
-    segments maps every (user, sub-block) pair with a non-zero order to its
-    `Segment`, in frame order (user, then sub-block).
+    entries maps every (user, sub-block) pair with the user among the
+    sub-block's participants to its `PlanEntry`, in (sub-block, rank) order,
+    so one user's entries come in sub-block order, which is frame order.
     """
 
     spec: SystemSpec
@@ -421,7 +423,6 @@ class SchemePlan:
     eta: tuple[float, ...]
     sub_block_power: tuple[float, ...]
     codeword_lengths: tuple[int, ...]
-    segments: dict[tuple[int, int], Segment]
 
     def sub_block_signals(self, user: int, sub_block: int
                           ) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -435,13 +436,6 @@ class SchemePlan:
             if entry.order >= 1:
                 interferers.append(entry.tx_points)
         return desired, interferers
-
-    def parts(self, sub_block: int
-              ) -> dict[int, tuple[tuple[int, int], float, float]]:
-        """(shape, amp_i, amp_q) of each participant, in user order."""
-        entries = (self.entries[(u, sub_block)]
-                   for u in self.layout.sub_blocks[sub_block].participants)
-        return {e.user: (e.shape, e.amp_i, e.amp_q) for e in entries}
 
     def to_dict(self) -> dict:
         return {
@@ -532,44 +526,31 @@ def assign_power(orders, spec: SystemSpec, *,
         _, factors, eta = sub_block_geometry(mv)
         etas.append(eta)
         powers.append(spec.P if eta > 0 else 0.0)
-        for rank, (user, (shape, amp_i, amp_q)) in enumerate(
-                zip(sb.ranks, sub_block_parts(mv, spec.P))):
+        # in user order, as `rates.grid_key` lists the co-scheduled users
+        parts = dict(sorted(zip(sb.ranks, sub_block_parts(mv, spec.P))))
+        for rank, user in enumerate(sb.ranks):
+            shape, amp_i, amp_q = parts[user]
             fi, fq = factors[rank]
             part = silent() if mv[rank] == 0 else build_rect_qam(*shape)
             tx = amp_i * part.points.real + 1j * (amp_q * part.points.imag)
+            grids = (rates.receive_grids(abs(spec.users[user].h), parts, user)
+                     if mv[rank] else ())
+            dims = []
+            for d, (n_bits, grid) in enumerate(zip(shape, grids)):
+                if n_bits:
+                    shifts = np.arange(n_bits - 1, -1, -1)[:, None]
+                    bit = (gray_sequence(n_bits) >> shifts) & 1
+                    halves = np.nonzero(np.vstack([bit == 0, bit == 1]))[1]
+                    dims.append((d, grid, halves.reshape(2 * n_bits, -1)))
             entries[(user, sb.index)] = PlanEntry(
                 user=user, sub_block=sb.index, order=mv[rank], rank=rank,
                 shape=shape, part=part, factor_i=fi, factor_q=fq,
                 amp_i=amp_i, amp_q=amp_q, tx_points=tx,
-                power=float(np.mean(np.abs(tx) ** 2)))
-    plan = SchemePlan(spec=spec, layout=layout, orders=orders,
+                power=float(np.mean(np.abs(tx) ** 2)), dims=tuple(dims))
+    return SchemePlan(spec=spec, layout=layout, orders=orders,
                       entries=entries, eta=tuple(etas),
                       sub_block_power=tuple(powers),
-                      codeword_lengths=codeword_lengths(orders, layout),
-                      segments={})
-    plan.segments.update(((k, sb.index), build_segment(plan, k, sb.index))
-                         for k in range(spec.K)
-                         for sb in layout.sub_blocks[:k + 1]
-                         if orders[k][sb.index])
-    return plan
-
-
-def build_segment(plan: SchemePlan, user: int, sub_block: int) -> Segment:
-    """The `Segment` of one (user, sub-block) pair at the user's channel;
-    to demap at another channel, rebuild the plan on that spec."""
-    h = plan.spec.users[user].h
-    grids = rates.receive_grids(abs(h), plan.parts(sub_block), user)
-    dims = []
-    for d, (n_bits, grid) in enumerate(
-            zip(plan.entries[(user, sub_block)].shape, grids)):
-        if n_bits == 0:
-            continue
-        shifts = np.arange(n_bits - 1, -1, -1)[:, None]
-        bit = (gray_sequence(n_bits) >> shifts) & 1
-        halves = np.nonzero(np.concatenate([bit == 0, bit == 1]))[1]
-        dims.append((d, grid, halves.reshape(2 * n_bits, -1)))
-    return Segment(plan.layout.sub_blocks[sub_block], np.conj(h) / abs(h),
-                   tuple(dims))
+                      codeword_lengths=codeword_lengths(orders, layout))
 
 
 @dataclass(frozen=True)
@@ -817,15 +798,13 @@ def design_search(spec: SystemSpec, weights: Sequence[float] | None = None, *,
     # its (I, V) (0 where the user is silent or the sub-block is empty) and
     # the vector's slack; index[j, i] is candidate i's row in sub-block j
     vector_orders = [np.zeros((len(v), spec.K), np.int64) for v in vectors]
-    mi = [np.zeros((len(v), spec.K)) for v in vectors]
-    dispersion = [np.zeros((len(v), spec.K)) for v in vectors]
+    stats = [np.zeros((len(v), spec.K, 2)) for v in vectors]
     # each link's multi-level grids, every distinct one built once
     grids: dict[tuple, np.ndarray] = {}
     links, cells = [], []
     for sb, found in zip(layout.sub_blocks, vectors):
         for row, mv in enumerate(found):
-            by_rank = dict(zip(sb.ranks, sub_block_parts(mv, spec.P)))
-            parts = {u: by_rank[u] for u in sb.participants}
+            parts = dict(sorted(zip(sb.ranks, sub_block_parts(mv, spec.P))))
             vector_orders[sb.index][row, list(sb.ranks)] = mv
             for m, user in zip(mv, sb.ranks):
                 if not m:
@@ -841,13 +820,13 @@ def design_search(spec: SystemSpec, weights: Sequence[float] | None = None, *,
                 links.append(link)
                 cells.append((sb.index, row, user))
     for (j, row, user), s in zip(cells, rates.sub_block_stats_table(links)):
-        mi[j][row, user], dispersion[j][row, user] = s.mi, s.dispersion
+        stats[j][row, user] = s
 
     def rates_of(k, index):
         """User k's rates at the candidates whose rows index holds."""
         return rates.user_rates(spec, layout, k, *[
-            np.stack([c[j][index[j], k] for j in range(k + 1)], axis=-1)
-            for c in (mi, dispersion)])
+            np.stack([stats[j][index[j], k, c] for j in range(k + 1)], axis=-1)
+            for c in (0, 1)])
 
     # the all-silent order matrix carries no bits, so it is never a design
     silent = np.logical_and.reduce([~o.any(axis=1)[i]

@@ -290,7 +290,7 @@ def tin_llr_reference(y, user, sub_block, plan, *, max_log=False):
     cols = []
     for yd, n_bits, (levels, sums) in zip(
             (y.real, y.imag), shape,
-            dimension_levels_reference(plan.parts(sub_block), user)):
+            dimension_levels_reference(plan_parts(plan, sub_block), user)):
         if n_bits == 0:
             continue
         ll = tin_loglik_reference(yd, g, levels, sums, max_log=max_log)
@@ -302,14 +302,15 @@ def tin_llr_reference(y, user, sub_block, plan, *, max_log=False):
     return np.stack(cols, axis=1) if cols else np.zeros((y.size, 0))
 
 
-def tin_llr_reduced_reference(y, segment, *, max_log=False):
-    """`linksim.tin_llr` on one segment with every half of the levels
-    reduced, also a half that holds one level: the form before 1-bit
-    dimensions took their one log-likelihood as it is."""
-    y = np.asarray(y, dtype=complex).ravel() * segment.rotation
+def tin_llr_reduced_reference(y, user, sub_block, plan, *, max_log=False):
+    """`linksim.tin_llr` on one link with every half of the levels reduced,
+    also a half that holds one level: the form before 1-bit dimensions took
+    their one log-likelihood as it is."""
+    h = plan.spec.users[user].h
+    y = np.asarray(y, dtype=complex).ravel() * (np.conj(h) / abs(h))
     reduce = np.max if max_log else rates.log_sum_exp
     rows = []
-    for d, grid, halves in segment.dims:
+    for d, grid, halves in plan.entries[(user, sub_block)].dims:
         ll = rates.tin_loglik((y.real, y.imag)[d], grid, max_log=max_log).T
         per_half = reduce(ll[halves], axis=1)
         rows.append(per_half[:len(halves) // 2] - per_half[len(halves) // 2:])
@@ -351,6 +352,13 @@ def block_parts(spec, sub_block, mv):
     sb = scheme.build_layout(spec).sub_blocks[sub_block]
     by_rank = dict(zip(sb.ranks, scheme.sub_block_parts(mv, spec.P)))
     return {u: by_rank[u] for u in sb.participants}
+
+
+def plan_parts(plan, sub_block):
+    """`block_parts` at the rank-order vector of a plan's sub-block."""
+    sb = plan.layout.sub_blocks[sub_block]
+    return block_parts(plan.spec, sub_block,
+                       [plan.orders[u][sub_block] for u in sb.ranks])
 
 
 def sub_block_stats_per_key(g, parts, user):
@@ -438,7 +446,7 @@ def information_densities_reference(frame, user, sub_block, plan):
     dens = np.zeros(sent.size)
     for yd, unit, (levels, sums) in zip(
             (y.real, y.imag), (sent.real, sent.imag),
-            dimension_levels_reference(plan.parts(sub_block), user)):
+            dimension_levels_reference(plan_parts(plan, sub_block), user)):
         grid = abs(h) * (levels[:, None] + sums[None, :])
         idx = np.rint(unit + (grid.shape[0] - 1) / 2).astype(np.int64)
         dens += dimension_densities(yd, grid, idx)
@@ -560,16 +568,16 @@ def design_search_reference(spec, weights=None, max_sub_block_order=12,
                         block_parts(spec, sb.index, mv), user)
 
     def stats_of(k, j, mv):
-        return table.get((j, mv, k), rates.ZERO_STATS)
+        return table.get((j, mv, k), SubBlockRateStats(0.0, 0.0, 0, 0.0, 0.0))
 
     def gathered(k, field):
         return np.stack([np.array([getattr(stats_of(k, j, mv), field)
                                    for mv in vectors[j]])[index[:, j]]
                          for j in range(k + 1)], axis=-1)
 
-    user_rates = rates.second_order_rates(
-        spec, layout, [gathered(k, "mi") for k in range(spec.K)],
-        [gathered(k, "dispersion") for k in range(spec.K)])
+    user_rates = np.stack([rates.user_rates(spec, layout, k, gathered(k, "mi"),
+                                            gathered(k, "dispersion"))
+                           for k in range(spec.K)], axis=-1)
     flags = pareto_front_loop_reference(
         user_rates, [k for k in range(spec.K) if weights[k] > 0])
     rows = []

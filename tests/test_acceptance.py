@@ -149,8 +149,7 @@ def test_criterion_6_dispersion_ordering():
     for m1, m2 in [(2, 2), (2, 4), (4, 4)]:
         plan = assign_power([[m1], [m2, 0]], spec)
         result = compute_plan_rates(plan)
-        v_qam = [result.users[0].stats[0].dispersion,
-                 result.users[1].stats[0].dispersion]
+        v_qam = [result.dispersion[0, 0], result.dispersion[1, 0]]
         p1 = plan.entries[(0, 0)].power
         p2 = plan.entries[(1, 0)].power
         sinr1 = p1 * g1                          # perfect SIC, clean

@@ -341,9 +341,9 @@ class TestSimulate:
         # frames are synthesized in blocks: every frame's payload and noise
         # seeds are drawn once, the zero-noise frame is the first frame
         # without noise rather than a second synthesis, each active
-        # segment's set-up is built once, by the run's one plan, and each
-        # segment is demapped once per block (on 1-D samples) plus once for
-        # the zero-noise frame
+        # segment's receive grids are built once, by the run's one plan, and
+        # each segment is demapped once per block (on 1-D samples) plus once
+        # for the zero-noise frame
         per_block = max(1, linksim._BLOCK_SYMBOLS // 2000)
         n_frames = per_block + 2  # a full block and a partial one
         cfg = json.loads((ROOT / "configs" / "three_user.json").read_text())
@@ -355,7 +355,7 @@ class TestSimulate:
                  "synth": 0}
         default_rng = np.random.default_rng
         build_frame = scheme.build_frame
-        build_segment = scheme.build_segment
+        receive_grids = rates.receive_grids
         tin_llr = linksim.tin_llr
 
         def record_rng(seed):
@@ -370,9 +370,10 @@ class TestSimulate:
             calls["synth"] += 1
             return build_frame(symbols, plan)
 
-        def count_setup(plan, user, sub_block):
-            calls["setups"].append((user, sub_block))
-            return build_segment(plan, user, sub_block)
+        def count_setup(g, parts, user):
+            # parts holds sub-block j's participants, users j..K-1
+            calls["setups"].append((user, min(parts)))
+            return receive_grids(g, parts, user)
 
         def count_llr(y, user, sub_block, plan, **kwargs):
             calls["llrs"].append((np.ndim(y), len(y), user, sub_block))
@@ -381,7 +382,7 @@ class TestSimulate:
         monkeypatch.setattr(np.random, "default_rng", record_rng)
         monkeypatch.setattr(linksim, "simulate_frame", count_frame)
         monkeypatch.setattr(linksim, "build_frame", count_synth)
-        monkeypatch.setattr(scheme, "build_segment", count_setup)
+        monkeypatch.setattr(rates, "receive_grids", count_setup)
         monkeypatch.setattr(linksim, "tin_llr", count_llr)
         assert main(["simulate", "--config", str(path),
                      "--out", str(tmp_path / "sim.csv")]) == EXIT_OK
@@ -392,7 +393,7 @@ class TestSimulate:
             s for f in range(n_frames) for s in frame_seeds_reference(seed, f))
         assert calls["frames"] == 0
         assert calls["synth"] == 2
-        assert calls["setups"] == segments
+        assert sorted(calls["setups"]) == segments
         assert len(calls["llrs"]) == (2 + 1) * len(segments)
         assert {ndim for ndim, *_ in calls["llrs"]} == {1}
         bounds = [0] + [u["N"] for u in cfg["system"]["users"]]
@@ -537,6 +538,9 @@ class TestConfigHandling:
     SYSTEM = {"P": 1.0, "users": [
         {"N": 24, "eps": 1e-5, "h_re": 9.0, "h_im": 0.0},
         {"N": 32, "eps": 1e-4, "h_re": 4.0, "h_im": 0.0}]}
+    OVERFLOW = {"P": 1e300, "users": [
+        {"N": 16, "eps": 1e-3, "h_re": 1e10, "h_im": 0.0},
+        {"N": 32, "eps": 1e-3, "h_re": 2.0, "h_im": 0.0}]}
 
     # each value used to raise out of main (exit 1, which also means a failed
     # check) or to be read as something else (2.7 -> 2 frames, true -> 1
@@ -614,6 +618,21 @@ class TestConfigHandling:
         # true and 1.0 compared equal to 1 and were accepted
         ("design", {"schema_version": True}, "schema_version"),
         ("design", {"schema_version": 1.0}, "schema_version"),
+        # an SNR beyond the float range: design raised OverflowError in its
+        # bit budgets, benchmark wrote NaN cells (P = 1e300) or dropped its
+        # shell rows (P = 1e200), and |h|^2 beyond the range raised too
+        ("design", {"system": OVERFLOW}, "user 1 (N = 16"),
+        ("rate-region", {"system": OVERFLOW}, "user 1 (N = 16"),
+        ("benchmark", {"system": OVERFLOW}, "user 1 (N = 16"),
+        ("benchmark", {"system": {**OVERFLOW, "P": 1e200}}, "user 1"),
+        ("design", {"system": {**OVERFLOW, "P": 1e-300, "users": [
+            {**OVERFLOW["users"][0], "h_re": 1e200},
+            OVERFLOW["users"][1]]}}, "user 1"),
+        # a sweep beyond numpy's index range raised ValueError in np.linspace
+        *(pytest.param(command, {"rate_region": {"power_steps": 10 ** 30}},
+                       f"{10 ** 60} power splits (power_steps {10 ** 30})",
+                       id=f"{command}-power_steps-1e30")
+          for command in ("rate-region", "benchmark")),
     ])
     def test_malformed_value_exits_2(self, tmp_path, capsys, command,
                                      overrides, key):
@@ -624,6 +643,28 @@ class TestConfigHandling:
                      "--out", str(tmp_path / "o.csv")]) == EXIT_BAD_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("error:") and key in err
+
+    # an allocation that fails raised MemoryError out of main; the sweep
+    # names its split count (3 steps on two 2-user axes: 9)
+    @pytest.mark.parametrize("command, target, key", [
+        ("rate-region", (cli, "_power_splits"), "9 power splits"),
+        ("benchmark", (rates, "bc_shell_rates"), "9 power splits"),
+        ("design", (scheme, "design_search"), "error: out of memory"),
+    ])
+    def test_out_of_memory_exits_2(self, tmp_path, capsys, monkeypatch,
+                                   command, target, key):
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(*target, exhausted)
+        cfg = write_config(tmp_path, system=self.SYSTEM,
+                           rate_region={"power_steps": 3,
+                                        "max_sub_block_order": 2})
+        assert main([command, "--config", str(cfg),
+                     "--out", str(tmp_path / "o.csv")]) == EXIT_BAD_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and key in err
+        assert len(err.splitlines()) == 1
 
     # an unwritable path raised OSError out of main: a traceback and exit 1,
     # which means a failed check

@@ -40,6 +40,7 @@ from oracles import (
     bits,
     frame_seeds_reference,
     information_densities_reference,
+    plan_parts,
     simulate_rows_reference,
     sub_block_stats_per_key,
     sub_block_stats_reference,
@@ -252,25 +253,31 @@ class TestPlanSegments:
     @settings(max_examples=30, deadline=None)
     @given(plan=TIN_PLANS)
     def test_segments_are_the_active_pairs_set_up(self, plan):
-        # keys in frame order, each grid the one `receive_grids` builds, each
-        # dimension's bit halves the Gray-label oracle's
-        assert list(plan.segments) == [
+        # exactly the pairs that carry bits have dims, and each user's
+        # entries come in sub-block (frame) order; each grid is the one
+        # `receive_grids` builds, each dimension's bit halves the Gray-label
+        # oracle's
+        assert sorted(key for key, e in plan.entries.items() if e.dims) == [
             (k, sb.index) for k in range(plan.spec.K)
             for sb in plan.layout.sub_blocks[:k + 1]
             if sb.length > 0 and plan.orders[k][sb.index] > 0]
-        for (k, j), seg in plan.segments.items():
-            h = plan.spec.users[k].h
-            assert seg.sub_block is plan.layout.sub_blocks[j]
-            assert seg.rotation == np.conj(h) / abs(h)
-            shape = plan.entries[(k, j)].shape
-            grids = receive_grids(abs(h), plan.parts(j), k)
-            assert [d for d, _, _ in seg.dims] == [
-                d for d in (0, 1) if shape[d]]
-            for d, grid, halves in seg.dims:
+        for k, user in enumerate(plan.spec.users):
+            assert [e.sub_block for e in plan.entries.values()
+                    if e.user == k] == list(range(k + 1))
+            assert user.rotation == np.conj(user.h) / abs(user.h)
+        for (k, j), entry in plan.entries.items():
+            if not entry.order:
+                continue
+            grids = receive_grids(abs(plan.spec.users[k].h),
+                                  plan_parts(plan, j), k)
+            assert [d for d, _, _ in entry.dims] == [
+                d for d in (0, 1) if entry.shape[d]]
+            for d, grid, halves in entry.dims:
                 assert grid.shape == grids[d].shape
                 assert grid.tobytes() == grids[d].tobytes()
-                assert np.array_equal(halves, bit_halves_reference(shape[d]))
-        # the rates read the segments' grids and build none
+                assert np.array_equal(halves,
+                                      bit_halves_reference(entry.shape[d]))
+        # the rates read the entries' grids and build none
         with mock.patch.object(rates, "receive_grids",
                                side_effect=AssertionError("grids rebuilt")):
             rates.compute_plan_rates(plan)
@@ -324,37 +331,48 @@ class TestAgainstSymbolsFirstOracles:
         # log-likelihood as it is must equal the one-element reduction bit
         # for bit, at zero, unit and 3.5 times the unit noise
         frame = simulate_frame(plan, random_payloads(plan, seed), seed + 1)
-        for (user, j), segment in plan.segments.items():
-            sb, h = segment.sub_block, plan.spec.users[user].h
+        for (user, j), entry in plan.entries.items():
+            if not entry.order:
+                continue
+            sb, h = plan.layout.sub_blocks[j], plan.spec.users[user].h
             clean = h * frame.x[sb.start:sb.stop]
             y = clean + scale * (frame.y[user][sb.start:sb.stop] - clean)
             assert bits(tin_llr(y, user, j, plan, max_log=max_log)) == bits(
-                tin_llr_reduced_reference(y, segment, max_log=max_log))
+                tin_llr_reduced_reference(y, user, j, plan, max_log=max_log))
 
     @settings(max_examples=25, deadline=None)
     @given(plan=TIN_PLANS)
     def test_sub_block_stats_match_oracle(self, plan):
-        for user, j in plan.segments:
-            g, parts = abs(plan.spec.users[user].h), plan.parts(j)
-            got, = sub_block_stats_table([receive_grids(g, parts, user)])
+        for (user, j), entry in plan.entries.items():
+            if not entry.order:
+                continue
+            g, parts = abs(plan.spec.users[user].h), plan_parts(plan, j)
+            (mi, dispersion), = sub_block_stats_table(
+                [receive_grids(g, parts, user)])
             ref = sub_block_stats_reference(g, parts, user)
-            assert abs(got.mi - ref.mi) <= 1e-14
-            assert abs(got.dispersion - ref.dispersion) <= 1e-14
+            assert abs(mi - ref.mi) <= 1e-14
+            assert abs(dispersion - ref.dispersion) <= 1e-14
 
     @settings(max_examples=25, deadline=None)
     @given(plan=TIN_PLANS)
     def test_plan_table_matches_per_key_integration(self, plan):
         # the plan's one table call against each active pair integrated on
-        # its own, bit for bit; silent pairs read exactly 0
-        for user, rate in enumerate(rates.compute_plan_rates(plan).users):
-            for j, got in enumerate(rate.stats):
-                active = (plan.layout.sub_blocks[j].length
+        # its own, bit for bit; silent and unscheduled pairs read exactly 0
+        result = rates.compute_plan_rates(plan)
+        K = plan.spec.K
+        assert result.mi.shape == result.dispersion.shape == (K, K)
+        for user in range(K):
+            for j in range(K):
+                active = (j <= user and plan.layout.sub_blocks[j].length
                           and plan.orders[user][j])
-                want = (sub_block_stats_per_key(
-                    abs(plan.spec.users[user].h), plan.parts(j), user)
-                    if active else rates.ZERO_STATS)
-                assert bits([got.mi, got.dispersion]) == bits(
-                    [want.mi, want.dispersion])
+                want = (0.0, 0.0)
+                if active:
+                    ref = sub_block_stats_per_key(
+                        abs(plan.spec.users[user].h), plan_parts(plan, j),
+                        user)
+                    want = (ref.mi, ref.dispersion)
+                assert bits([result.mi[user, j],
+                             result.dispersion[user, j]]) == bits(want)
 
     def test_symbol_chunks_match_one_pass(self, monkeypatch):
         # a 48-element budget takes 6 or 12 symbols per kernel pass on
@@ -366,15 +384,16 @@ class TestAgainstSymbolsFirstOracles:
         def results():
             return ([demap_frame(frame, k, plan, max_log=max_log)
                      for k in range(plan.spec.K) for max_log in (False, True)],
-                    sub_block_stats_table([receive_grids(g, plan.parts(j), 1)
-                                           for j in (0, 1)]))
+                    sub_block_stats_table(
+                        [receive_grids(g, plan_parts(plan, j), 1)
+                         for j in (0, 1)]))
 
         whole = results()
         monkeypatch.setattr(rates, "_ELEM_BUDGET", 48)
         chunked = results()
         for a, b in zip(whole[0], chunked[0]):
             assert np.array_equal(a, b)
-        assert whole[1] == chunked[1]
+        assert np.array_equal(whole[1], chunked[1])
 
     @settings(max_examples=20, deadline=None)
     @given(plan=TIN_PLANS, n_frames=st.integers(1, 3),
@@ -471,7 +490,7 @@ class TestInformationDensities:
     @settings(max_examples=30, deadline=None)
     @given(plan=TIN_PLANS, seed=st.integers(0, 10 ** 6))
     def test_matches_per_call_grid_oracle(self, plan, seed):
-        # densities from the plan's segments and from both dimensions' grids
+        # densities from the plan's entries and from both dimensions' grids
         # built per call are bit-identical; a silent pair reads zeros
         frame = simulate_frame(plan, random_payloads(plan, seed), seed + 1)
         for user in range(plan.spec.K):

@@ -489,14 +489,17 @@ class TestPlanRates:
         plan = assign_power([[2], [2, 2], [2, 2, 2]], spec)
         from tinlink.rates import compute_plan_rates
         res = compute_plan_rates(plan)
-        assert len(res.users) == 3
-        for k, u in enumerate(res.users):
-            assert len(u.stats) == k + 1
-            assert math.isfinite(u.rate)
-            for sb_idx, st in enumerate(u.stats):
+        assert len(res.rates) == 3
+        assert res.mi.shape == res.dispersion.shape == (3, 3)
+        for k, rate in enumerate(res.rates):
+            assert math.isfinite(rate)
+            # sub-blocks after the user's own hold none of its symbols
+            assert not res.mi[k, k + 1:].any()
+            assert not res.dispersion[k, k + 1:].any()
+            for sb_idx in range(k + 1):
                 order = plan.orders[k][sb_idx]
-                assert -1e-9 <= st.mi <= order + 1e-9
-                assert st.dispersion >= 0.0
+                assert -1e-9 <= res.mi[k, sb_idx] <= order + 1e-9
+                assert res.dispersion[k, sb_idx] >= 0.0
 
 
 def random_plan(rng, k):
@@ -552,8 +555,9 @@ def urllc_design_point():
 
 def plan_stats(plan):
     """(I, V) of every (user, sub-block), user-major."""
-    return np.array([[s.mi, s.dispersion]
-                     for u in compute_plan_rates(plan).users for s in u.stats])
+    res = compute_plan_rates(plan)
+    return np.array([[res.mi[k, j], res.dispersion[k, j]]
+                     for k in range(plan.spec.K) for j in range(k + 1)])
 
 
 class TestQuadratureKernel:
@@ -565,9 +569,10 @@ class TestQuadratureKernel:
         for seed, plan in enumerate(plans):
             exact = compute_plan_rates(plan)
             for k, user in enumerate(plan.spec.users):
-                for j, got in enumerate(exact.users[k].stats):
+                for j in range(k + 1):
                     if plan.orders[k][j] == 0:
                         continue
+                    got_mi, got_v = exact.mi[k, j], exact.dispersion[k, j]
                     desired, interferers = plan.sub_block_signals(k, j)
                     mc = estimate_mi_dispersion(desired, interferers, user.h,
                                                 4000, seed)
@@ -575,8 +580,8 @@ class TestQuadratureKernel:
                     # quadrature residual
                     worst = max(
                         worst,
-                        abs(got.mi - mc.mi) / math.hypot(mc.std_err_mi, 1e-6),
-                        abs(got.dispersion - mc.dispersion)
+                        abs(got_mi - mc.mi) / math.hypot(mc.std_err_mi, 1e-6),
+                        abs(got_v - mc.dispersion)
                         / math.hypot(mc.std_err_dispersion, 1e-6))
         assert worst <= 4.0
 
@@ -586,7 +591,7 @@ class TestQuadratureKernel:
             h = math.sqrt(10 ** (snr_db / 10.0))
             plan = assign_power([[m]], SystemSpec.create(
                 1.0, [UserSpec(64, 1e-5, h)]), check=False)
-            got = compute_plan_rates(plan).users[0].stats[0].mi
+            got = compute_plan_rates(plan).mi[0, 0]
             oracle = oracle_mi(plan.entries[(0, 0)].tx_points, h)
             assert got == pytest.approx(oracle, abs=1e-6)
 
@@ -603,13 +608,14 @@ class TestQuadratureKernel:
         spec = SystemSpec.create(1.0, [UserSpec(16 * (i + 1), 1e-5, g)
                                        for i, g in enumerate(gains)])
         plan = assign_power(orders, spec)
-        for k, user in enumerate(compute_plan_rates(plan).users):
-            for j, got in enumerate(user.stats):
+        got = compute_plan_rates(plan)
+        for k in range(plan.spec.K):
+            for j in range(k + 1):
                 want = quadrature_mi_dispersion(
                     *plan.sub_block_signals(k, j), plan.spec.users[k].h,
                     rates.GH_NODES)
-                assert abs(got.mi - want.mi) <= 1e-12
-                assert abs(got.dispersion - want.dispersion) <= 1e-12
+                assert abs(got.mi[k, j] - want.mi) <= 1e-12
+                assert abs(got.dispersion[k, j] - want.dispersion) <= 1e-12
 
     # at 1.1x the feasibility edge, 64 nodes were 6e-5 off in V
     @pytest.mark.parametrize("plan", [urllc_design_point,

@@ -639,11 +639,12 @@ class TestDesignSearch:
         front = design_search(spec, max_sub_block_order=3)
         for i, row in enumerate(full.rates.tolist()):
             plan = assign_power(full.order_matrix(i), spec)
-            for k, (rate, u) in enumerate(
-                    zip(row, rates.compute_plan_rates(plan).users)):
+            stats = rates.compute_plan_rates(plan)
+            for k, rate in enumerate(row):
                 ref = scalar_second_order(
                     [sb.length for sb in plan.layout.sub_blocks[:k + 1]],
-                    [s.mi for s in u.stats], [s.dispersion for s in u.stats],
+                    stats.mi[k, :k + 1].tolist(),
+                    stats.dispersion[k, :k + 1].tolist(),
                     spec.users[k].eps, spec.users[k].N)
                 assert bits(rate) == bits(ref.rate)
                 assert (rate <= 0.0) == ref.nonpositive
@@ -810,11 +811,10 @@ def test_kernel_table_matches_per_key_integration(system, cap):
              for m, k in zip(mv, sb.ranks) if m]
     table = rates.sub_block_stats_table(
         [rates.receive_grids(*link) for link in links])
-    assert len(table) == len(links)
+    assert table.shape == (len(links), 2)
     for got, link in zip(table, links):
         want = sub_block_stats_per_key(*link)
-        assert bits([got.mi, got.dispersion]) == bits(
-            [want.mi, want.dispersion])
+        assert bits(got) == bits([want.mi, want.dispersion])
     one_level = {grid.tobytes(): grid for link in links
                  for grid in rates.receive_grids(*link) if grid.shape[0] == 1}
     assert one_level
