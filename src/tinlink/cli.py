@@ -178,28 +178,55 @@ def cmd_design(cfg: Mapping, args) -> int:
 # rate-region and benchmark sweeps
 # ---------------------------------------------------------------------------
 
-def _power_splits(spec: scheme.SystemSpec, layout, steps: int
-                  ) -> dict[tuple[int, int], np.ndarray]:
-    """Grid over benchmark power allocations: (user, sub_block) -> power,
-    with one array entry per split.
+# Power splits per chunk of the sweep: what a sweep holds at once follows
+# this, not its number of splits
+_SWEEP_CHUNK = 4096
+
+
+def _split_tables(spec: scheme.SystemSpec, layout, steps: int):
+    """The grid over benchmark power allocations, as (shape, tables).
 
     Free parameters are the per-sub-block totals (under the frame-average
     total power constraint) and the within-sub-block shares; each is swept
-    over `steps` points.  Splits run in product order, the totals slowest
-    and then each active sub-block's shares.
+    over `steps` points.  Splits are numbered in product order over
+    `shape`, the totals slowest and then each active sub-block's shares.
+    Each (user, sub_block) column, in sorted order, has a table
+    (key, shares axis, powers, items): the per-symbol power and its
+    `user.subblock=power` param item, both indexed [totals row, shares
+    row].  An item ends in the `;` before the next item or, in the last
+    column, in the `,` that closes the param cell and the empty orders
+    cell's `,`.
     """
     active = [sb for sb in layout.sub_blocks if sb.length > 0]
     axes = [_simplex_grid(len(active), steps,
                           layout.boundaries[-1] * spec.P)]
     axes += [_simplex_grid(len(sb.participants), steps, 1.0) for sb in active]
-    index = np.indices([len(a) for a in axes]).reshape(len(axes), -1)
-    powers = {}
-    for a, sb in enumerate(active):
-        per_symbol = axes[0][index[0], a] / sb.length
-        shares = axes[a + 1][index[a + 1]]
-        for i, user in enumerate(sb.participants):
-            powers[(user, sb.index)] = per_symbol * shares[:, i]
-    return powers
+    columns = sorted(
+        ((user, sb.index), a + 1,
+         (axes[0][:, a] / sb.length)[:, None] * axes[a + 1][:, i])
+        for a, sb in enumerate(active)
+        for i, user in enumerate(sb.participants))
+    tables = []
+    for c, ((u, j), axis, powers) in enumerate(columns):
+        # items hold no delimiter or quote, so they go in unquoted
+        end = ";" if c + 1 < len(columns) else ",,"
+        tables.append(((u, j), axis, powers,
+                       _float_cells(powers, f"{u + 1}.{j + 1}=%.6g{end}")))
+    return [len(a) for a in axes], tables
+
+
+def _power_splits(shape, tables, start: int, stop: int
+                  ) -> tuple[dict[tuple[int, int], np.ndarray],
+                             list[np.ndarray]]:
+    """Splits `start` to `stop` of the grid `_split_tables` returns:
+    (user, sub_block) -> power, with one array entry per split, and the
+    param items of each column, one per split."""
+    index = np.unravel_index(np.arange(start, stop), shape)
+    powers, items = {}, []
+    for key, axis, power, item in tables:
+        powers[key] = power[index[0], index[axis]]
+        items.append(item[index[0], index[axis]])
+    return powers, items
 
 
 def _simplex_grid(dims: int, steps: int, total: float) -> np.ndarray:
@@ -216,19 +243,49 @@ def _simplex_grid(dims: int, steps: int, total: float) -> np.ndarray:
     return np.column_stack([parts, remaining])
 
 
-def _param_strs(powers: Mapping[tuple[int, int], np.ndarray]) -> list[str]:
-    """Each split's `user.subblock=power` items, in (user, sub_block) order;
-    each distinct power of a column is formatted once."""
-    columns = []
-    for (u, j), column in sorted(powers.items()):
-        bits, inverse = np.unique(column.view(np.uint64), return_inverse=True)
-        items = [f"{u + 1}.{j + 1}={p:.6g}"
-                 for p in bits.view(np.float64).tolist()]
-        columns.append(map(items.__getitem__, inverse.tolist()))
-    return [";".join(split) for split in zip(*columns)]
+def _float_cells(values: np.ndarray, fmt: str) -> np.ndarray:
+    """`fmt % v` for each v of `values`, as an object array of the same
+    shape; each distinct bit pattern is formatted once."""
+    bits, inverse = np.unique(values.view(np.uint64), return_inverse=True)
+    text = list(map(fmt.__mod__, bits.view(np.float64).tolist()))
+    return np.array(text, dtype=object)[inverse.reshape(values.shape)]
+
+
+def _sweep_cells(spec: scheme.SystemSpec, layout, shape, tables, start: int,
+                 stop: int, leads: np.ndarray) -> np.ndarray:
+    """The cells of the `gauss_sic`, `gauss_tin` and `shell_sic` lines of
+    splits `start` to `stop`, shaped (split, kind, cell), that joined in
+    order give the lines; `leads` are the three kinds' constant cells.  A
+    split's shell line is left out, its cells blanked, where any shell
+    rate is NaN."""
+    powers, items = _power_splits(shape, tables, start, stop)
+    kinds = [rates.bc_gaussian_rates(spec, layout, powers, mode="sic"),
+             rates.bc_gaussian_rates(spec, layout, powers, mode="tin"),
+             rates.bc_shell_rates(spec, layout, powers, mode="sic")]
+    # one row of cells per line, joined once: the leads, the param items,
+    # then the rates, the last of them ending the line
+    cells = np.empty((stop - start, len(kinds), 1 + len(items) + spec.K),
+                     dtype=object)
+    cells[:, :, 0] = leads
+    for c, item in enumerate(items, 1):
+        cells[:, :, c] = item[:, None]
+    for kind, block in enumerate(kinds):
+        for k in range(spec.K):
+            cells[:, kind, 1 + len(items) + k] = _float_cells(
+                block[:, k], "%.12g\r\n" if k + 1 == spec.K else "%.12g,")
+    cells[np.isnan(kinds[2]).any(axis=1), 2, :] = ""
+    return cells
 
 
 def cmd_rate_region(cfg: Mapping, args, benchmarks_only: bool = False) -> int:
+    """The QAM designs (unless `benchmarks_only`), then the benchmark sweep.
+
+    Every config check runs before the output file is opened.  The sweep
+    is streamed in chunks of `_SWEEP_CHUNK` splits, in split order: each
+    chunk's powers are built, its rates computed and its lines written
+    before the next chunk is built.  A sweep that runs out of memory exits
+    2 naming its split count, leaving the lines already written.
+    """
     spec = spec_from_config(cfg)
     layout = scheme.build_layout(spec)
     samples, seed = sampling_params(cfg, args)
@@ -236,7 +293,7 @@ def cmd_rate_region(cfg: Mapping, args, benchmarks_only: bool = False) -> int:
     steps = _read(section, "power_steps", 17, int)
     if steps < 2:
         raise ConfigError("rate_region.power_steps must be >= 2")
-    # `_power_splits` crosses simplices of steps^(dims - 1) points each
+    # `_split_tables` crosses simplices of steps^(dims - 1) points each
     n_splits = steps ** (sum(len(sb.participants)
                              for sb in layout.sub_blocks if sb.length) - 1)
     too_many = f"{n_splits} power splits (power_steps {steps}) are too many"
@@ -253,9 +310,8 @@ def cmd_rate_region(cfg: Mapping, args, benchmarks_only: bool = False) -> int:
                "orders"]
               + [f"R_{k + 1}" for k in range(spec.K)])
     lead = [build_id(), str(seed), str(samples)]
-    rate_cells = ",%.12g" * spec.K
 
-    qam_rows = ()
+    n_qam = 0
     if include_qam:
         result = scheme.design_search(
             spec, [1.0] * spec.K, max_sub_block_order=cap, pareto_only=False)
@@ -263,34 +319,31 @@ def cmd_rate_region(cfg: Mapping, args, benchmarks_only: bool = False) -> int:
             print(result.explanation or "no feasible design", file=sys.stderr)
             _write_lines(args.out, header, ())
             return EXIT_NO_DESIGN
-        qam_rows = zip(result.orders.tolist(), result.rates.tolist())
-
-    try:
-        powers = _power_splits(spec, layout, steps)
-        gauss_sic = rates.bc_gaussian_rates(spec, layout, powers, mode="sic")
-        gauss_tin = rates.bc_gaussian_rates(spec, layout, powers, mode="tin")
-        shell = rates.bc_shell_rates(spec, layout, powers, mode="sic")
-    except MemoryError as exc:
-        raise ConfigError(too_many) from exc
-    has_shell = ~np.isnan(shell).any(axis=1)
+        n_qam = len(result)
     qam = _line_template(lead + ["qam_tin", ""],
-                         _orders_cell(spec.K) + rate_cells)
-    # param strings hold no delimiter or quote, so they go in unquoted
-    sic, tin, shell_sic = (_line_template(lead + [kind], "%s," + rate_cells)
-                           for kind in ("gauss_sic", "gauss_tin", "shell_sic"))
+                         _orders_cell(spec.K) + ",%.12g" * spec.K)
+    leads = np.array(["".join(_csv_cell(c) + "," for c in lead + [kind])
+                      for kind in ("gauss_sic", "gauss_tin", "shell_sic")],
+                     dtype=object)
 
     def lines():
-        for orders, rate_row in qam_rows:
-            yield qam % (*orders, *rate_row)
-        # rows are converted one at a time, so no whole-array list is held
-        # beside the output
-        for param, r_sic, r_tin, r_shell, shell_row in zip(
-                _param_strs(powers), gauss_sic, gauss_tin, shell,
-                has_shell.tolist()):
-            yield sic % (param, *r_sic.tolist())
-            yield tin % (param, *r_tin.tolist())
-            if shell_row:
-                yield shell_sic % (param, *r_shell.tolist())
+        # the QAM rows go to lists chunk by chunk, so no whole-array list
+        # is held
+        for start in range(0, n_qam, _SWEEP_CHUNK):
+            stop = start + _SWEEP_CHUNK
+            for orders, rate_row in zip(result.orders[start:stop].tolist(),
+                                        result.rates[start:stop].tolist()):
+                yield qam % (*orders, *rate_row)
+        try:
+            shape, tables = _split_tables(spec, layout, steps)
+            for start in range(0, n_splits, _SWEEP_CHUNK):
+                # the chunk's arrays are dropped before its text is joined
+                yield "".join(_sweep_cells(
+                    spec, layout, shape, tables, start,
+                    min(start + _SWEEP_CHUNK, n_splits), leads
+                ).ravel().tolist())
+        except MemoryError as exc:
+            raise ConfigError(too_many) from exc
 
     _write_lines(args.out, header, lines())
     return EXIT_OK

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -236,14 +237,73 @@ class TestRateRegion:
                                        for k, n in enumerate(lengths)])
         layout = build_layout(spec)
         for steps in range(2, 8):
-            powers = cli._power_splits(spec, layout, steps)
+            shape, tables = cli._split_tables(spec, layout, steps)
             reference = list(power_splits_reference(spec, layout, steps))
+            assert math.prod(shape) == len(reference)
+            # in two chunks, so the second starts inside the index
+            half = len(reference) // 2
+            chunks = [cli._power_splits(shape, tables, start, stop)
+                      for start, stop in ((0, half), (half, len(reference)))]
+            powers = {key: np.concatenate([c[0][key] for c in chunks])
+                      for key in chunks[0][0]}
             assert all(split.keys() == powers.keys() for split in reference)
             for key, column in powers.items():
                 assert column.tobytes() == np.array(
                     [split[key] for split in reference]).tobytes()
-            assert cli._param_strs(powers) == [
-                param_str_reference(split) for split in reference]
+            params = ["".join(row) for items in (c[1] for c in chunks)
+                      for row in zip(*items)]
+            assert params == [param_str_reference(split) + ",,"
+                              for split in reference]
+
+    # three_user.json at 3 steps (243 splits, some with a shell row and some
+    # without) and two_user_equal_blocklength.json (41 splits on one
+    # sub-block); 16 divides neither count
+    @pytest.mark.parametrize("config, steps", [
+        ("three_user", 3), ("two_user_equal_blocklength", None)])
+    @pytest.mark.parametrize("command", ["rate-region", "benchmark"])
+    def test_chunk_boundaries_leave_bytes(self, tmp_path, monkeypatch,
+                                          config, steps, command):
+        cfg = json.loads((ROOT / "configs" / f"{config}.json").read_text())
+        if steps is not None:
+            cfg["rate_region"]["power_steps"] = steps
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+
+        def run(chunk):
+            monkeypatch.setattr(cli, "_SWEEP_CHUNK", chunk)
+            out = tmp_path / f"{chunk}.csv"
+            assert main([command, "--config", str(path),
+                         "--out", str(out)]) == EXIT_OK
+            return out.read_bytes()
+
+        whole = run(10 ** 6)
+        _, rows = read_rows(tmp_path / f"{10 ** 6}.csv")
+        sic = sum(r["point_type"] == "gauss_sic" for r in rows)
+        shell = sum(r["point_type"] == "shell_sic" for r in rows)
+        assert 0 < shell < sic
+        for chunk in (1, 7, 16):
+            assert run(chunk) == whole
+
+    def test_sweep_memory_follows_the_chunk(self, tmp_path):
+        """The traced peak of `benchmark` on three_user.json at 9 steps
+        (59,049 splits) stays within twice the peak at 5 steps (3,125).
+        tracemalloc sees numpy's buffers as well as Python objects."""
+        cfg = json.loads((ROOT / "configs" / "three_user.json").read_text())
+
+        def peak(steps):
+            cfg["rate_region"]["power_steps"] = steps
+            path = tmp_path / f"{steps}.json"
+            path.write_text(json.dumps(cfg))
+            tracemalloc.start()
+            try:
+                assert main(["benchmark", "--config", str(path), "--out",
+                             str(tmp_path / f"{steps}.csv")]) == EXIT_OK
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(2)  # first-call set-up is not part of either sweep
+        assert peak(9) <= 2 * peak(5)
 
     def test_benchmark_only_command(self, tmp_path):
         cfg = self.region_config(tmp_path)
@@ -643,9 +703,13 @@ class TestConfigHandling:
                      "--out", str(tmp_path / "o.csv")]) == EXIT_BAD_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("error:") and key in err
+        # every config check runs before the output is opened
+        assert not (tmp_path / "o.csv").exists()
 
     # an allocation that fails raised MemoryError out of main; the sweep
-    # names its split count (3 steps on two 2-user axes: 9)
+    # names its split count (3 steps on two 2-user axes: 9).  The sweep's
+    # grid is built chunk by chunk in `_power_splits`, after the output is
+    # opened
     @pytest.mark.parametrize("command, target, key", [
         ("rate-region", (cli, "_power_splits"), "9 power splits"),
         ("benchmark", (rates, "bc_shell_rates"), "9 power splits"),
@@ -665,6 +729,36 @@ class TestConfigHandling:
         err = capsys.readouterr().err
         assert err.startswith("error:") and key in err
         assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("command", ["rate-region", "benchmark"])
+    def test_failed_sweep_keeps_written_chunks(self, tmp_path, capsys,
+                                               monkeypatch, command):
+        """A sweep that fails in its second chunk exits 2 and leaves the
+        header, any QAM rows and the lines of the first chunk's splits."""
+        cfg = write_config(tmp_path, system=self.SYSTEM,
+                           rate_region={"power_steps": 3,
+                                        "max_sub_block_order": 2})
+        full, part = tmp_path / "full.csv", tmp_path / "part.csv"
+        assert main([command, "--config", str(cfg),
+                     "--out", str(full)]) == EXIT_OK
+        build, calls = cli._power_splits, []
+
+        def first_chunk_only(*args):
+            calls.append(args)
+            if len(calls) > 1:
+                raise MemoryError
+            return build(*args)
+
+        monkeypatch.setattr(cli, "_SWEEP_CHUNK", 4)
+        monkeypatch.setattr(cli, "_power_splits", first_chunk_only)
+        assert main([command, "--config", str(cfg),
+                     "--out", str(part)]) == EXIT_BAD_CONFIG
+        assert "9 power splits" in capsys.readouterr().err
+        written = part.read_bytes()
+        assert full.read_bytes().startswith(written)
+        _, rows = read_rows(part)
+        assert sum(r["point_type"] == "gauss_sic" for r in rows) == 4
+        assert len(read_rows(full)[1]) > len(rows)
 
     # an unwritable path raised OSError out of main: a traceback and exit 1,
     # which means a failed check
