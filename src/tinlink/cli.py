@@ -9,6 +9,7 @@ Exit codes: 0 success, 1 validation failure, 2 invalid config or schema
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -34,8 +35,10 @@ class ConfigError(ValueError):
 # Build id and formatting
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_id() -> str:
-    """Short content hash of the installed package sources."""
+    """Short content hash of the installed package sources, read and hashed
+    on the first call and reused for the life of the process."""
     digest = hashlib.sha1()
     digest.update(__version__.encode())
     pkg_dir = Path(__file__).parent
@@ -259,9 +262,9 @@ def _sweep_cells(spec: scheme.SystemSpec, layout, shape, tables, start: int,
     split's shell line is left out, its cells blanked, where any shell
     rate is NaN."""
     powers, items = _power_splits(shape, tables, start, stop)
-    kinds = [rates.bc_gaussian_rates(spec, layout, powers, mode="sic"),
-             rates.bc_gaussian_rates(spec, layout, powers, mode="tin"),
-             rates.bc_shell_rates(spec, layout, powers, mode="sic")]
+    sic, tin = rates.bc_gaussian_rates(spec, layout, powers,
+                                       mode=("sic", "tin"))
+    kinds = [sic, tin, rates.bc_shell_rates(spec, layout, powers, mode="sic")]
     # one row of cells per line, joined once: the leads, the param items,
     # then the rates, the last of them ending the line
     cells = np.empty((stop - start, len(kinds), 1 + len(items) + spec.K),
@@ -575,7 +578,11 @@ def cmd_validate(cfg: Mapping, args) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and reused: each
+    `parse_args` fills a new namespace, so no call sees another's
+    arguments."""
     parser = argparse.ArgumentParser(
         prog="tinlink",
         description="Superimposed-QAM downlink design and finite-blocklength "

@@ -51,6 +51,12 @@ MIN_NOISE_SAMPLES = 1000
 GH_NODES = 128
 
 _BATCH = 4096
+# Elements in one kernel working array.  Each grid goes through the kernel
+# on its own: batching a design search's same-shape grids into one pass
+# ran 7% slower on `design` of two_user_search.json, with about 5 times
+# the minor page faults (1,169 against 224 a call, 2-core x86-64 VM): the
+# C allocator hands freed working arrays above about 1 MB back to the
+# system, and they fault in again on the next call.
 _ELEM_BUDGET = 1 << 23
 # Floor on exp arguments in the likelihood sums.  numpy's vectorized exp
 # leaves its fast path below about -708, where results are subnormal or 0,
@@ -347,7 +353,20 @@ def tin_loglik(y: np.ndarray, grid: np.ndarray, *,
     instead.  The working array is (levels, sums, symbols), so the
     reductions over t are elementwise passes over contiguous symbols, and
     the result is the transpose of a C-contiguous (levels, symbols) array.
+
+    A grid with one interferer sum (no co-scheduled user has bits in the
+    dimension) has the likelihood -d itself, d the squared distance: the
+    exact path writes 0.0 - d, bit for bit the log(exp(0)) - d of the sums,
+    and max_log -d, so a zero distance gives +0.0 and -0.0 as they do.  d
+    is always finite: a spec whose SNR could overflow it is rejected by
+    `scheme.SystemSpec.create`, so no command reaches inf - inf here.
     """
+    if grid.shape[1] == 1:
+        d = y - grid
+        np.square(d, out=d)
+        if max_log:
+            return np.negative(d, out=d).T
+        return np.subtract(0.0, d, out=d).T
     out = np.empty((grid.shape[0], y.size))
     step = max(1, _ELEM_BUDGET // grid.size)
     for lo in range(0, y.size, step):
@@ -373,7 +392,7 @@ def dimension_densities(y: np.ndarray, grid: np.ndarray,
                         sent: np.ndarray) -> np.ndarray:
     """One dimension's information density in bits, at sent level indices."""
     ll = tin_loglik(y, grid)
-    own = np.take_along_axis(ll, sent[:, None], axis=1)[:, 0]
+    own = ll[np.arange(sent.size), sent]
     return math.log2(grid.shape[0]) + (own - log_sum_exp(ll, 1)) / LN2
 
 
@@ -488,42 +507,57 @@ def sinr(signal_power: float, interference_power: float) -> float:
 
 
 def _bc_rates(spec, layout, powers: Mapping[tuple[int, int], np.ndarray],
-              mode: str, link_stats) -> np.ndarray:
+              mode: str | Sequence[str], link_stats):
     """Benchmark rate of every user at every power split, NaN where it has
-    none; shape (..., K) for power arrays of shape (...).
+    none; shape (..., K) for power arrays of shape (...), or a list of such
+    arrays, one per mode, when mode is a tuple of modes.
 
     link_stats(own power, interference power, |h|^2) gives the (I, V) arrays
     of one non-empty sub-block, with I NaN where the user gets no rate.  mode
     "tin" counts all co-scheduled powers as interference; mode "sic" only
     those of stronger-channel users.  Every split goes through one numpy
-    pass per user.
+    pass per user, and a link (user, sub-block) or a user's rate whose
+    interferers are the same under two modes is computed once, as the
+    weakest-channel user's are under "sic" and "tin".
     """
-    if mode not in ("sic", "tin"):
-        raise RateEngineError(f"unknown benchmark mode {mode!r}")
-    out = []
+    modes = (mode,) if isinstance(mode, str) else tuple(mode)
+    for name in modes:
+        if name not in ("sic", "tin"):
+            raise RateEngineError(f"unknown benchmark mode {name!r}")
+    out = [[] for _ in modes]
     for k, user in enumerate(spec.users):
         blocks = [sb for sb in layout.sub_blocks[:k + 1] if sb.length]
-        mis, vs = [], []
-        for sb in blocks:
-            interf = 0.0
-            for other in sb.participants:
-                if other != k and (mode == "tin" or abs(spec.users[other].h)
-                                   > abs(user.h)):
-                    interf = interf + powers.get((other, sb.index), 0.0)
-            mi, v = link_stats(powers.get((k, sb.index), 0.0), interf,
-                               abs(user.h) ** 2)
-            mis.append(mi)
-            vs.append(v)
-        out.append(combine_second_order(
-            [sb.length for sb in blocks],
-            np.stack(np.broadcast_arrays(*mis), axis=-1),
-            np.stack(np.broadcast_arrays(*vs), axis=-1),
-            user.eps, user.N).rate)
-    return np.stack(np.broadcast_arrays(*out), axis=-1)
+        links, rate_of = {}, {}
+        for m, name in enumerate(modes):
+            # the interferers of each of the user's links under this mode
+            sets = tuple(tuple(
+                other for other in sb.participants
+                if other != k and (name == "tin" or abs(spec.users[other].h)
+                                   > abs(user.h))) for sb in blocks)
+            if sets not in rate_of:
+                for sb, others in zip(blocks, sets):
+                    if (sb.index, others) in links:
+                        continue
+                    interf = 0.0
+                    for other in others:
+                        interf = interf + powers.get((other, sb.index), 0.0)
+                    links[sb.index, others] = link_stats(
+                        powers.get((k, sb.index), 0.0), interf,
+                        abs(user.h) ** 2)
+                mis, vs = zip(*(links[sb.index, others]
+                                for sb, others in zip(blocks, sets)))
+                rate_of[sets] = combine_second_order(
+                    [sb.length for sb in blocks],
+                    np.stack(np.broadcast_arrays(*mis), axis=-1),
+                    np.stack(np.broadcast_arrays(*vs), axis=-1),
+                    user.eps, user.N).rate
+            out[m].append(rate_of[sets])
+    stacked = [np.stack(np.broadcast_arrays(*o), axis=-1) for o in out]
+    return stacked[0] if isinstance(mode, str) else stacked
 
 
 def bc_gaussian_rates(spec, layout, powers: Mapping[tuple[int, int], np.ndarray],
-                      mode: str = "sic") -> np.ndarray:
+                      mode: str | Sequence[str] = "sic"):
     """Gaussian-code benchmark rates for every user of a broadcast spec.
 
     powers maps (user, sub_block) to the per-symbol power that user spends
@@ -531,7 +565,9 @@ def bc_gaussian_rates(spec, layout, powers: Mapping[tuple[int, int], np.ndarray]
     entries are 0).  Returns the rates with a last axis over the users.
     mode "tin" counts all co-scheduled powers as interference; mode "sic"
     assumes each user perfectly cancels every weaker-channel user and is
-    only interfered by stronger-channel users.
+    only interfered by stronger-channel users.  A tuple of modes, such as
+    ("sic", "tin"), returns a list of rate arrays, one per mode, sharing
+    every link that the modes interfere alike.
     """
     return _bc_rates(spec, layout, powers, mode, lambda p, i, gain:
                      gaussian_stats(sinr(p * gain, i * gain)))
@@ -543,7 +579,7 @@ def _shell_link(p, interf, gain):
 
 
 def bc_shell_rates(spec, layout, powers: Mapping[tuple[int, int], np.ndarray],
-                   mode: str = "sic") -> np.ndarray:
+                   mode: str | Sequence[str] = "sic"):
     """Shell-code benchmark rates, laid out as `bc_gaussian_rates`; NaN for
     a user that sees interference where it carries power."""
     return _bc_rates(spec, layout, powers, mode, _shell_link)

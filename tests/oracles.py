@@ -37,7 +37,10 @@ The TIN kernel, LLR demapper and `simulate` loop below are the forms the
 package used before it kept symbols on the last axis of the kernel's working
 array and simulated each frame once for all users.  Their sums over
 interferer levels run in another order, so the current kernel matches them
-to a relative 1e-12, not bit for bit.
+to a relative 1e-12, not bit for bit.  `tin_loglik_general_reference` is
+the kernel's body before grids with one interferer sum took their
+likelihood as it is; on those grids the kernel must match it bit for bit,
+also in the sign of a zero.
 """
 import csv
 import itertools
@@ -278,6 +281,29 @@ def tin_loglik_reference(y, g, levels, sums, *, max_log=False):
         out[lo:lo + step] = (m.max(axis=2) if max_log
                              else log_sum_exp_reference(m, 2))
     return out
+
+
+def tin_loglik_general_reference(y, grid, *, max_log=False):
+    """`rates.tin_loglik` with every grid through the min, floor, exp, sum
+    and log passes, one interferer sum or more, chunked by the module's
+    current `_ELEM_BUDGET`."""
+    out = np.empty((grid.shape[0], y.size))
+    step = max(1, rates._ELEM_BUDGET // grid.size)
+    for lo in range(0, y.size, step):
+        d = y[lo:lo + step] - grid[:, :, None]
+        np.square(d, out=d)
+        low = d.min(axis=1)
+        dst = out[:, lo:lo + step]
+        if max_log:
+            np.negative(low, out=dst)
+            continue
+        np.subtract(low[:, None, :], d, out=d)
+        np.maximum(d, rates._EXP_FLOOR, out=d)
+        np.exp(d, out=d)
+        total = d.sum(axis=1)
+        np.log(total, out=total)
+        np.subtract(total, low, out=dst)
+    return out.T
 
 
 def tin_llr_reference(y, user, sub_block, plan, *, max_log=False):

@@ -1,5 +1,6 @@
 """CLI commands: configs, CSV outputs, exit codes, determinism."""
 import csv
+import hashlib
 import json
 import math
 import os
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import tinlink
 from tinlink import cli, linksim, rates, scheme
 from tinlink.cli import (
     EXIT_BAD_CONFIG,
@@ -1033,3 +1035,73 @@ def test_commands_load_no_scipy(tmp_path):
     assert loaded == {command: [EXIT_OK, []] for command in
                       ("design", "rate-region", "benchmark", "simulate",
                        "validate")}
+
+
+_IMPORT_SCRIPT = textwrap.dedent("""
+    import argparse, hashlib, json, sys
+    import numpy
+    calls = {"parsers": 0, "hashes": 0}
+    parser_init, sha1 = argparse.ArgumentParser.__init__, hashlib.sha1
+
+    def counted_init(self, *args, **kwargs):
+        calls["parsers"] += 1
+        parser_init(self, *args, **kwargs)
+
+    def counted_sha1(*args, **kwargs):
+        calls["hashes"] += 1
+        return sha1(*args, **kwargs)
+
+    argparse.ArgumentParser.__init__ = counted_init
+    hashlib.sha1 = counted_sha1
+    from tinlink import cli
+    calls["cached"] = [cli._parser.cache_info().currsize,
+                       cli.build_id.cache_info().currsize]
+    print(json.dumps(calls))
+""")
+
+
+def test_import_builds_no_parser_and_hashes_no_file():
+    """The parser and the build id are built on first use, so importing
+    the CLI pays for neither."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_SCRIPT],
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"parsers": 0, "hashes": 0,
+                                       "cached": [0, 0]}
+
+
+def test_cached_parser_leaks_no_argument(tmp_path, monkeypatch):
+    seen = []
+
+    def record(cfg, args):
+        seen.append(vars(args))
+        return EXIT_OK
+
+    monkeypatch.setattr(cli, "_COMMANDS", dict.fromkeys(cli._COMMANDS, record))
+    config = str(write_config(tmp_path))
+    for argv in (["design", "--out", "a.csv", "--plan-out", "p.json",
+                  "--seed", "3", "--samples", "5000", "--workers", "2"],
+                 ["simulate", "--out", "b.csv"],
+                 ["design", "--out", "c.csv"],
+                 ["validate"]):
+        assert main(argv + ["--config", config]) == EXIT_OK
+    unset = {"config": config, "seed": None, "samples": None,
+             "workers": None}
+    assert seen == [
+        {**unset, "command": "design", "out": "a.csv", "plan_out": "p.json",
+         "seed": 3, "samples": 5000, "workers": 2},
+        {**unset, "command": "simulate", "out": "b.csv"},
+        {**unset, "command": "design", "out": "c.csv", "plan_out": None},
+        {**unset, "command": "validate", "out": None}]
+    assert cli._parser() is cli._parser()
+
+
+def test_build_id_is_a_fresh_source_hash():
+    digest = hashlib.sha1(tinlink.__version__.encode())
+    for source in sorted(Path(cli.__file__).parent.glob("*.py")):
+        digest.update(source.name.encode())
+        digest.update(source.read_bytes())
+    assert cli.build_id() == digest.hexdigest()[:12]
+    assert cli.build_id() is cli.build_id()

@@ -46,6 +46,7 @@ from oracles import (
     sub_block_stats_reference,
     tin_llr_reduced_reference,
     tin_llr_reference,
+    tin_loglik_general_reference,
     write_csv_reference,
 )
 
@@ -339,6 +340,31 @@ class TestAgainstSymbolsFirstOracles:
             y = clean + scale * (frame.y[user][sb.start:sb.stop] - clean)
             assert bits(tin_llr(y, user, j, plan, max_log=max_log)) == bits(
                 tin_llr_reduced_reference(y, user, j, plan, max_log=max_log))
+
+    @pytest.mark.parametrize("noise_scale", [0.0, 1.0], ids=["clean", "noisy"])
+    def test_one_sum_link_matches_general_kernel(self, monkeypatch,
+                                                 noise_scale):
+        # on three_user.json's 2|2,4|2,4,2 plan, user 3 is alone in
+        # sub-block 3, so both its grids there have one interferer sum;
+        # every LLR must equal the general kernel's bit for bit
+        spec = SystemSpec.create(1.0, [
+            UserSpec(200, 1e-6, 12.589254117941675j),
+            UserSpec(1000, 1e-5, 17.78279410038923),
+            UserSpec(2000, 1e-4, 3.1622776601683795)])
+        plan = assign_power([[2], [2, 4], [2, 4, 2]], spec)
+        assert [grid.shape[1] for _, grid, _ in plan.entries[2, 2].dims] == [
+            1, 1]
+        frame = simulate_frame(plan, random_payloads(plan, 5), 6,
+                               noise_scale=noise_scale)
+
+        def llrs():
+            return [demap_frame(frame, k, plan, max_log=max_log)
+                    for k in range(spec.K) for max_log in (False, True)]
+
+        got = llrs()
+        monkeypatch.setattr(linksim, "tin_loglik",
+                            tin_loglik_general_reference)
+        assert [bits(a) for a in got] == [bits(b) for b in llrs()]
 
     @settings(max_examples=25, deadline=None)
     @given(plan=TIN_PLANS)

@@ -47,6 +47,7 @@ from oracles import (
     rate_two_segment,
     scalar_second_order,
     shell_stats_reference,
+    tin_loglik_general_reference,
 )
 
 
@@ -416,6 +417,23 @@ class TestBroadcastBenchmarks:
         out2 = bc_shell_rates(spec, layout, clean, mode="sic")
         assert not np.isnan(out2).any()
 
+    def test_both_modes_share_links_interfered_alike(self, monkeypatch):
+        # the weak user's two links see the strong user under either mode,
+        # so only the strong user's sub-block-1 link is taken twice
+        spec, layout = self.spec_and_layout()
+        powers = {(0, 0): np.array([0.4, 0.1]), (1, 0): np.array([0.6, 0.9]),
+                  (1, 1): 1.0}
+        calls = []
+        stats = rates.gaussian_stats
+        monkeypatch.setattr(rates, "gaussian_stats",
+                            lambda s: calls.append(s) or stats(s))
+        bc_gaussian_rates(spec, layout, powers, ("sic", "tin"))
+        assert len(calls) == 4
+        assert bc_gaussian_rates(spec, layout, powers, "sic").shape == (2, 2)
+        assert len(calls) == 7
+        with pytest.raises(RateEngineError, match="unknown benchmark mode"):
+            bc_gaussian_rates(spec, layout, powers, ("sic", "joint"))
+
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
     def test_array_matches_per_split_loop(self, data):
@@ -455,6 +473,12 @@ class TestBroadcastBenchmarks:
                 assert np.isnan(shell[s]).tolist() == [r is None for r in ref]
                 assert bits(shell[s][~np.isnan(shell[s])]) == bits(
                     [r for r in ref if r is not None])
+        # both modes in one call give each mode's own call bit for bit
+        for rates_of in (bc_gaussian_rates, bc_shell_rates):
+            both = rates_of(spec, layout, powers, ("sic", "tin"))
+            assert [bits(r) for r in both] == [
+                bits(rates_of(spec, layout, powers, mode))
+                for mode in ("sic", "tin")]
 
 
 class TestShortBlocklengthGap:
@@ -627,6 +651,58 @@ class TestQuadratureKernel:
         base = plan_stats(plan)
         monkeypatch.setattr(rates, "GH_NODES", 2 * rates.GH_NODES)
         assert np.max(np.abs(plan_stats(plan) - base)) <= 1e-5
+
+
+# grids with one interferer sum: no co-scheduled user, a silent one, and
+# one with no bits in the dimension
+ONE_SUM_GRIDS = [
+    rates.receive_grid(2.5, (1, 1.0), []),
+    rates.receive_grid(4.0, (3, 0.8), [(0, 1.3)]),
+    rates.receive_grid(12.6, (5, 0.2), [(0, 0.4), (0, 0.1)]),
+]
+
+
+def one_sum_coords(grid, rng):
+    """Noisy coordinates around a grid, then every grid point exactly, so
+    that some squared distances are exactly 0."""
+    noisy = grid[rng.integers(0, grid.shape[0], 300), 0] + rng.normal(
+        0.0, 2.0, 300)
+    return np.concatenate([noisy, grid[:, 0]])
+
+
+class TestOneSumKernel:
+    @pytest.mark.parametrize("budget", [None, 5], ids=["whole", "chunked"])
+    @pytest.mark.parametrize("max_log", [False, True],
+                             ids=["exact", "max_log"])
+    def test_matches_general_body(self, monkeypatch, max_log, budget):
+        if budget is not None:
+            monkeypatch.setattr(rates, "_ELEM_BUDGET", budget)
+        rng = np.random.default_rng(22)
+        for grid in ONE_SUM_GRIDS:
+            assert grid.shape[1] == 1
+            y = one_sum_coords(grid, rng)
+            got = rates.tin_loglik(y, grid, max_log=max_log)
+            want = tin_loglik_general_reference(y, grid, max_log=max_log)
+            assert got.shape == want.shape == (y.size, grid.shape[0])
+            assert bits(got) == bits(want)
+
+    def test_zero_distance_keeps_the_sign_of_zero(self):
+        grid = ONE_SUM_GRIDS[1]
+        y = grid[:, 0]
+        exact = np.diagonal(rates.tin_loglik(y, grid))
+        max_log = np.diagonal(rates.tin_loglik(y, grid, max_log=True))
+        assert bits(exact) == bits(np.zeros(y.size))
+        assert bits(max_log) == bits(-np.zeros(y.size))
+        for path in (False, True):
+            assert bits(np.diagonal(tin_loglik_general_reference(
+                y, grid, max_log=path))) == bits(
+                    np.diagonal(rates.tin_loglik(y, grid, max_log=path)))
+
+    def test_dimension_stats_match_general_body(self, monkeypatch):
+        got = [rates.dimension_stats(grid) for grid in ONE_SUM_GRIDS]
+        monkeypatch.setattr(rates, "tin_loglik", tin_loglik_general_reference)
+        want = [rates.dimension_stats(grid) for grid in ONE_SUM_GRIDS]
+        assert bits(got) == bits(want)
 
 
 class TestInvariance:
