@@ -21,7 +21,6 @@ from .constellations import (
 from .rates import (
     RateEngineError,
     RateResult,
-    SecondOrderRate,
     SubBlockRateStats,
     compute_plan_rates,
     estimate_mi_dispersion,
@@ -70,7 +69,6 @@ __all__ = [
     "superimpose",
     "RateEngineError",
     "RateResult",
-    "SecondOrderRate",
     "SubBlockRateStats",
     "compute_plan_rates",
     "estimate_mi_dispersion",

@@ -58,11 +58,10 @@ class LabeledConstellation:
     """Finite complex signal set with bit labels.
 
     ``points[v]`` is the amplitude whose label is the ``order``-bit binary
-    expansion of ``v``.
+    expansion of ``v``, most significant bit first.
     """
 
     points: np.ndarray
-    labels: tuple[str, ...]
     order: int
     d_min: float
     mean: complex
@@ -93,12 +92,6 @@ class LabeledConstellation:
         return True
 
 
-def _labels(order: int) -> tuple[str, ...]:
-    if order == 0:
-        return ("",)
-    return tuple(format(v, f"0{order}b") for v in range(1 << order))
-
-
 def build_rect_qam(i_bits: int, q_bits: int) -> LabeledConstellation:
     """Regular Gray-labeled grid with 2**i_bits x 2**q_bits levels, spacing 1.
 
@@ -123,7 +116,6 @@ def build_rect_qam(i_bits: int, q_bits: int) -> LabeledConstellation:
     energy = float(np.mean(np.abs(pts) ** 2))
     return LabeledConstellation(
         points=pts,
-        labels=_labels(order),
         order=order,
         d_min=1.0,
         mean=complex(pts.mean()),
@@ -146,7 +138,6 @@ def silent() -> LabeledConstellation:
     """Degenerate order-0 constellation: the single point 0 (no transmission)."""
     return LabeledConstellation(
         points=np.zeros(1, dtype=complex),
-        labels=("",),
         order=0,
         d_min=math.inf,
         mean=0j,
@@ -155,13 +146,13 @@ def silent() -> LabeledConstellation:
 
 
 def scale(c: LabeledConstellation, g: complex) -> LabeledConstellation:
-    """Multiply every point by g; labels kept, energy scales by |g|**2."""
+    """Multiply every point by g; energy scales by |g|**2.  No command
+    calls it: it stays only because `bench/layers.py` wraps it by name."""
     g = complex(g)
     if g == 0:
         raise ConstellationError("scale factor must be non-zero")
     return LabeledConstellation(
         points=c.points * g,
-        labels=c.labels,
         order=c.order,
         d_min=c.d_min * abs(g),
         mean=c.mean * g,
@@ -178,7 +169,8 @@ def normalization_factor(total_order: int) -> float:
     """Scale that gives a unit-d_min square QAM of the given order unit energy.
 
     Returns sqrt(6 / (2**total_order - 1)); exact for the square grids that
-    arise whenever the order splits evenly between the two dimensions.
+    arise whenever the order splits evenly between the two dimensions.  No
+    command calls it: it stays only because `bench/layers.py` wraps it.
     """
     if not 1 <= total_order <= MAX_TOTAL_ORDER:
         raise ConstellationError(
@@ -250,7 +242,6 @@ def superimpose(parts: Sequence[LabeledConstellation]) -> LabeledConstellation:
         return silent()
     return LabeledConstellation(
         points=acc,
-        labels=_labels(total),
         order=total,
         d_min=1.0,
         mean=complex(acc.mean()),

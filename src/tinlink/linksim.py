@@ -146,8 +146,8 @@ def zero_noise(frame: ReceivedFrame, plan: SchemePlan) -> ReceivedFrame:
 # Exact TIN LLR demapping
 # ---------------------------------------------------------------------------
 
-def tin_llr(y: np.ndarray, user: int, sub_block: int, plan: SchemePlan, *,
-            max_log: bool = False) -> np.ndarray:
+def tin_llr(y: np.ndarray, user: int, sub_block: int, plan: SchemePlan
+            ) -> np.ndarray:
     """Exact per-bit LLRs for one user's sub-block segment under TIN.
 
     Interference enters only through its marginal law: the metric for each
@@ -156,9 +156,9 @@ def tin_llr(y: np.ndarray, user: int, sub_block: int, plan: SchemePlan, *,
     level (`build_rect_qam`), so each bit's LLR marginalizes one dimension's
     levels.  Returns an (n_symbols, m) array with the convention
     LLR = log P(bit=0 | y) / P(bit=1 | y) in nats, so the sign of the LLR at
-    zero noise recovers the transmitted bit.  max_log replaces the sums with
-    maxima.  The set-up is the plan entry's dims; a pair that carries no
-    bits (or has no entry) gives an (n_symbols, 0) array.
+    zero noise recovers the transmitted bit.  The set-up is the plan
+    entry's dims; a pair that carries no bits (or has no entry) gives an
+    (n_symbols, 0) array.
     """
     y = np.asarray(y, dtype=complex).ravel()
     entry = plan.entries.get((user, sub_block))
@@ -166,15 +166,14 @@ def tin_llr(y: np.ndarray, user: int, sub_block: int, plan: SchemePlan, *,
         return np.zeros((y.size, 0))
     y = y * plan.spec.users[user].rotation
     coords = (y.real, y.imag)
-    reduce = np.max if max_log else log_sum_exp
     rows = []
     for d, grid, halves in entry.dims:
         # ll is (levels, symbols), so each reduction over a half of the
         # levels is an elementwise pass over contiguous symbols
-        ll = tin_loglik(coords[d], grid, max_log=max_log).T
+        ll = tin_loglik(coords[d], grid).T
         # a 1-bit dimension has one level per half: nothing to reduce
         per_half = (ll[halves[:, 0]] if halves.shape[1] == 1
-                    else reduce(ll[halves], axis=1))
+                    else log_sum_exp(ll[halves], axis=1))
         n_bits = halves.shape[0] // 2
         rows.append(per_half[:n_bits] - per_half[n_bits:])
     return np.concatenate(rows).T
@@ -185,8 +184,8 @@ def hard_bits(llr: np.ndarray) -> np.ndarray:
     return (llr < 0).astype(np.int64)
 
 
-def demap_frame(frame: ReceivedFrame, user: int, plan: SchemePlan, *,
-                max_log: bool = False) -> np.ndarray:
+def demap_frame(frame: ReceivedFrame, user: int, plan: SchemePlan
+                ) -> np.ndarray:
     """Concatenated LLRs of one user's links that carry bits, in frame order.
 
     A block is demapped with one `tin_llr` call per link over all its
@@ -194,8 +193,8 @@ def demap_frame(frame: ReceivedFrame, user: int, plan: SchemePlan, *,
     """
     y = frame.y[user]
     lead = y.shape[:-1]
-    parts = [tin_llr(y[..., sb.start:sb.stop].ravel(), user, sb.index, plan,
-                     max_log=max_log).reshape(lead + (-1,))
+    parts = [tin_llr(y[..., sb.start:sb.stop].ravel(), user, sb.index,
+                     plan).reshape(lead + (-1,))
              for sb, m in zip(plan.layout.sub_blocks, plan.orders[user]) if m]
     return np.concatenate(parts, axis=-1) if parts else np.zeros(lead + (0,))
 

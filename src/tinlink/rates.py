@@ -26,8 +26,8 @@ tuples with no I/Q factorisation and share one 2-D density,
 `_DensityContext`: `quadrature_mi_dispersion` integrates the noise by a
 2-D product Gauss-Hermite rule, deterministically, and is what `validate`
 checks the kernel against; `estimate_mi_dispersion` averages over Monte
-Carlo noise from Philox substreams keyed by (seed, batch index), and no
-command calls it.
+Carlo noise from Philox substreams keyed by (seed, batch index); no command
+calls it, and it and its noise batching stay only for `bench/layers.py`.
 
 Q comes from `math.erfc` and Q^{-1} from `statistics.NormalDist`, so numpy
 is the only third-party package the rate engine, and tinlink, imports.
@@ -66,7 +66,6 @@ _ELEM_BUDGET = 1 << 23
 _EXP_FLOOR = -700.0
 
 _STD_NORMAL = NormalDist()
-_erfc = np.vectorize(math.erfc, otypes=[float])
 
 
 class RateEngineError(ValueError):
@@ -77,11 +76,9 @@ class RateEngineError(ValueError):
 # Q function and inverse
 # ---------------------------------------------------------------------------
 
-def qfunc(x):
-    """Gaussian tail probability Q(x); accepts scalars or arrays."""
-    if np.ndim(x) == 0:
-        return 0.5 * math.erfc(float(x) / math.sqrt(2.0))
-    return 0.5 * _erfc(np.asarray(x, dtype=float) / math.sqrt(2.0))
+def qfunc(x: float) -> float:
+    """Gaussian tail probability Q(x) of a scalar x."""
+    return 0.5 * math.erfc(float(x) / math.sqrt(2.0))
 
 
 def qfunc_inv(p: float) -> float:
@@ -168,9 +165,9 @@ class SubBlockRateStats:
     third_abs_moment is the centred third absolute moment E|i - I|^3 of the
     information density.  From the Monte Carlo estimator, sample_count and
     the standard errors describe the noise averaging (symbol tuples are
-    enumerated exactly) and third_abs_moment is filled on request.  From
-    the 2-D quadrature oracle, which carries no sampling error, sample_count
-    and the standard errors are 0; the per-dimension kernel returns arrays.
+    enumerated exactly) and third_abs_moment is None.  From the 2-D
+    quadrature oracle, which carries no sampling error, sample_count and
+    the standard errors are 0; the per-dimension kernel returns arrays.
     """
 
     mi: float
@@ -211,8 +208,7 @@ class _DensityContext:
 
 
 def estimate_mi_dispersion(desired, interferers, h, n_noise_samples: int,
-                           seed: int, *, third_moment: bool = False
-                           ) -> SubBlockRateStats:
+                           seed: int) -> SubBlockRateStats:
     """Estimate (I, V) for a discrete input under additive interference.
 
     desired: complex transmit amplitudes of the wanted constellation (uniform
@@ -222,7 +218,8 @@ def estimate_mi_dispersion(desired, interferers, h, n_noise_samples: int,
     (product cardinality capped at 4096); the expectation over the unit
     complex Gaussian noise uses n_noise_samples common random numbers shared
     by all tuples.  This Monte Carlo oracle has no caller in the package;
-    the tests compare it with the quadrature kernel and the 2-D oracle.
+    the tests compare it with the quadrature kernel and the 2-D oracle.  It
+    stays only because `bench/layers.py` wraps it and reads its parameters.
 
     No sigma-based check may use it on a plan well above its bit budget:
     V there comes from rare boundary crossings that a few thousand samples
@@ -235,17 +232,13 @@ def estimate_mi_dispersion(desired, interferers, h, n_noise_samples: int,
         raise RateEngineError(
             f"n_noise_samples must be >= {MIN_NOISE_SAMPLES}")
     ctx = _DensityContext(desired, interferers, h)
-    batches = _batch_plan(n_noise_samples)
-
-    def batch_moments(batch):
-        idx, take = batch
-        zr, zi = _noise_batch(seed, idx, take)
-        dens = ctx.densities(zr, zi)
-        return dens.mean(axis=0), np.mean(dens * dens, axis=0)
-
-    moments = [batch_moments(b) for b in batches]
-    per_z_mean = np.concatenate([m for m, _ in moments])
-    per_z_sq = np.concatenate([q for _, q in moments])
+    means, squares = [], []
+    for idx, take in _batch_plan(n_noise_samples):
+        dens = ctx.densities(*_noise_batch(seed, idx, take))
+        means.append(dens.mean(axis=0))
+        squares.append(np.mean(dens * dens, axis=0))
+    per_z_mean = np.concatenate(means)
+    per_z_sq = np.concatenate(squares)
     n = per_z_mean.size
     mi = float(per_z_mean.mean())
     second = float(per_z_sq.mean())
@@ -253,15 +246,7 @@ def estimate_mi_dispersion(desired, interferers, h, n_noise_samples: int,
     se_mi = float(per_z_mean.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
     g = per_z_sq - 2.0 * mi * per_z_mean
     se_v = float(g.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    t3 = None
-    if third_moment:
-        acc = []
-        for idx, take in batches:
-            zr, zi = _noise_batch(seed, idx, take)
-            dens = ctx.densities(zr, zi)
-            acc.append(np.mean(np.abs(dens - mi) ** 3, axis=0))
-        t3 = float(np.concatenate(acc).mean())
-    return SubBlockRateStats(mi, dispersion, n, se_mi, se_v, t3)
+    return SubBlockRateStats(mi, dispersion, n, se_mi, se_v)
 
 
 def quadrature_mi_dispersion(desired, interferers, h, n_nodes: int = 64
@@ -273,7 +258,8 @@ def quadrature_mi_dispersion(desired, interferers, h, n_nodes: int = 64
     same 2-D enumeration, with no I/Q factorisation, so this stays an
     independent, deterministic oracle for the per-dimension kernel.  The
     noise expectation is (1/pi) sum_ij w_i w_j f(t_i + 1j t_j) over
-    n_nodes^2 nodes; sample_count and the standard errors are 0.
+    n_nodes^2 nodes; sample_count and the standard errors are 0.  Commands
+    take the default n_nodes; it stays because tests vary it for convergence.
     """
     ctx = _DensityContext(desired, interferers, h, QUADRATURE_TUPLES)
     nodes, weights = np.polynomial.hermite.hermgauss(n_nodes)
@@ -342,30 +328,25 @@ def log_sum_exp(a: np.ndarray, axis: int) -> np.ndarray:
     return np.log(terms.sum(axis=axis)) + np.squeeze(mx, axis=axis)
 
 
-def tin_loglik(y: np.ndarray, grid: np.ndarray, *,
-               max_log: bool = False) -> np.ndarray:
+def tin_loglik(y: np.ndarray, grid: np.ndarray) -> np.ndarray:
     """log sum_t exp(-(y - g (x + t))^2) for every desired level x.
 
     The TIN likelihood of one real dimension up to a constant, the one place
     it is computed: y are coordinates after rotation by conj(h)/|h| and grid
     is the dimension's (levels, interferer sums) array from `receive_grids`.
-    Returns a (len(y), levels) array; max_log takes the maximum over t
-    instead.  The working array is (levels, sums, symbols), so the
-    reductions over t are elementwise passes over contiguous symbols, and
-    the result is the transpose of a C-contiguous (levels, symbols) array.
+    Returns a (len(y), levels) array: the transpose of a C-contiguous
+    (levels, symbols) array, as the working array is (levels, sums,
+    symbols) and the reductions over t are passes over contiguous symbols.
 
     A grid with one interferer sum (no co-scheduled user has bits in the
-    dimension) has the likelihood -d itself, d the squared distance: the
-    exact path writes 0.0 - d, bit for bit the log(exp(0)) - d of the sums,
-    and max_log -d, so a zero distance gives +0.0 and -0.0 as they do.  d
-    is always finite: a spec whose SNR could overflow it is rejected by
-    `scheme.SystemSpec.create`, so no command reaches inf - inf here.
+    dimension) has the likelihood -d itself, d the squared distance, written
+    as 0.0 - d: bit for bit the log(exp(0)) - d of the sums, +0.0 at a zero
+    distance.  d is always finite: a spec whose SNR could overflow it is
+    rejected by `scheme.SystemSpec.create`, so no command reaches inf - inf.
     """
     if grid.shape[1] == 1:
         d = y - grid
         np.square(d, out=d)
-        if max_log:
-            return np.negative(d, out=d).T
         return np.subtract(0.0, d, out=d).T
     out = np.empty((grid.shape[0], y.size))
     step = max(1, _ELEM_BUDGET // grid.size)
@@ -376,9 +357,6 @@ def tin_loglik(y: np.ndarray, grid: np.ndarray, *,
         np.square(d, out=d)
         low = d.min(axis=1)
         dst = out[:, lo:lo + step]
-        if max_log:
-            np.negative(low, out=dst)
-            continue
         np.subtract(low[:, None, :], d, out=d)
         np.maximum(d, _EXP_FLOOR, out=d)
         np.exp(d, out=d)
@@ -410,26 +388,15 @@ def _hermite_rule(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
 # Second-order rate combiners
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SecondOrderRate:
-    """Normal-approximation achievable rate, bits per complex symbol; the
-    fields are arrays over the batch axes when the combiner got a batch."""
-
-    rate: float
-    first_order: float
-    penalty: float
-    nonpositive: bool
-
-
 def combine_second_order(lengths, mis, dispersions, eps: float,
-                         n_total: int) -> SecondOrderRate:
+                         n_total: int):
     """(sum_j L_j I_j - sqrt(sum_j L_j V_j) Q^{-1}(eps)) / N, the one combiner.
 
     mis and dispersions hold the sub-blocks on their last axis; any leading
-    axes (power splits, design candidates) carry over to the fields of the
-    result, and 1-D inputs give scalars.  `np.vecdot` sums each row exactly
-    as the 1-D `lengths @ mis` does, so a batch row equals its one-row
-    result bit for bit.
+    axes (power splits, design candidates) carry over to the returned rate,
+    in bits per complex symbol, and 1-D inputs give a scalar.  `np.vecdot`
+    sums each row exactly as the 1-D `lengths @ mis` does, so a batch row
+    equals its one-row result bit for bit.
     """
     lengths = np.asarray(lengths, dtype=float)
     mis = np.asarray(mis, dtype=float)
@@ -438,16 +405,14 @@ def combine_second_order(lengths, mis, dispersions, eps: float,
         raise RateEngineError("negative dispersion")
     first = np.vecdot(lengths, mis)
     penalty = np.sqrt(np.vecdot(lengths, dispersions)) * qfunc_inv(eps)
-    rate = (first - penalty) / n_total
-    return SecondOrderRate(rate, first / n_total, penalty / n_total, rate <= 0.0)
+    return (first - penalty) / n_total
 
 
 def berry_esseen_diagnostic(lengths, stats: Sequence[SubBlockRateStats],
                             n_total: int, c0: float = 0.5600) -> float:
     """Berry-Esseen constant of the length-weighted density sum (diagnostic).
 
-    Requires stats with third_abs_moment, from `quadrature_mi_dispersion`
-    or from `estimate_mi_dispersion` with third_moment=True.
+    Requires stats with third_abs_moment, from `quadrature_mi_dispersion`.
     """
     w = np.asarray(lengths, dtype=float) / float(n_total)
     t3 = []
@@ -550,7 +515,7 @@ def _bc_rates(spec, layout, powers: Mapping[tuple[int, int], np.ndarray],
                     [sb.length for sb in blocks],
                     np.stack(np.broadcast_arrays(*mis), axis=-1),
                     np.stack(np.broadcast_arrays(*vs), axis=-1),
-                    user.eps, user.N).rate
+                    user.eps, user.N)
             out[m].append(rate_of[sets])
     stacked = [np.stack(np.broadcast_arrays(*o), axis=-1) for o in out]
     return stacked[0] if isinstance(mode, str) else stacked
@@ -651,7 +616,7 @@ def user_rates(spec, layout, k: int, mi, dispersion) -> np.ndarray:
     """
     return combine_second_order(
         [sb.length for sb in layout.sub_blocks[:k + 1]], mi, dispersion,
-        spec.users[k].eps, spec.users[k].N).rate
+        spec.users[k].eps, spec.users[k].N)
 
 
 def compute_plan_rates(plan) -> RateResult:

@@ -510,7 +510,9 @@ def assign_power(orders, spec: SystemSpec, *,
     frame's expected per-symbol power equals P wherever anyone transmits.
     The resulting per-user sub-block power of rank i is
     2^{s_i} (2^{m_i} - 1) / (2^{sum m} - 1) * P with s_i the bits of the
-    stronger ranks, whenever the stacking is evenly balanced.
+    stronger ranks, whenever the stacking is evenly balanced.  No command
+    passes check=False; it stays because the tests build infeasible plans,
+    and rebuild plans at other channels, with it.
     """
     layout = build_layout(spec)
     orders = _normalize_orders(orders, layout)
@@ -892,9 +894,8 @@ def _chain_front(rates_of, counts: Sequence[int], dropped,
         a, b = (rates_of(k, at) if k in dims else np.zeros(len(at))
                 for k in (K - 2, K - 1))
         at = at[_pair_fronts(at // (counts[-2] * counts[-1]), a, b)]
-    flags = _pareto_flags(np.stack([rates_of(k, at) for k in dims], axis=-1),
-                          range(len(dims)))
-    return at[np.asarray(flags, dtype=bool)]
+    return at[_pareto_flags(np.stack([rates_of(k, at) for k in dims],
+                                     axis=-1))]
 
 
 def _pair_fronts(group, a, b) -> np.ndarray:
@@ -926,10 +927,10 @@ def _pair_fronts(group, a, b) -> np.ndarray:
     return flags
 
 
-def _pareto_flags(rate_tuples, dims) -> list[bool]:
-    """Non-domination flags over the given rate dimensions: a point is
-    flagged unless another point is at least as large in every dimension
-    and larger in one, so equal points never dominate each other.
+def _pareto_flags(rate_tuples) -> np.ndarray:
+    """Non-domination flags of (points, dims) rate rows, as a bool array: a
+    point is flagged unless another point is at least as large in every
+    dimension and larger in one, so equal points never dominate each other.
 
     `design_search` runs it only on the survivors of `_chain_front`'s
     levels.  Points are visited in descending lexicographic order, in
@@ -940,7 +941,7 @@ def _pareto_flags(rate_tuples, dims) -> list[bool]:
     2-D comparisons, one dimension at a time, and its survivors join the
     front.
     """
-    pts = np.asarray(rate_tuples, dtype=float)[:, list(dims)]
+    pts = np.asarray(rate_tuples, dtype=float)
     order = np.lexsort(-pts.T[::-1])
     ranked = pts[order].T  # (dims, points), best first
     rivals = np.empty_like(ranked)  # the front so far, then the block
@@ -962,4 +963,4 @@ def _pareto_flags(rate_tuples, dims) -> list[bool]:
         size += survivors.shape[1]
     flags = np.empty_like(keep)
     flags[order] = keep
-    return flags.tolist()
+    return flags

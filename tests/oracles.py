@@ -55,7 +55,6 @@ from tinlink.rates import (
     LN2,
     LOG2E,
     RateEngineError,
-    SecondOrderRate,
     SubBlockRateStats,
     _combo_sums,
     _hermite_rule,
@@ -66,7 +65,7 @@ from tinlink.rates import (
 
 
 def scalar_second_order(lengths, mis, dispersions, eps, n_total):
-    """One user's (sum L_j I_j - sqrt(sum L_j V_j) Qinv(eps)) / N."""
+    """One user's rate (sum L_j I_j - sqrt(sum L_j V_j) Qinv(eps)) / N."""
     lengths = np.asarray(lengths, dtype=float)
     mis = np.asarray(mis, dtype=float)
     dispersions = np.asarray(dispersions, dtype=float)
@@ -75,9 +74,7 @@ def scalar_second_order(lengths, mis, dispersions, eps, n_total):
     first = float(lengths @ mis)
     radicand = float(lengths @ dispersions)
     penalty = math.sqrt(radicand) * qfunc_inv(eps)
-    rate = (first - penalty) / n_total
-    return SecondOrderRate(rate, first / n_total, penalty / n_total,
-                           rate <= 0.0)
+    return (first - penalty) / n_total
 
 
 def rate_single_block(mi: float, dispersion: float, n: int, eps: float) -> float:
@@ -173,7 +170,7 @@ def bc_rates_reference(spec, layout, powers, mode, shell=False):
             mis.append(stats[0])
             vs.append(stats[1])
         out.append(None if lengths is None else scalar_second_order(
-            lengths, mis, vs, user.eps, user.N).rate)
+            lengths, mis, vs, user.eps, user.N))
     return out
 
 
@@ -268,7 +265,7 @@ def log_sum_exp_reference(a, axis):
     return np.log(np.exp(a - mx).sum(axis=axis)) + np.squeeze(mx, axis=axis)
 
 
-def tin_loglik_reference(y, g, levels, sums, *, max_log=False):
+def tin_loglik_reference(y, g, levels, sums):
     """(len(y), len(levels)) TIN log-likelihoods from a (symbols, levels,
     sums) working array, reduced over its short last axis."""
     x = g * (levels[:, None] + sums[None, :])
@@ -278,12 +275,11 @@ def tin_loglik_reference(y, g, levels, sums, *, max_log=False):
         m = y[lo:lo + step, None, None] - x[None, :, :]
         np.square(m, out=m)
         np.negative(m, out=m)
-        out[lo:lo + step] = (m.max(axis=2) if max_log
-                             else log_sum_exp_reference(m, 2))
+        out[lo:lo + step] = log_sum_exp_reference(m, 2)
     return out
 
 
-def tin_loglik_general_reference(y, grid, *, max_log=False):
+def tin_loglik_general_reference(y, grid):
     """`rates.tin_loglik` with every grid through the min, floor, exp, sum
     and log passes, one interferer sum or more, chunked by the module's
     current `_ELEM_BUDGET`."""
@@ -294,9 +290,6 @@ def tin_loglik_general_reference(y, grid, *, max_log=False):
         np.square(d, out=d)
         low = d.min(axis=1)
         dst = out[:, lo:lo + step]
-        if max_log:
-            np.negative(low, out=dst)
-            continue
         np.subtract(low[:, None, :], d, out=d)
         np.maximum(d, rates._EXP_FLOOR, out=d)
         np.exp(d, out=d)
@@ -306,39 +299,37 @@ def tin_loglik_general_reference(y, grid, *, max_log=False):
     return out.T
 
 
-def tin_llr_reference(y, user, sub_block, plan, *, max_log=False):
+def tin_llr_reference(y, user, sub_block, plan):
     """(n_symbols, m) bit LLRs, one masked reduction over levels per bit."""
     h = plan.spec.users[user].h
     g = abs(h)
     y = np.asarray(y, dtype=complex).ravel() * (np.conj(h) / g)
     shape = plan.entries[(user, sub_block)].shape
-    reduce = np.max if max_log else log_sum_exp_reference
     cols = []
     for yd, n_bits, (levels, sums) in zip(
             (y.real, y.imag), shape,
             dimension_levels_reference(plan_parts(plan, sub_block), user)):
         if n_bits == 0:
             continue
-        ll = tin_loglik_reference(yd, g, levels, sums, max_log=max_log)
+        ll = tin_loglik_reference(yd, g, levels, sums)
         labels = gray_sequence(n_bits)
         for b in range(n_bits):
             one = ((labels >> (n_bits - 1 - b)) & 1).astype(bool)
-            cols.append(reduce(ll[:, ~one], axis=1)
-                        - reduce(ll[:, one], axis=1))
+            cols.append(log_sum_exp_reference(ll[:, ~one], axis=1)
+                        - log_sum_exp_reference(ll[:, one], axis=1))
     return np.stack(cols, axis=1) if cols else np.zeros((y.size, 0))
 
 
-def tin_llr_reduced_reference(y, user, sub_block, plan, *, max_log=False):
+def tin_llr_reduced_reference(y, user, sub_block, plan):
     """`linksim.tin_llr` on one link with every half of the levels reduced,
     also a half that holds one level: the form before 1-bit dimensions took
     their one log-likelihood as it is."""
     h = plan.spec.users[user].h
     y = np.asarray(y, dtype=complex).ravel() * (np.conj(h) / abs(h))
-    reduce = np.max if max_log else rates.log_sum_exp
     rows = []
     for d, grid, halves in plan.entries[(user, sub_block)].dims:
-        ll = rates.tin_loglik((y.real, y.imag)[d], grid, max_log=max_log).T
-        per_half = reduce(ll[halves], axis=1)
+        ll = rates.tin_loglik((y.real, y.imag)[d], grid).T
+        per_half = rates.log_sum_exp(ll[halves], axis=1)
         rows.append(per_half[:len(halves) // 2] - per_half[len(halves) // 2:])
     return np.concatenate(rows).T
 
@@ -413,14 +404,13 @@ def active_bits_reference(payload, user, plan):
     return np.concatenate(keep) if keep else np.zeros(0, dtype=np.int64)
 
 
-def _demap_frame_reference(frame, user, plan, max_log=False):
+def _demap_frame_reference(frame, user, plan):
     parts = []
     for sb in plan.layout.sub_blocks[:user + 1]:
         if sb.length == 0 or plan.entries[(user, sb.index)].order == 0:
             continue
         seg = frame.y[user][sb.start:sb.stop]
-        parts.append(tin_llr_reference(seg, user, sb.index, plan,
-                                       max_log=max_log).ravel())
+        parts.append(tin_llr_reference(seg, user, sb.index, plan).ravel())
     return np.concatenate(parts) if parts else np.zeros(0)
 
 

@@ -97,11 +97,11 @@ def test_criterion_4_reduction_identities():
     s2 = estimate_mi_dispersion(pts_weak, [], H2, 20_000, 99)
     general_two = combine_second_order(
         [128, 128], [s1.mi, s2.mi], [s1.dispersion, s2.dispersion], 1e-4,
-        256).rate
+        256)
     closed_two = rate_two_segment(128, s1, 128, s2, 1e-4, 256)
     rel_a = abs(general_two - closed_two) / abs(closed_two)
     general_one = combine_second_order([128], [s1.mi], [s1.dispersion], 1e-6,
-                                       128).rate
+                                       128)
     closed_one = rate_single_block(s1.mi, s1.dispersion, 128, 1e-6)
     rel_b = abs(general_one - closed_one) / abs(closed_one)
     # equal blocklengths collapse the two-segment form to the single block

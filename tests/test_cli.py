@@ -314,6 +314,32 @@ class TestRateRegion:
         _, rows = read_rows(out)
         assert rows and all(r["point_type"] != "qam_tin" for r in rows)
 
+    @pytest.mark.parametrize("config", ["two_user_urllc", "three_user"])
+    def test_region_without_qam_writes_benchmark_bytes(self, tmp_path,
+                                                       config):
+        """rate_region.include_qam false leaves the benchmark sweep alone:
+        rate-region then writes exactly what benchmark writes on the
+        bundled config, build_id masked."""
+        bundled = ROOT / "configs" / f"{config}.json"
+        cfg = json.loads(bundled.read_text())
+        cfg.setdefault("rate_region", {})["include_qam"] = False
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        region, bench = tmp_path / "region.csv", tmp_path / "bench.csv"
+        assert main(["rate-region", "--config", str(path),
+                     "--out", str(region)]) == EXIT_OK
+        assert main(["benchmark", "--config", str(bundled),
+                     "--out", str(bench)]) == EXIT_OK
+        build = f"\r\n{cli.build_id()},".encode()
+
+        def masked(out):
+            rows = out.read_bytes()
+            assert rows.count(build) == rows.count(b"\r\n") - 1
+            return rows.replace(build, b"\r\n-,")
+
+        assert masked(region) == masked(bench)
+        assert b"qam_tin" not in masked(region)
+
 
 class TestSimulate:
     def single_user_config(self, tmp_path, **simulate):

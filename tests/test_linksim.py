@@ -177,20 +177,15 @@ class TestTinLlr:
                         desired[None, :, None] + combos[None, None, :])) ** 2
                     per_point = logsumexp(metric, axis=2)
                     m = plan.orders[user][sb.index]
-                    for max_log in (False, True):
-                        llr = tin_llr(y, user, sb.index, plan, max_log=max_log)
-                        assert llr.shape == (y.size, m)
-                        for b in range(m):
-                            one = ((np.arange(desired.size) >> (m - 1 - b))
-                                   & 1).astype(bool)
-                            if max_log:
-                                ref = (metric[:, ~one].max(axis=(1, 2))
-                                       - metric[:, one].max(axis=(1, 2)))
-                            else:
-                                ref = (logsumexp(per_point[:, ~one], axis=1)
-                                       - logsumexp(per_point[:, one], axis=1))
-                            np.testing.assert_allclose(llr[:, b], ref,
-                                                       rtol=0, atol=1e-9)
+                    llr = tin_llr(y, user, sb.index, plan)
+                    assert llr.shape == (y.size, m)
+                    for b in range(m):
+                        one = ((np.arange(desired.size) >> (m - 1 - b))
+                               & 1).astype(bool)
+                        ref = (logsumexp(per_point[:, ~one], axis=1)
+                               - logsumexp(per_point[:, one], axis=1))
+                        np.testing.assert_allclose(llr[:, b], ref,
+                                                   rtol=0, atol=1e-9)
                     sent = np.argmin(np.abs(
                         packets[user][sb.start:sb.stop, None]
                         - desired[None, :]), axis=1)
@@ -199,17 +194,6 @@ class TestTinLlr:
                     np.testing.assert_allclose(
                         information_densities(frame, user, sb.index, plan),
                         ref, rtol=0, atol=1e-9)
-
-    def test_max_log_matches_exact_decisions_at_zero_noise(self):
-        plan = urllc_plan()
-        payloads = random_payloads(plan, 31)
-        frame = simulate_frame(plan, payloads, 32, noise_scale=0.0)
-        sb = plan.layout.sub_blocks[0]
-        seg = frame.y[1][sb.start:sb.stop]
-        exact = tin_llr(seg, 1, 0, plan)
-        approx = tin_llr(seg, 1, 0, plan, max_log=True)
-        assert np.array_equal(hard_bits(exact), hard_bits(approx))
-        assert np.all(np.isfinite(approx))
 
     def test_detection_invariant_to_common_phase_rotation(self):
         # rotating every channel and the received samples together leaves
@@ -302,32 +286,29 @@ class TestAgainstSymbolsFirstOracles:
     frame loop against the forms they replaced (tests/oracles.py)."""
 
     @settings(max_examples=40, deadline=None)
-    @given(plan=TIN_PLANS, seed=st.integers(0, 2 ** 32 - 1),
-           max_log=st.booleans())
-    def test_llrs_match_oracle(self, plan, seed, max_log):
+    @given(plan=TIN_PLANS, seed=st.integers(0, 2 ** 32 - 1))
+    def test_llrs_match_oracle(self, plan, seed):
         frame = simulate_frame(plan, random_payloads(plan, seed), seed + 1)
         for user in range(plan.spec.K):
             got = []
             for sb in plan.layout.sub_blocks[:user + 1]:
                 y = frame.y[user][sb.start:sb.stop]
-                llr = tin_llr(y, user, sb.index, plan, max_log=max_log)
+                llr = tin_llr(y, user, sb.index, plan)
                 if not (sb.length and plan.orders[user][sb.index]):
                     assert llr.shape == (sb.length, 0)  # a silent pair
                     continue
-                ref = tin_llr_reference(y, user, sb.index, plan,
-                                        max_log=max_log)
+                ref = tin_llr_reference(y, user, sb.index, plan)
                 np.testing.assert_allclose(llr, ref, rtol=1e-12, atol=0)
                 assert np.array_equal(np.sign(llr), np.sign(ref))
                 got.append(llr.ravel())
-            framed = demap_frame(frame, user, plan, max_log=max_log)
+            framed = demap_frame(frame, user, plan)
             assert np.array_equal(framed, np.concatenate(got) if got
                                   else np.zeros(0))
 
     @settings(max_examples=30, deadline=None)
     @given(plan=TIN_PLANS, seed=st.integers(0, 2 ** 32 - 1),
-           scale=st.sampled_from([0.0, 1.0, 3.5]), max_log=st.booleans())
-    def test_one_level_halves_match_reduction(self, plan, seed, scale,
-                                              max_log):
+           scale=st.sampled_from([0.0, 1.0, 3.5]))
+    def test_one_level_halves_match_reduction(self, plan, seed, scale):
         # a 1-bit dimension's halves hold one level each; taking its
         # log-likelihood as it is must equal the one-element reduction bit
         # for bit, at zero, unit and 3.5 times the unit noise
@@ -338,8 +319,8 @@ class TestAgainstSymbolsFirstOracles:
             sb, h = plan.layout.sub_blocks[j], plan.spec.users[user].h
             clean = h * frame.x[sb.start:sb.stop]
             y = clean + scale * (frame.y[user][sb.start:sb.stop] - clean)
-            assert bits(tin_llr(y, user, j, plan, max_log=max_log)) == bits(
-                tin_llr_reduced_reference(y, user, j, plan, max_log=max_log))
+            assert bits(tin_llr(y, user, j, plan)) == bits(
+                tin_llr_reduced_reference(y, user, j, plan))
 
     @pytest.mark.parametrize("noise_scale", [0.0, 1.0], ids=["clean", "noisy"])
     def test_one_sum_link_matches_general_kernel(self, monkeypatch,
@@ -358,8 +339,7 @@ class TestAgainstSymbolsFirstOracles:
                                noise_scale=noise_scale)
 
         def llrs():
-            return [demap_frame(frame, k, plan, max_log=max_log)
-                    for k in range(spec.K) for max_log in (False, True)]
+            return [demap_frame(frame, k, plan) for k in range(spec.K)]
 
         got = llrs()
         monkeypatch.setattr(linksim, "tin_loglik",
@@ -408,8 +388,8 @@ class TestAgainstSymbolsFirstOracles:
         g = abs(plan.spec.users[1].h)
 
         def results():
-            return ([demap_frame(frame, k, plan, max_log=max_log)
-                     for k in range(plan.spec.K) for max_log in (False, True)],
+            return ([demap_frame(frame, k, plan)
+                     for k in range(plan.spec.K)],
                     sub_block_stats_table(
                         [receive_grids(g, plan_parts(plan, j), 1)
                          for j in (0, 1)]))

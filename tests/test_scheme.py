@@ -646,8 +646,7 @@ class TestDesignSearch:
                     stats.mi[k, :k + 1].tolist(),
                     stats.dispersion[k, :k + 1].tolist(),
                     spec.users[k].eps, spec.users[k].N)
-                assert bits(rate) == bits(ref.rate)
-                assert (rate <= 0.0) == ref.nonpositive
+                assert bits(rate) == bits(ref)
         flags = np.array(pareto_reference(full.rates, range(spec.K)),
                          dtype=bool)
         assert columns(front) == columns(full, flags)
@@ -666,7 +665,8 @@ class TestParetoFilter:
         rows += data.draw(st.lists(st.sampled_from(rows), max_size=6))
         rows = data.draw(st.permutations(rows))
         dims = sorted(data.draw(st.sets(st.integers(0, k - 1), min_size=1)))
-        assert _pareto_flags(rows, dims) == pareto_reference(rows, dims)
+        picked = np.array(rows, dtype=float)[:, dims]
+        assert _pareto_flags(picked).tolist() == pareto_reference(rows, dims)
 
     # lengths on, just off and well past block boundaries; values from a
     # small pool, so ties, duplicates, infinities and signed zeros are common
@@ -686,7 +686,7 @@ class TestParetoFilter:
         dups = rng.random(n) < dup_share
         rows[dups] = rows[rng.integers(0, n, dups.sum())]
         dims = sorted(rng.choice(k, rng.integers(1, k + 1), replace=False))
-        flags = _pareto_flags(rows, dims)
+        flags = _pareto_flags(rows[:, dims]).tolist()
         assert flags == pareto_all_pairs(rows, dims)
         assert flags == pareto_front_loop_reference(rows, dims)
 
