@@ -383,32 +383,33 @@ def cmd_simulate(cfg: Mapping, args) -> int:
               "n_bits", "bit_errors", "uncoded_ber", "mean_symbol_power",
               "zero_noise_roundtrip"]
     # one pass over the frames in blocks (`linksim.frame_blocks`): each block
-    # is synthesized once, each of its links demapped once for all its
-    # frames and users, and dropped; the zero-noise frame is the first
-    # frame's h x, not a second synthesis
+    # is synthesized once into the run's buffers, each of its links demapped
+    # once for all its frames and counted against its payload bits, before
+    # the next block overwrites it; the zero-noise frame is the first frame's
+    # h x, not a second synthesis
     n_bits = [0] * spec.K
     n_err = [0] * spec.K
     clean_ok = None
     power_acc = 0.0
     power_n = 0
+    magnitude = None  # |x|^2 of a block, one buffer for the run
     for block in linksim.frame_blocks(plan, seed, n_frames):
+        if magnitude is None:
+            magnitude = np.empty(block.x.shape)
+        power = np.abs(block.x, out=magnitude[:len(block.x)])
+        np.square(power, out=power)
         # one sum per frame, added in frame order
-        for power in np.sum(np.abs(block.x) ** 2, axis=1).tolist():
-            power_acc += power
+        for frame_power in power.sum(axis=1).tolist():
+            power_acc += frame_power
         power_n += block.x.size
         if clean_ok is None:
             quiet = linksim.zero_noise(block.row(0), plan)
-            clean_ok = [bool(np.array_equal(
-                linksim.demap_frame(quiet, k, plan) < 0, quiet.payloads[k]))
-                for k in range(spec.K)]
+            clean_ok = [linksim.bit_errors(quiet, k, plan) == 0
+                        for k in range(spec.K)]
             del quiet  # its arrays are views of the block's
         for k in range(spec.K):
-            sent = block.payloads[k]  # every bit is on a demapped segment
-            hard = linksim.demap_frame(block, k, plan) < 0
-            n_err[k] += int(np.count_nonzero(hard != sent))
-            n_bits[k] += sent.size
-        # drop the block before the next one is synthesized
-        del block
+            n_err[k] += linksim.bit_errors(block, k, plan)
+            n_bits[k] += block.payloads[k].size
     line = _line_template([build_id(), str(seed), str(samples)],
                           "%s,%s,%s,%s,%.12g,%.12g,%s")
     _write_lines(args.out, header, (

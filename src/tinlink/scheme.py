@@ -390,6 +390,8 @@ class PlanEntry:
     0 for I or 1 for Q, the receive grid from `rates.receive_grids`, and a
     (2 bits, levels / 2) array whose row b lists the level positions with
     Gray label bit b equal to 0 and row bits + b those with it equal to 1.
+    stacked is True when both dimensions carry bits on byte-equal grids
+    (square QAM), so the demapper takes I and Q through one kernel pass.
     """
 
     user: int
@@ -405,6 +407,7 @@ class PlanEntry:
     tx_points: np.ndarray
     power: float
     dims: tuple[tuple[int, np.ndarray, np.ndarray], ...]
+    stacked: bool
 
 
 @dataclass
@@ -548,7 +551,9 @@ def assign_power(orders, spec: SystemSpec, *,
                 user=user, sub_block=sb.index, order=mv[rank], rank=rank,
                 shape=shape, part=part, factor_i=fi, factor_q=fq,
                 amp_i=amp_i, amp_q=amp_q, tx_points=tx,
-                power=float(np.mean(np.abs(tx) ** 2)), dims=tuple(dims))
+                power=float(np.mean(np.abs(tx) ** 2)), dims=tuple(dims),
+                stacked=(len(dims) == 2 and dims[0][1].shape == dims[1][1].shape
+                         and dims[0][1].tobytes() == dims[1][1].tobytes()))
     return SchemePlan(spec=spec, layout=layout, orders=orders,
                       entries=entries, eta=tuple(etas),
                       sub_block_power=tuple(powers),
@@ -619,9 +624,13 @@ def map_bits(bits, user: int, plan: SchemePlan) -> np.ndarray:
     axes.  Consecutive groups of m_{k,j} bits (most significant first)
     select points of the sub-block-j constellation by Gray label; the output
     has the same leading axes and one complex symbol per transmit slot, with
-    unit grid spacing (power is applied by build_frame).
+    unit grid spacing (power is applied by build_frame).  Integer bits
+    (the uint8 payloads of `linksim.frame_blocks` among them) are read as
+    they are, without a widened copy.
     """
-    bits = np.asarray(bits, dtype=np.int64)
+    bits = np.asarray(bits)
+    if bits.dtype.kind not in "biu":
+        bits = bits.astype(np.int64)
     n_k = plan.codeword_lengths[user]
     if bits.shape[-1:] != (n_k,):
         raise SpecError(f"user {user} expects {n_k} bits, got shape "
@@ -637,22 +646,35 @@ def map_bits(bits, user: int, plan: SchemePlan) -> np.ndarray:
         take = sb.length * m
         seg = bits[..., pos:pos + take].reshape(lead + (sb.length, m))
         pos += take
-        weights = 1 << np.arange(m - 1, -1, -1)
-        out[..., sb.start:sb.stop] = entry.part.points[seg @ weights]
+        label = seg[..., 0].astype(np.intp)
+        for b in range(1, m):
+            label <<= 1
+            label |= seg[..., b]
+        out[..., sb.start:sb.stop] = entry.part.points[label]
     return out
 
 
-def build_frame(symbols: Mapping[int, np.ndarray], plan: SchemePlan
+def build_frame(symbols: Mapping[int, np.ndarray], plan: SchemePlan, *,
+                out: np.ndarray | None = None
                 ) -> tuple[np.ndarray, dict[int, np.ndarray]]:
     """Apply the power assignment and superimpose all users' packets.
 
     symbols maps each user to its unit symbol vectors (from map_bits), with
     the same leading (frame) axes for every user.  Returns the superimposed
     frames x, N_K symbols on the last axis, and each user's power-scaled
-    packets.
+    packets.  x is written into out when it is given (a complex array of
+    x's shape, which `linksim.frame_blocks` allocates once per run), else
+    into a new array.
     """
     lead = np.shape(symbols[0])[:-1]
-    x = np.zeros(lead + (plan.layout.boundaries[-1],), dtype=complex)
+    shape = lead + (plan.layout.boundaries[-1],)
+    if out is None:
+        x = np.zeros(shape, dtype=complex)
+    elif out.shape != shape or out.dtype != complex:
+        raise SpecError(f"frame buffer must be complex of shape {shape}")
+    else:
+        x = out
+        x.fill(0.0)
     packets: dict[int, np.ndarray] = {}
     for user in range(plan.spec.K):
         v = np.asarray(symbols[user], dtype=complex)
@@ -663,8 +685,9 @@ def build_frame(symbols: Mapping[int, np.ndarray], plan: SchemePlan
         for sb in plan.layout.sub_blocks[:user + 1]:
             entry = plan.entries[(user, sb.index)]
             seg = v[..., sb.start:sb.stop]
-            xk[..., sb.start:sb.stop] = (entry.amp_i * seg.real
-                                         + 1j * (entry.amp_q * seg.imag))
+            dst = xk[..., sb.start:sb.stop]
+            np.multiply(seg.real, entry.amp_i, out=dst.real)
+            np.multiply(seg.imag, entry.amp_q, out=dst.imag)
         packets[user] = xk
         x[..., :n_user] += xk
     return x, packets

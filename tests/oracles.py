@@ -265,6 +265,15 @@ def log_sum_exp_reference(a, axis):
     return np.log(np.exp(a - mx).sum(axis=axis)) + np.squeeze(mx, axis=axis)
 
 
+def log_sum_exp_floored_reference(a, axis):
+    """`rates.log_sum_exp` as it was before it worked in its input: the
+    shifted terms and their floor in new arrays, a left as it is."""
+    mx = a.max(axis=axis, keepdims=True)
+    terms = np.maximum(a - mx, rates._EXP_FLOOR)
+    np.exp(terms, out=terms)
+    return np.log(terms.sum(axis=axis)) + np.squeeze(mx, axis=axis)
+
+
 def tin_loglik_reference(y, g, levels, sums):
     """(len(y), len(levels)) TIN log-likelihoods from a (symbols, levels,
     sums) working array, reduced over its short last axis."""
@@ -412,6 +421,28 @@ def _demap_frame_reference(frame, user, plan):
         seg = frame.y[user][sb.start:sb.stop]
         parts.append(tin_llr_reference(seg, user, sb.index, plan).ravel())
     return np.concatenate(parts) if parts else np.zeros(0)
+
+
+def transmit_reference(plan, payloads, noise_seeds, noise_scale=1.0):
+    """(x, y) of frames sent row by row, the noise drawn user by user: row
+    i's generator, seeded noise_seeds[i], draws the N_k real and then the
+    N_k imaginary noise parts of user 0, then of user 1, and so on, one
+    `standard_normal` call each, and y_k = h_k x + sqrt(1/2) scale z."""
+    x, _ = scheme.build_frame(
+        {k: scheme.map_bits(payloads[k], k, plan) for k in range(plan.spec.K)},
+        plan)
+    rngs = [np.random.default_rng(s) for s in noise_seeds]
+    y = {}
+    for k, user in enumerate(plan.spec.users):
+        z = np.empty((len(rngs), user.N), dtype=complex)
+        for row, rng in zip(z, rngs):
+            row[:] = (rng.standard_normal(user.N)
+                      + 1j * rng.standard_normal(user.N))
+        z *= np.sqrt(0.5)
+        z *= noise_scale
+        z += user.h * x[:, :user.N]
+        y[k] = z
+    return x, y
 
 
 def frame_seeds_reference(seed, index):

@@ -454,9 +454,9 @@ class TestSimulate:
             calls["frames"] += 1
             raise AssertionError("simulate_frame is the one-frame API")
 
-        def count_synth(symbols, plan):
+        def count_synth(symbols, plan, **kwargs):
             calls["synth"] += 1
-            return build_frame(symbols, plan)
+            return build_frame(symbols, plan, **kwargs)
 
         def count_setup(g, parts, user):
             # parts holds sub-block j's participants, users j..K-1

@@ -7,6 +7,8 @@ import tempfile
 from pathlib import Path
 from unittest import mock
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -47,6 +49,7 @@ from oracles import (
     tin_llr_reduced_reference,
     tin_llr_reference,
     tin_loglik_general_reference,
+    transmit_reference,
     write_csv_reference,
 )
 
@@ -341,9 +344,11 @@ class TestAgainstSymbolsFirstOracles:
         def llrs():
             return [demap_frame(frame, k, plan) for k in range(spec.K)]
 
+        def general_into(y, grid, out, d, low):
+            out[...] = tin_loglik_general_reference(y, grid).T
+
         got = llrs()
-        monkeypatch.setattr(linksim, "tin_loglik",
-                            tin_loglik_general_reference)
+        monkeypatch.setattr(linksim, "tin_loglik_into", general_into)
         assert [bits(a) for a in got] == [bits(b) for b in llrs()]
 
     @settings(max_examples=25, deadline=None)
@@ -426,6 +431,164 @@ class TestAgainstSymbolsFirstOracles:
             line.split(",", 1)[1] for line in want]
 
 
+def link_3u_plan():
+    """three_user.json's 2|2,4|2,4,2 plan: stacked 1- and 2-bit links and
+    the one-sum link of user 3 in sub-block 3."""
+    spec = SystemSpec.create(1.0, [
+        UserSpec(200, 1e-6, 12.589254117941675j),
+        UserSpec(1000, 1e-5, 17.78279410038923),
+        UserSpec(2000, 1e-4, 3.1622776601683795)])
+    return assign_power([[2], [2, 4], [2, 4, 2]], spec)
+
+
+def two_user_plan(orders):
+    spec = SystemSpec.create(1.0, [UserSpec(24, 1e-6, 30.0 * cmath.exp(0.3j)),
+                                   UserSpec(32, 1e-5, 5.0 * cmath.exp(-2j))])
+    return assign_power(orders, spec, check=False)
+
+
+def sixteen_sum_plan():
+    """Three 16-QAM users in sub-block 1: (4, 16) grids in I and in Q."""
+    spec = SystemSpec.create(1.0, [UserSpec(24, 1e-6, 30.0 * cmath.exp(1j)),
+                                   UserSpec(32, 1e-5, 12.0),
+                                   UserSpec(40, 1e-4, 5.0 * cmath.exp(-1j))])
+    return assign_power([[4], [4, 4], [4, 4, 4]], spec, check=False)
+
+
+# (plan, user, sub-block) of each demapping route: stacked I/Q with 2-level
+# halves (the pair reduction), also over 16 interferer sums, with 1-level
+# halves, a one-sum grid, a link of cumulative order 8 whose I and Q grids
+# differ (one kernel call per dimension, pair and 1-level halves) and 3-bit
+# dimensions (halves of four levels, the generic reduction), stacked and
+# per dimension
+DEMAP_ROUTES = {
+    "stacked-pair": (link_3u_plan, 1, 1),
+    "stacked-pair-16-sums": (sixteen_sum_plan, 1, 0),
+    "stacked-one-level": (link_3u_plan, 2, 0),
+    "one-sum": (link_3u_plan, 2, 2),
+    "per-dimension": (lambda: two_user_plan([[3], [5, 2]]), 0, 0),
+    "per-dimension-3-bit": (lambda: two_user_plan([[3], [5, 2]]), 1, 0),
+    "stacked-3-bit": (lambda: two_user_plan([[2], [6, 2]]), 1, 0),
+}
+
+
+def link_samples(plan, user, sub_block, n, scale):
+    """n received symbols of one link from consecutive frames, the noise
+    scaled by `scale` (0 is the noiseless h x)."""
+    sb = plan.layout.sub_blocks[sub_block]
+    frames = -(-n // sb.length)
+    block = next(linksim.frame_blocks(plan, 11, frames))
+    clean = plan.spec.users[user].h * block.x[:, sb.start:sb.stop]
+    y = clean + scale * (block.y[user][:, sb.start:sb.stop] - clean)
+    return y.ravel()[:n]
+
+
+class TestTiledDemapper:
+    """`tin_llr`'s tiles and routes, each bit for bit against the per-call
+    reduction oracle `tin_llr_reduced_reference`."""
+
+    def test_routes_are_decided_per_plan(self):
+        routes = {name: make().entries[user, j]
+                  for name, (make, user, j) in DEMAP_ROUTES.items()}
+        assert {name for name, e in routes.items() if e.stacked} == {
+            "stacked-pair", "stacked-pair-16-sums", "stacked-one-level",
+            "one-sum", "stacked-3-bit"}
+        assert [grid.shape for _, grid, _ in
+                routes["stacked-pair-16-sums"].dims] == [(4, 16), (4, 16)]
+        assert [h.shape[1] for _, _, h in routes["per-dimension"].dims] == [
+            2, 1]
+        assert [h.shape[1] for _, _, h in routes["stacked-3-bit"].dims] == [
+            4, 4]
+
+    @pytest.mark.parametrize("route", ["stacked-pair", "per-dimension"])
+    def test_one_kernel_call_per_tile_and_coordinate_run(self, monkeypatch,
+                                                         route):
+        # a stacked link takes both coordinates of a tile through one
+        # kernel call, a per-dimension link one call per dimension
+        make, user, j = DEMAP_ROUTES[route]
+        plan = make()
+        entry = plan.entries[user, j]
+        calls = []
+        kernel = linksim.tin_loglik_into
+
+        def count(y, grid, out, d, low):
+            calls.append(y.size)
+            kernel(y, grid, out, d, low)
+
+        monkeypatch.setattr(linksim, "tin_loglik_into", count)
+        n = 3 * plan.layout.sub_blocks[j].length
+        tiles = linksim._tile_plan(entry, n)[1]
+        tin_llr(link_samples(plan, user, j, n, 1.0), user, j, plan)
+        runs = 1 if entry.stacked else len(entry.dims)
+        assert len(calls) == runs * len(tiles)
+        assert sum(calls) == 2 * n
+
+    def test_no_tile_of_one_symbol(self, monkeypatch):
+        # with one symbol per tile asked for, tiles take two or three: the
+        # 8-sum Q grid of this link sums one coordinate in another order
+        make, user, j = DEMAP_ROUTES["per-dimension"]
+        plan = make()
+        assert max(grid.shape[1] for _, grid, _ in
+                   plan.entries[user, j].dims) >= 8
+        monkeypatch.setattr(linksim, "_TILE_ELEMS", 1)
+        for n in range(1, 8):
+            tiles = linksim._tile_plan(plan.entries[user, j], n)[1]
+            assert n == 1 or min(hi - lo for lo, hi in tiles) >= 2
+            y = link_samples(plan, user, j, n, 1.0)
+            assert bits(tin_llr(y, user, j, plan)) == bits(
+                tin_llr_reduced_reference(y, user, j, plan))
+
+    @pytest.mark.parametrize("route", sorted(DEMAP_ROUTES))
+    def test_tile_boundaries(self, monkeypatch, route):
+        make, user, j = DEMAP_ROUTES[route]
+        plan = make()
+        entry = plan.entries[user, j]
+        tile = 5
+        per_symbol = linksim._tile_plan(entry, 2)[2] // 2
+        monkeypatch.setattr(linksim, "_TILE_ELEMS", tile * per_symbol)
+        for n in (1, tile - 1, tile, tile + 1, 3 * tile + 2):
+            tiles = linksim._tile_plan(entry, n)[1]
+            assert len(tiles) == -(-n // tile)
+            assert max(hi - lo for lo, hi in tiles) <= tile
+            for scale in (0.0, 1.0):
+                y = link_samples(plan, user, j, n, scale)
+                got = tin_llr(y, user, j, plan)
+                assert got.shape == (n, entry.order)
+                assert bits(got) == bits(
+                    tin_llr_reduced_reference(y, user, j, plan))
+
+    @pytest.mark.parametrize("route", sorted(DEMAP_ROUTES))
+    @pytest.mark.parametrize("scale", [0.0, 1.0, 3.5])
+    def test_whole_links_match_reduction(self, route, scale):
+        # every route at the default tiles, at zero, unit and 3.5 times the
+        # unit noise, over several tiles where the link is long enough
+        make, user, j = DEMAP_ROUTES[route]
+        plan = make()
+        n = 3 * plan.layout.sub_blocks[j].length
+        y = link_samples(plan, user, j, n, scale)
+        assert bits(tin_llr(y, user, j, plan)) == bits(
+            tin_llr_reduced_reference(y, user, j, plan))
+
+    def test_run_work_array_leaves_llrs_unchanged(self):
+        plan = link_3u_plan()
+        block = next(linksim.frame_blocks(plan, 3, 2))
+        assert block.work is not None
+        for k in range(plan.spec.K):
+            with_work = demap_frame(block, k, plan)
+            alone = demap_frame(replace(block, work=None), k, plan)
+            assert bits(with_work) == bits(alone)
+
+    def test_bit_errors_count_hard_decisions(self):
+        plan = urllc_plan(n1=16, n2=40)
+        block = next(linksim.frame_blocks(plan, 8, 3))
+        for k in range(plan.spec.K):
+            hard = demap_frame(block, k, plan) < 0
+            assert linksim.bit_errors(block, k, plan) == int(
+                np.count_nonzero(hard != block.payloads[k]))
+            quiet = linksim.zero_noise(block, plan)
+            assert linksim.bit_errors(quiet, k, plan) == 0
+
+
 class TestFrameBlocks:
     """Blocks of 1 and 3 frames against the default block (all 7 frames of
     these runs in one) and the per-frame user-loop oracle: the last block
@@ -490,6 +653,65 @@ class TestFrameBlocks:
             assert np.array_equal(first.payloads[k], payloads[k])
             assert first.y[k].tobytes() == frame.y[k].tobytes()
         assert first.x.tobytes() == frame.x.tobytes()
+
+    @pytest.mark.parametrize("lengths", [(7, 12, 25), (8, 14, 30)],
+                             ids=["odd", "even"])
+    def test_one_draw_per_frame_matches_per_user_draws(self, monkeypatch,
+                                                        lengths):
+        # frame f's noise is one standard_normal call of 2 sum(N_k) values;
+        # it must equal the real-then-imaginary draws user by user, in
+        # blocks of 2, 2 and 1 frames
+        monkeypatch.setattr(linksim, "_BLOCK_SYMBOLS", 2 * lengths[-1])
+        spec = SystemSpec.create(1.0, [
+            UserSpec(n, 1e-5, g * cmath.exp(1j * a))
+            for n, g, a in zip(lengths, (30.0, 12.0, 5.0), (1.9, -0.4, 2.8))])
+        plan = assign_power([[2], [1, 3], [2, 3, 1]], spec)
+        seed = 23
+        n_frames = 5
+        first = 0
+        sizes = []
+        for block in linksim.frame_blocks(plan, seed, n_frames):
+            rows = range(first, first + len(block.x))
+            noise_seeds = [frame_seeds_reference(seed, f)[1] for f in rows]
+            x, y = transmit_reference(plan, block.payloads, noise_seeds)
+            assert block.x.tobytes() == x.tobytes()
+            for k in range(spec.K):
+                assert block.y[k].tobytes() == y[k].tobytes()
+            first += len(block.x)
+            sizes.append(len(block.x))
+        assert sizes == [2, 2, 1]
+        frame = simulate_frame(plan, random_payloads(plan, 4), 9,
+                               noise_scale=3.5)
+        x, y = transmit_reference(
+            plan, {k: v[None] for k, v in random_payloads(plan, 4).items()},
+            [9], 3.5)
+        for k in range(spec.K):
+            assert frame.y[k].tobytes() == y[k][0].tobytes()
+
+    def test_no_frames_no_blocks(self):
+        assert list(linksim.frame_blocks(self.plan(), 5, 0)) == []
+
+    def test_block_is_valid_until_the_next_is_drawn(self, monkeypatch):
+        # the contract of `frame_blocks`: every block is a view of the
+        # run's buffers, allocated once, so drawing the next block
+        # overwrites the one before; a copy taken in time keeps its values
+        plan = self.plan()
+        monkeypatch.setattr(linksim, "_BLOCK_SYMBOLS",
+                            2 * plan.layout.boundaries[-1])
+        blocks = linksim.frame_blocks(plan, 5, 4)
+        first = next(blocks)
+        kept = {k: v.copy() for k, v in first.y.items()}
+        second = next(blocks)
+        for k in range(plan.spec.K):
+            assert np.shares_memory(first.y[k], second.y[k])
+            assert np.shares_memory(first.payloads[k], second.payloads[k])
+            assert not np.array_equal(first.y[k], kept[k])
+        assert np.shares_memory(first.x, second.x)
+        assert second.work is first.work
+        # the copy is frames 0-1 of the run, as a fresh run yields them
+        again = next(linksim.frame_blocks(plan, 5, 4))
+        for k in range(plan.spec.K):
+            assert again.y[k].tobytes() == kept[k].tobytes()
 
 
 class TestInformationDensities:

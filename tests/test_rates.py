@@ -42,6 +42,7 @@ from oracles import (
     bits,
     gaussian_stats_reference,
     log2_reference,
+    log_sum_exp_floored_reference,
     quadrature_mi,
     rate_single_block,
     rate_two_segment,
@@ -698,6 +699,64 @@ class TestOneSumKernel:
         monkeypatch.setattr(rates, "tin_loglik", tin_loglik_general_reference)
         want = [rates.dimension_stats(grid) for grid in ONE_SUM_GRIDS]
         assert bits(got) == bits(want)
+
+
+def floored_values(rng, shape):
+    """Log-likelihood-like values: spreads past the exp floor (-700), exact
+    ties and repeated maxima, at small and large magnitudes."""
+    a = rng.normal(0.0, 1.0, shape) * rng.choice([1.0, 50.0, 900.0], shape)
+    a += rng.choice([0.0, -1e4, 3e5], shape[:-1] + (1,))
+    ties = rng.random(shape) < 0.2
+    a[ties] = np.round(a[ties])
+    return a
+
+
+class TestLogSumExp:
+    """The in-place log-sum-exp and the two-level pair form, bit for bit."""
+
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_in_place_matches_out_of_place(self, axis):
+        rng = np.random.default_rng(41)
+        for _ in range(50):
+            a = floored_values(rng, (3, 5, 7))
+            want = log_sum_exp_floored_reference(a, axis)
+            work = a.copy()
+            got = rates.log_sum_exp(work, axis)
+            assert bits(got) == bits(want)
+        # the floor is reached: some shifted term is below -700
+        assert (a - a.max(axis=axis, keepdims=True)).min() < rates._EXP_FLOOR
+
+    def test_pair_matches_log_sum_exp(self):
+        rng = np.random.default_rng(42)
+        floored = 0
+        for _ in range(200):
+            a = floored_values(rng, (4, 64))
+            b = floored_values(rng, (4, 64))
+            b[:, :8] = a[:, :8]  # exact ties
+            floored += int((np.abs(a - b) > -rates._EXP_FLOOR).sum())
+            for x, y in ((a, b), (b, a)):
+                want = rates.log_sum_exp(np.stack([x, y], axis=1), axis=1)
+                out = np.empty_like(x)
+                got = rates.log_sum_exp_pair(x.copy(), y.copy(), out)
+                assert got is out
+                assert bits(got) == bits(want)
+        assert floored > 0
+
+    @pytest.mark.parametrize("budget", [None, 37],
+                             ids=["whole", "chunked"])
+    def test_kernel_body_matches_general_reference(self, monkeypatch,
+                                                   budget):
+        # many-sum grids through `tin_loglik_into`, by chunks of new arrays
+        if budget is not None:
+            monkeypatch.setattr(rates, "_ELEM_BUDGET", budget)
+        rng = np.random.default_rng(43)
+        for own, others in [((1, 1.0), [(1, 0.5)]),
+                            ((2, 0.8), [(2, 0.2), (1, 0.05)]),
+                            ((3, 0.3), [(3, 0.04)])]:
+            grid = rates.receive_grid(6.0, own, others)
+            y = rng.normal(0.0, 4.0, 211)
+            assert bits(rates.tin_loglik(y, grid)) == bits(
+                tin_loglik_general_reference(y, grid))
 
 
 class TestInvariance:

@@ -446,6 +446,28 @@ class TestMappingAndFrames:
         with pytest.raises(SpecError):
             build_frame({**symbols, 1: symbols[1][:2]}, plan)
 
+    def test_integer_bits_of_any_width_map_alike(self):
+        # uint8 payloads are read as they are, without an int64 copy
+        plan = self.three_user_plan()
+        bits = np.random.default_rng(9).integers(0, 2, (2, 5600))
+        want = map_bits(bits, 2, plan).tobytes()
+        for dtype in (np.uint8, np.int32, bool, float):
+            assert map_bits(bits.astype(dtype), 2, plan).tobytes() == want
+
+    def test_frame_written_into_a_given_buffer(self):
+        plan = self.three_user_plan()
+        rng = np.random.default_rng(10)
+        symbols = {k: map_bits(rng.integers(0, 2, (2, n)), k, plan)
+                   for k, n in enumerate(plan.codeword_lengths)}
+        x, packets = build_frame(symbols, plan)
+        out = np.full((2, 2000), np.nan + 1j, dtype=complex)
+        got, got_packets = build_frame(symbols, plan, out=out)
+        assert got is out and out.tobytes() == x.tobytes()
+        for k in packets:
+            assert got_packets[k].tobytes() == packets[k].tobytes()
+        with pytest.raises(SpecError):
+            build_frame(symbols, plan, out=np.empty((2, 1999), dtype=complex))
+
     def test_single_user_frame_is_own_packet(self):
         spec = SystemSpec.create(1.0, [UserSpec(32, 1e-6, 3.0)])
         plan = assign_power([[2]], spec)
