@@ -19,7 +19,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from . import __version__, constellations, linksim, rates, scheme
+from . import __version__, constellations, rates, scheme
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -361,6 +361,7 @@ def cmd_benchmark(cfg: Mapping, args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_simulate(cfg: Mapping, args) -> int:
+    from . import linksim
     spec = spec_from_config(cfg)
     samples, seed = sampling_params(cfg, args)
     section = _section(cfg, "simulate")
@@ -432,6 +433,7 @@ _KERNEL_TOL = 1e-4
 
 def _validation_checks(seed: int):
     """Fast invariant suite over all modules; yields (name, passed, detail)."""
+    from . import linksim
     # constellation energy and distance identities
     for m in range(1, 7):
         c = constellations.build_gray_qam(m)
@@ -546,6 +548,7 @@ def _accounting_ok(plan, tol: float = 1e-9) -> bool:
 
 
 def cmd_validate(cfg: Mapping, args) -> int:
+    spec_from_config(cfg)  # a bad system section exits 2, as elsewhere
     samples, seed = sampling_params(cfg, args)
     plan_path = _section(cfg, "validate").get("plan")
     if plan_path is not None and not (isinstance(plan_path, str)
@@ -623,7 +626,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                 f"config declares command {declared!r}, invoked {args.command!r}")
         return _COMMANDS[args.command](cfg, args)
     except (ConfigError, scheme.SpecError, rates.RateEngineError,
-            constellations.ConstellationError, linksim.SimulationError,
+            constellations.ConstellationError,
             OSError, MemoryError) as exc:  # unwritable output, run too large
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_BAD_CONFIG

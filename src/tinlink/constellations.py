@@ -15,8 +15,7 @@ nesting; the per-dimension rule extends the same exact tiling to odd orders.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -53,22 +52,29 @@ def min_pairwise_distance(points: np.ndarray) -> float:
     return best
 
 
-@dataclass(frozen=True, eq=False)
-class LabeledConstellation:
-    """Finite complex signal set with bit labels.
-
-    ``points[v]`` is the amplitude whose label is the ``order``-bit binary
-    expansion of ``v``, most significant bit first.
-    """
-
+class _Constellation(NamedTuple):
     points: np.ndarray
     order: int
     d_min: float
     mean: complex
     energy: float
 
-    def __post_init__(self):
-        self.points.setflags(write=False)
+
+class LabeledConstellation(_Constellation):
+    """Finite complex signal set with bit labels.
+
+    ``points[v]`` is the amplitude whose label is the ``order``-bit binary
+    expansion of ``v``, most significant bit first; construction makes
+    ``points`` read-only.  Constellations compare and hash by identity, as
+    comparing their point arrays has no truth value.
+    """
+
+    __slots__ = ()
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
+
+    def __new__(cls, points, order, d_min, mean, energy):
+        points.setflags(write=False)
+        return super().__new__(cls, points, order, d_min, mean, energy)
 
     @property
     def size(self) -> int:

@@ -33,8 +33,7 @@ demapper set-up is its user's `UserSpec.rotation` and its plan entry's
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -72,8 +71,7 @@ _BLOCK_SYMBOLS = 8192
 _TILE_ELEMS = 1 << 17
 
 
-@dataclass(frozen=True)
-class ReceivedFrame:
+class ReceivedFrame(NamedTuple):
     """One channel use of the full superimposed frame, or a block of them.
 
     payloads[k] are user k's codeword bits, x is the transmitted superimposed
@@ -216,7 +214,7 @@ def frame_blocks(plan: SchemePlan, seed: int, n_frames: int
 
 def zero_noise(frame: ReceivedFrame, plan: SchemePlan) -> ReceivedFrame:
     """The same frame (or block) received without noise, y_k = h_k x[:N_k]."""
-    return replace(frame, y={k: user.h * frame.x[..., :user.N]
+    return frame._replace(y={k: user.h * frame.x[..., :user.N]
                              for k, user in enumerate(plan.spec.users)})
 
 
@@ -399,8 +397,7 @@ def bit_errors(frame: ReceivedFrame, user: int, plan: SchemePlan) -> int:
 # Empirical information-density validation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DensityCheckRow:
+class DensityCheckRow(NamedTuple):
     user: int
     sub_block: int
     n_samples: int
@@ -423,9 +420,16 @@ def information_densities(frame: ReceivedFrame, user: int, sub_block: int,
     adds nothing, so a pair that carries no bits (or has no entry) gives
     zeros.  A block gives the densities of its frames one after the other.
     """
+    return _densities(frame, map_bits(frame.payloads[user], user, plan),
+                      user, sub_block, plan)
+
+
+def _densities(frame: ReceivedFrame, symbols: np.ndarray, user: int,
+               sub_block: int, plan: SchemePlan) -> np.ndarray:
+    """`information_densities` given the user's unit symbols, `symbols`,
+    which one `map_bits` call gives for all of its sub-blocks."""
     sb = plan.layout.sub_blocks[sub_block]
-    sent = map_bits(frame.payloads[user], user, plan)[..., sb.start:sb.stop]
-    sent = sent.ravel()
+    sent = symbols[..., sb.start:sb.stop].ravel()
     dens = np.zeros(sent.size)
     entry = plan.entries.get((user, sub_block))
     if entry is None or not entry.dims:
@@ -445,10 +449,11 @@ def empirical_id_check(plan: SchemePlan, user: int, n_frames: int, seed: int,
     """Compare sampled information densities against the rate engine.
 
     Simulates n_frames independent frames, samples per-symbol densities on
-    each of the user's links that carry bits, and flags sub-blocks whose
-    empirical mean or variance deviates from the quadrature (I, V) by more
-    than sigma_limit standard errors of the sample.  Raises SimulationError
-    when there is nothing to sample: n_frames < 1, or a silent user.
+    each of the user's links that carry bits (mapping each block's payloads
+    once for all of them), and flags sub-blocks whose empirical mean or
+    variance deviates from the quadrature (I, V) by more than sigma_limit
+    standard errors of the sample.  Raises SimulationError when there is
+    nothing to sample: n_frames < 1, or a silent user.
     """
     if n_frames < 1:
         raise SimulationError(f"n_frames must be positive, got {n_frames}")
@@ -457,8 +462,9 @@ def empirical_id_check(plan: SchemePlan, user: int, n_frames: int, seed: int,
     if not per_block:
         raise SimulationError(f"user {user} sends no bits in this plan")
     for block in frame_blocks(plan, seed, n_frames):
+        symbols = map_bits(block.payloads[user], user, plan)
         for j, chunks in per_block.items():
-            chunks.append(information_densities(block, user, j, plan))
+            chunks.append(_densities(block, symbols, user, j, plan))
     exact = compute_plan_rates(plan)
     ref_mi, ref_v = exact.mi[user].tolist(), exact.dispersion[user].tolist()
     rows = []

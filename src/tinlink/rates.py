@@ -36,9 +36,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from statistics import NormalDist
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -157,8 +156,7 @@ def _lse_over_alts(xt: np.ndarray, xa: np.ndarray, zr: np.ndarray,
     return out
 
 
-@dataclass(frozen=True)
-class SubBlockRateStats:
+class SubBlockRateStats(NamedTuple):
     """One link's mutual information and dispersion from an oracle.
 
     mi and dispersion are in bits and bits**2 per complex symbol, and
@@ -606,8 +604,7 @@ def bc_shell_rates(spec, layout, powers: Mapping[tuple[int, int], np.ndarray],
 # Plan-level rate evaluation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RateResult:
+class RateResult(NamedTuple):
     """Per-user second-order rates of one plan, and each link's (I, V) as
     (K, K) arrays indexed [user, sub-block], 0 where the user sends nothing."""
 

@@ -18,8 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -72,8 +71,7 @@ def _number(value, what: str, integer: bool = False):
 # System specification
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class UserSpec:
+class UserSpec(NamedTuple):
     """One receiver: symbol budget N, error target eps, complex channel h."""
 
     N: int
@@ -86,8 +84,7 @@ class UserSpec:
         return np.conj(self.h) / abs(self.h)
 
 
-@dataclass(frozen=True)
-class SystemSpec:
+class SystemSpec(NamedTuple):
     """K-user downlink spec; users are kept sorted by non-decreasing N.
 
     ``order_map[i]`` is the position of sorted user i in the constructor
@@ -159,8 +156,7 @@ class SystemSpec:
 # Sub-block layout
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SubBlock:
+class SubBlock(NamedTuple):
     """Symbol range over which the active-user set is constant."""
 
     index: int
@@ -174,8 +170,7 @@ class SubBlock:
         return self.stop - self.start
 
 
-@dataclass(frozen=True)
-class SubBlockLayout:
+class SubBlockLayout(NamedTuple):
     boundaries: tuple[int, ...]
     sub_blocks: tuple[SubBlock, ...]
 
@@ -222,8 +217,7 @@ def part_shapes(rank_orders: Sequence[int]) -> list[tuple[int, int]]:
     return shapes
 
 
-@dataclass(frozen=True)
-class ConstraintRow:
+class ConstraintRow(NamedTuple):
     """One feasibility condition with its slack.
 
     kind "order_sum" rows carry bit budgets (slack = rhs - lhs, in bits);
@@ -241,8 +235,7 @@ class ConstraintRow:
     passed: bool
 
 
-@dataclass(frozen=True)
-class FeasibilityReport:
+class FeasibilityReport(NamedTuple):
     rows: tuple[ConstraintRow, ...]
     feasible: bool
 
@@ -377,8 +370,7 @@ def check_modulation_constraints(orders, spec: SystemSpec,
 # Power assignment and the transmission plan
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PlanEntry:
+class PlanEntry(NamedTuple):
     """One user's link in one sub-block, after power assignment.
 
     amp_i / amp_q are the full per-dimension amplitudes applied to the unit
@@ -410,8 +402,7 @@ class PlanEntry:
     stacked: bool
 
 
-@dataclass
-class SchemePlan:
+class SchemePlan(NamedTuple):
     """Validated transmission plan for one system spec.
 
     entries maps every (user, sub-block) pair with the user among the
@@ -560,8 +551,7 @@ def assign_power(orders, spec: SystemSpec, *,
                       codeword_lengths=codeword_lengths(orders, layout))
 
 
-@dataclass(frozen=True)
-class MinDistanceRow:
+class MinDistanceRow(NamedTuple):
     user: int
     sub_block: int
     kind: str
@@ -697,14 +687,15 @@ def build_frame(symbols: Mapping[int, np.ndarray], plan: SchemePlan, *,
 # Design search
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DesignSearchResult:
+class DesignSearchResult(NamedTuple):
     """Scored order matrices as columns, one row per candidate, best first.
 
     `orders` holds each order matrix flattened user by user, so user k's
     sub-blocks 0..k follow user k-1's; `rates`, `info_bits` and
     `codeword_bits` are (n, K), `weighted_sum` and `min_order_slack` (the
     least order_sum row slack, inf if none) have one entry per row.
+    len() counts the rows, not the fields, so `_replace`, which checks the
+    field count by len(), does not copy a result.
     """
 
     orders: np.ndarray

@@ -721,6 +721,13 @@ class TestConfigHandling:
                        f"{10 ** 60} power splits (power_steps {10 ** 30})",
                        id=f"{command}-power_steps-1e30")
           for command in ("rate-region", "benchmark")),
+        # validate checked no system section: these exited 0 with its rows
+        ("validate", {"system": {**SYSTEM, "users": []}},
+         "at least one user required"),
+        ("validate", {"system": {**SYSTEM, "users": 5}},
+         "malformed system spec"),
+        ("validate", {"system": {**SYSTEM, "users": [5]}},
+         "malformed system spec"),
     ])
     def test_malformed_value_exits_2(self, tmp_path, capsys, command,
                                      overrides, key):
@@ -1029,7 +1036,7 @@ def small_runs(tmp_path):
 
 # Runs the given command lines in one fresh interpreter, with the Monte Carlo
 # estimator and its noise source made to raise, then lists the SciPy modules
-# loaded after each command.
+# loaded after each command, and whether the simulator and `dataclasses` are.
 _NO_SCIPY_SCRIPT = textwrap.dedent("""
     import json, sys
     from tinlink import rates
@@ -1043,14 +1050,18 @@ _NO_SCIPY_SCRIPT = textwrap.dedent("""
     for command, argv in json.loads(sys.argv[1]).items():
         code = main(argv)
         loaded[command] = [code, sorted(
-            m for m in sys.modules if m == "scipy" or m.startswith("scipy."))]
+            m for m in sys.modules if m == "scipy" or m.startswith("scipy.")),
+            "tinlink.linksim" in sys.modules, "dataclasses" in sys.modules]
     print(json.dumps(loaded))
 """)
 
 
 def test_commands_load_no_scipy(tmp_path):
     """numpy is tinlink's only third-party runtime dependency, and no
-    command calls the Monte Carlo estimator."""
+    command calls the Monte Carlo estimator.  The commands run in the order
+    listed, and only `simulate` and `validate` load the simulator, which
+    design, rate-region and benchmark never import; no command loads
+    `dataclasses`."""
     proc = subprocess.run(
         [sys.executable, "-c", _NO_SCIPY_SCRIPT,
          json.dumps(small_runs(tmp_path))],
@@ -1058,9 +1069,11 @@ def test_commands_load_no_scipy(tmp_path):
         capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     loaded = json.loads(proc.stdout.splitlines()[-1])
-    assert loaded == {command: [EXIT_OK, []] for command in
-                      ("design", "rate-region", "benchmark", "simulate",
-                       "validate")}
+    assert loaded == {command: [EXIT_OK, [], simulates, False]
+                      for command, simulates in (
+                          ("design", False), ("rate-region", False),
+                          ("benchmark", False), ("simulate", True),
+                          ("validate", True))}
 
 
 _IMPORT_SCRIPT = textwrap.dedent("""

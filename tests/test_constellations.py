@@ -87,6 +87,14 @@ class TestBuildGrayQam:
             assert gray[round(x.real + 1.5)] == v >> 1
             assert gray[round(x.imag + 0.5)] == v & 1
 
+    def test_points_read_only_and_identity_equality(self):
+        # equal point arrays have no truth value, so constellations compare
+        # and hash by identity
+        a, b = build_gray_qam(2), build_gray_qam(2)
+        with pytest.raises(ValueError, match="read-only"):
+            a.points[0] = 0
+        assert a == a and a != b and len({a, b}) == 2
+
     @pytest.mark.parametrize("m", [0, -1, 17])
     def test_order_out_of_range(self, m):
         with pytest.raises(ConstellationError):

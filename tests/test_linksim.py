@@ -7,8 +7,6 @@ import tempfile
 from pathlib import Path
 from unittest import mock
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -575,7 +573,7 @@ class TestTiledDemapper:
         assert block.work is not None
         for k in range(plan.spec.K):
             with_work = demap_frame(block, k, plan)
-            alone = demap_frame(replace(block, work=None), k, plan)
+            alone = demap_frame(block._replace(work=None), k, plan)
             assert bits(with_work) == bits(alone)
 
     def test_bit_errors_count_hard_decisions(self):
@@ -754,6 +752,31 @@ class TestInformationDensities:
         empirical_id_check(urllc_plan(n1=16, n2=24), 1, n_frames=3, seed=40)
         assert sorted(seeds) == sorted(
             s for f in range(3) for s in frame_seeds_reference(40, f))
+
+    def test_id_check_maps_each_block_once(self, monkeypatch):
+        # per block of 3, 3 and 1 frames, map_bits runs once per user to
+        # synthesize the frames and once more for the checked user's
+        # densities, not once per link; the rows are those that mapping
+        # every link's payload on its own gave
+        plan = urllc_plan(n1=16, n2=24)
+        monkeypatch.setattr(linksim, "_BLOCK_SYMBOLS", 3 * 24)
+        calls = []
+        original = linksim.map_bits
+
+        def counted(bits, user, plan):
+            calls.append(user)
+            return original(bits, user, plan)
+
+        monkeypatch.setattr(linksim, "map_bits", counted)
+        rows = empirical_id_check(plan, 1, n_frames=7, seed=5)
+        assert calls == [0, 1, 1] * 3
+        assert [tuple(row) for row in rows] == [
+            (1, 0, 112, 2.0195802625413273, 1.1236926784657328,
+             1.7903210739200373, 1.866302081610791, 2.28882182906837,
+             4.159195700853109, False),
+            (1, 1, 56, 1.8576558788910489, 1.7039925704783379,
+             1.9731673478462957, 1.8885570790211235, 0.662194046468331,
+             0.4219767171898562, True)]
 
     def test_matches_rate_engine_within_4_sigma(self):
         # full design-point blocklengths; ~1e5 sampled symbols for user 2
