@@ -167,11 +167,11 @@ def cmd_design(cfg: Mapping, args) -> int:
                          result.min_order_slack.tolist(),
                          result.rates.tolist(), result.info_bits.tolist(),
                          result.codeword_bits.tolist()))))
-    if args.plan_out and len(result):
+    if args.plan_out and len(result.weighted_sum):
         with open(args.plan_out, "w") as fh:
             plan = scheme.assign_power(result.order_matrix(0), spec)
             json.dump(plan.to_dict(), fh, indent=2, sort_keys=True)
-    if not len(result):
+    if not len(result.weighted_sum):
         print(result.explanation or "no feasible design", file=sys.stderr)
         return EXIT_NO_DESIGN
     return EXIT_OK
@@ -181,8 +181,8 @@ def cmd_design(cfg: Mapping, args) -> int:
 # rate-region and benchmark sweeps
 # ---------------------------------------------------------------------------
 
-# Power splits per chunk of the sweep: what a sweep holds at once follows
-# this, not its number of splits
+# Most power splits in one chunk (`_sweep_chunks`) of the sweep: what a
+# sweep holds at once follows this, not its number of splits
 _SWEEP_CHUNK = 4096
 
 
@@ -218,18 +218,41 @@ def _split_tables(spec: scheme.SystemSpec, layout, steps: int):
     return [len(a) for a in axes], tables
 
 
-def _power_splits(shape, tables, start: int, stop: int
-                  ) -> tuple[dict[tuple[int, int], np.ndarray],
+def _sweep_chunks(shape, size: int):
+    """The chunks of the split grid `shape`, in product order, each of at
+    most `size` splits.  A chunk fixes an index on each leading axis, takes
+    a slice of the next axis and the whole of every later one; it is given
+    as those indices followed by the slice."""
+    axis, inner = len(shape) - 1, 1
+    while axis > 0 and inner * shape[axis] <= size:
+        inner *= shape[axis]
+        axis -= 1
+    step = size // inner
+    for lead in np.ndindex(*shape[:axis]):
+        for start in range(0, shape[axis], step):
+            yield lead + (slice(start, min(start + step, shape[axis])),)
+
+
+def _chunk_powers(shape, tables, at
+                  ) -> tuple[tuple[int, ...],
+                             dict[tuple[int, int], np.ndarray],
                              list[np.ndarray]]:
-    """Splits `start` to `stop` of the grid `_split_tables` returns:
-    (user, sub_block) -> power, with one array entry per split, and the
-    param items of each column, one per split."""
-    index = np.unravel_index(np.arange(start, stop), shape)
+    """Chunk `at` of `_sweep_chunks` over the grid `_split_tables` returns,
+    as (chunk shape, powers, items): the shape over the chunk's sliced and
+    whole axes, then (user, sub_block) -> power and the param items of
+    each column, each its table at the chunk's (totals, shares) rows,
+    shaped to broadcast over the chunk shape."""
+    sliced = len(at) - 1
+    chunk = (at[-1].stop - at[-1].start,) + tuple(shape[sliced + 1:])
     powers, items = {}, []
     for key, axis, power, item in tables:
-        powers[key] = power[index[0], index[axis]]
-        items.append(item[index[0], index[axis]])
-    return powers, items
+        rows = tuple(at[a] if a <= sliced else slice(None) for a in (0, axis))
+        kept = [a - sliced for a in (0, axis) if a >= sliced]
+        view = [n if a in kept else 1 for a, n in enumerate(chunk)]
+        # a chunk that fixes both of the table's axes picks a 0-d entry
+        powers[key] = np.asarray(power[rows]).reshape(view)
+        items.append(np.asarray(item[rows], dtype=object).reshape(view))
+    return chunk, powers, items
 
 
 def _simplex_grid(dims: int, steps: int, total: float) -> np.ndarray:
@@ -254,29 +277,29 @@ def _float_cells(values: np.ndarray, fmt: str) -> np.ndarray:
     return np.array(text, dtype=object)[inverse.reshape(values.shape)]
 
 
-def _sweep_cells(spec: scheme.SystemSpec, layout, shape, tables, start: int,
-                 stop: int, leads: np.ndarray) -> np.ndarray:
+def _sweep_cells(spec: scheme.SystemSpec, layout, shape, tables, at,
+                 leads: np.ndarray) -> np.ndarray:
     """The cells of the `gauss_sic`, `gauss_tin` and `shell_sic` lines of
-    splits `start` to `stop`, shaped (split, kind, cell), that joined in
-    order give the lines; `leads` are the three kinds' constant cells.  A
-    split's shell line is left out, its cells blanked, where any shell
-    rate is NaN."""
-    powers, items = _power_splits(shape, tables, start, stop)
+    chunk `at` (see `_sweep_chunks`), shaped (chunk shape, kind, cell),
+    that joined in order give the lines; `leads` are the three kinds'
+    constant cells.  A split's shell line is left out, its cells blanked,
+    where any shell rate is NaN."""
+    chunk, powers, items = _chunk_powers(shape, tables, at)
     sic, tin = rates.bc_gaussian_rates(spec, layout, powers,
                                        mode=("sic", "tin"))
     kinds = [sic, tin, rates.bc_shell_rates(spec, layout, powers, mode="sic")]
     # one row of cells per line, joined once: the leads, the param items,
     # then the rates, the last of them ending the line
-    cells = np.empty((stop - start, len(kinds), 1 + len(items) + spec.K),
+    cells = np.empty(chunk + (len(kinds), 1 + len(items) + spec.K),
                      dtype=object)
-    cells[:, :, 0] = leads
+    cells[..., 0] = leads
     for c, item in enumerate(items, 1):
-        cells[:, :, c] = item[:, None]
+        cells[..., c] = item[..., None]
     for kind, block in enumerate(kinds):
         for k in range(spec.K):
-            cells[:, kind, 1 + len(items) + k] = _float_cells(
-                block[:, k], "%.12g\r\n" if k + 1 == spec.K else "%.12g,")
-    cells[np.isnan(kinds[2]).any(axis=1), 2, :] = ""
+            cells[..., kind, 1 + len(items) + k] = _float_cells(
+                block[..., k], "%.12g\r\n" if k + 1 == spec.K else "%.12g,")
+    cells[np.isnan(kinds[2]).any(axis=-1), 2, :] = ""
     return cells
 
 
@@ -284,10 +307,13 @@ def cmd_rate_region(cfg: Mapping, args, benchmarks_only: bool = False) -> int:
     """The QAM designs (unless `benchmarks_only`), then the benchmark sweep.
 
     Every config check runs before the output file is opened.  The sweep
-    is streamed in chunks of `_SWEEP_CHUNK` splits, in split order: each
-    chunk's powers are built, its rates computed and its lines written
-    before the next chunk is built.  A sweep that runs out of memory exits
-    2 naming its split count, leaving the lines already written.
+    is streamed in sub-grids of at most `_SWEEP_CHUNK` splits, in split
+    order (`_sweep_chunks`): each chunk's entries of the power tables are
+    taken, its rates computed and its lines written before the next chunk
+    is taken.  A link is evaluated once per entry of its sub-block's
+    power table that the chunk holds, not once per split.  A sweep that
+    runs out of memory exits 2 naming its split count, leaving the lines
+    already written.
     """
     spec = spec_from_config(cfg)
     layout = scheme.build_layout(spec)
@@ -318,11 +344,11 @@ def cmd_rate_region(cfg: Mapping, args, benchmarks_only: bool = False) -> int:
     if include_qam:
         result = scheme.design_search(
             spec, [1.0] * spec.K, max_sub_block_order=cap, pareto_only=False)
-        if not len(result):
+        if not len(result.weighted_sum):
             print(result.explanation or "no feasible design", file=sys.stderr)
             _write_lines(args.out, header, ())
             return EXIT_NO_DESIGN
-        n_qam = len(result)
+        n_qam = len(result.weighted_sum)
     qam = _line_template(lead + ["qam_tin", ""],
                          _orders_cell(spec.K) + ",%.12g" * spec.K)
     leads = np.array(["".join(_csv_cell(c) + "," for c in lead + [kind])
@@ -339,12 +365,10 @@ def cmd_rate_region(cfg: Mapping, args, benchmarks_only: bool = False) -> int:
                 yield qam % (*orders, *rate_row)
         try:
             shape, tables = _split_tables(spec, layout, steps)
-            for start in range(0, n_splits, _SWEEP_CHUNK):
+            for at in _sweep_chunks(shape, _SWEEP_CHUNK):
                 # the chunk's arrays are dropped before its text is joined
-                yield "".join(_sweep_cells(
-                    spec, layout, shape, tables, start,
-                    min(start + _SWEEP_CHUNK, n_splits), leads
-                ).ravel().tolist())
+                yield "".join(_sweep_cells(spec, layout, shape, tables, at,
+                                           leads).ravel().tolist())
         except MemoryError as exc:
             raise ConfigError(too_many) from exc
 

@@ -524,16 +524,19 @@ def sinr(signal_power: float, interference_power: float) -> float:
 def _bc_rates(spec, layout, powers: Mapping[tuple[int, int], np.ndarray],
               mode: str | Sequence[str], link_stats):
     """Benchmark rate of every user at every power split, NaN where it has
-    none; shape (..., K) for power arrays of shape (...), or a list of such
-    arrays, one per mode, when mode is a tuple of modes.
+    none; shape (..., K), (...) the broadcast shape of the power arrays, or
+    a list of such arrays, one per mode, when mode is a tuple of modes.
+    The power arrays may have any shapes that broadcast together: each link
+    is evaluated on the broadcast shape of its own and its interferers'
+    powers, and only the stacking of a user's links and of the users'
+    rates makes arrays of the full shape.
 
     link_stats(own power, interference power, |h|^2) gives the (I, V) arrays
     of one non-empty sub-block, with I NaN where the user gets no rate.  mode
     "tin" counts all co-scheduled powers as interference; mode "sic" only
-    those of stronger-channel users.  Every split goes through one numpy
-    pass per user, and a link (user, sub-block) or a user's rate whose
-    interferers are the same under two modes is computed once, as the
-    weakest-channel user's are under "sic" and "tin".
+    those of stronger-channel users.  A link (user, sub-block) or a user's
+    rate whose interferers are the same under two modes is computed once,
+    as the weakest-channel user's are under "sic" and "tin".
     """
     modes = (mode,) if isinstance(mode, str) else tuple(mode)
     for name in modes:
@@ -576,8 +579,10 @@ def bc_gaussian_rates(spec, layout, powers: Mapping[tuple[int, int], np.ndarray]
     """Gaussian-code benchmark rates for every user of a broadcast spec.
 
     powers maps (user, sub_block) to the per-symbol power that user spends
-    there: a scalar, or an array with one entry per power split (absent
-    entries are 0).  Returns the rates with a last axis over the users.
+    there: a scalar, or an array over power splits (absent entries are 0).
+    The arrays may have any shapes that broadcast together, and each link
+    is evaluated on its own powers' shape.  Returns the rates, of the
+    broadcast shape, with a last axis over the users.
     mode "tin" counts all co-scheduled powers as interference; mode "sic"
     assumes each user perfectly cancels every weaker-channel user and is
     only interfered by stronger-channel users.  A tuple of modes, such as

@@ -694,8 +694,6 @@ class DesignSearchResult(NamedTuple):
     sub-blocks 0..k follow user k-1's; `rates`, `info_bits` and
     `codeword_bits` are (n, K), `weighted_sum` and `min_order_slack` (the
     least order_sum row slack, inf if none) have one entry per row.
-    len() counts the rows, not the fields, so `_replace`, which checks the
-    field count by len(), does not copy a result.
     """
 
     orders: np.ndarray
@@ -705,9 +703,6 @@ class DesignSearchResult(NamedTuple):
     codeword_bits: np.ndarray
     min_order_slack: np.ndarray
     explanation: str | None = None
-
-    def __len__(self) -> int:
-        return len(self.weighted_sum)
 
     def order_matrix(self, i: int) -> tuple[tuple[int, ...], ...]:
         """Row i's order matrix, orders[k][j] user k's order in sub-block j."""

@@ -242,10 +242,14 @@ class TestRateRegion:
             shape, tables = cli._split_tables(spec, layout, steps)
             reference = list(power_splits_reference(spec, layout, steps))
             assert math.prod(shape) == len(reference)
-            # in two chunks, so the second starts inside the index
-            half = len(reference) // 2
-            chunks = [cli._power_splits(shape, tables, start, stop)
-                      for start, stop in ((0, half), (half, len(reference)))]
+            # in chunks of half the grid, so a chunk starts inside an axis
+            chunks = []
+            for at in cli._sweep_chunks(shape, max(1, len(reference) // 2)):
+                chunk, powers, items = cli._chunk_powers(shape, tables, at)
+                chunks.append(
+                    ({key: np.broadcast_to(p, chunk).ravel()
+                      for key, p in powers.items()},
+                     [np.broadcast_to(item, chunk).ravel() for item in items]))
             powers = {key: np.concatenate([c[0][key] for c in chunks])
                       for key in chunks[0][0]}
             assert all(split.keys() == powers.keys() for split in reference)
@@ -306,6 +310,65 @@ class TestRateRegion:
 
         peak(2)  # first-call set-up is not part of either sweep
         assert peak(9) <= 2 * peak(5)
+
+    # axes of size 1, a last axis longer than the chunk, chunks of one split
+    # and chunks larger than the grid
+    @pytest.mark.parametrize("shape", [
+        (1, 1), (1, 9), (9, 1), (3, 3, 1), (2, 1, 3), (1, 3, 1, 2),
+        (2, 3, 4), (3, 1, 2, 17), (4, 4, 4, 1)])
+    def test_sweep_chunks_cover_the_grid_in_order(self, shape):
+        n = math.prod(shape)
+        flat = np.arange(n).reshape(shape)
+        for size in sorted({1, 2, 3, 4, 5, 7, 8, 16, n - 1, n, n + 1,
+                            10 * n} - {0}):
+            chunks = list(cli._sweep_chunks(shape, size))
+            # indices on the leading axes, then one slice
+            for at in chunks:
+                assert isinstance(at[-1], slice)
+                assert all(isinstance(i, int) for i in at[:-1])
+            taken = [flat[at].ravel() for at in chunks]
+            assert all(0 < len(t) <= size for t in taken)
+            assert np.concatenate(taken).tolist() == list(range(n))
+            # the chunk shape `_chunk_powers` reports is the chunk's own
+            assert [cli._chunk_powers(shape, [], at)[0] for at in chunks] == [
+                flat[at].shape for at in chunks]
+
+    def test_sweep_chunks_of_the_bundled_grids(self):
+        """Whole later axes and as many rows of the sliced axis as fit: one
+        chunk for bench-3u's grid, 5 totals rows of three_user at 9 steps,
+        and one totals row by 32 sub-block-0 share rows of four_user at 5."""
+        chunks = list(cli._sweep_chunks((25, 25, 5, 1), cli._SWEEP_CHUNK))
+        assert chunks == [(slice(0, 25),)]
+        chunks = list(cli._sweep_chunks((81, 81, 9, 1), cli._SWEEP_CHUNK))
+        assert chunks[:2] == [(slice(0, 5),), (slice(5, 10),)]
+        assert len(chunks) == 17
+        chunks = list(cli._sweep_chunks((125, 125, 25, 5, 1),
+                                        cli._SWEEP_CHUNK))
+        assert chunks[:5] == [(0, slice(0, 32)), (0, slice(32, 64)),
+                              (0, slice(64, 96)), (0, slice(96, 125)),
+                              (1, slice(0, 32))]
+        assert len(chunks) == 125 * 4
+
+    def test_links_run_once_per_table_entry(self, tmp_path, monkeypatch):
+        """`benchmark` on three_user.json at 5 steps (3,125 splits) passes
+        each link's sub-block table entries to the link statistics, not one
+        value per split: 3,525 SINRs to `gaussian_stats` in 9 calls and
+        2,150 receive SNRs to `shell_stats` in 6."""
+        cfg = json.loads((ROOT / "configs" / "three_user.json").read_text())
+        cfg["rate_region"]["power_steps"] = 5
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        counts = {}
+        for name in ("gaussian_stats", "shell_stats"):
+            def counted(x, stats=getattr(rates, name), name=name):
+                calls, size = counts.get(name, (0, 0))
+                counts[name] = (calls + 1, size + np.size(x))
+                return stats(x)
+            monkeypatch.setattr(rates, name, counted)
+        assert main(["benchmark", "--config", str(path),
+                     "--out", str(tmp_path / "b.csv")]) == EXIT_OK
+        assert counts == {"gaussian_stats": (9, 3525),
+                          "shell_stats": (6, 2150)}
 
     def test_benchmark_only_command(self, tmp_path):
         cfg = self.region_config(tmp_path)
@@ -743,10 +806,10 @@ class TestConfigHandling:
 
     # an allocation that fails raised MemoryError out of main; the sweep
     # names its split count (3 steps on two 2-user axes: 9).  The sweep's
-    # grid is built chunk by chunk in `_power_splits`, after the output is
-    # opened
+    # powers are gathered chunk by chunk in `_chunk_powers`, after the
+    # output is opened
     @pytest.mark.parametrize("command, target, key", [
-        ("rate-region", (cli, "_power_splits"), "9 power splits"),
+        ("rate-region", (cli, "_chunk_powers"), "9 power splits"),
         ("benchmark", (rates, "bc_shell_rates"), "9 power splits"),
         ("design", (scheme, "design_search"), "error: out of memory"),
     ])
@@ -776,7 +839,7 @@ class TestConfigHandling:
         full, part = tmp_path / "full.csv", tmp_path / "part.csv"
         assert main([command, "--config", str(cfg),
                      "--out", str(full)]) == EXIT_OK
-        build, calls = cli._power_splits, []
+        build, calls = cli._chunk_powers, []
 
         def first_chunk_only(*args):
             calls.append(args)
@@ -784,15 +847,17 @@ class TestConfigHandling:
                 raise MemoryError
             return build(*args)
 
+        # the (3, 3, 1) grid's chunks of at most 4 splits are its 3 totals
+        # rows, 3 splits each
         monkeypatch.setattr(cli, "_SWEEP_CHUNK", 4)
-        monkeypatch.setattr(cli, "_power_splits", first_chunk_only)
+        monkeypatch.setattr(cli, "_chunk_powers", first_chunk_only)
         assert main([command, "--config", str(cfg),
                      "--out", str(part)]) == EXIT_BAD_CONFIG
         assert "9 power splits" in capsys.readouterr().err
         written = part.read_bytes()
         assert full.read_bytes().startswith(written)
         _, rows = read_rows(part)
-        assert sum(r["point_type"] == "gauss_sic" for r in rows) == 4
+        assert sum(r["point_type"] == "gauss_sic" for r in rows) == 3
         assert len(read_rows(full)[1]) > len(rows)
 
     # an unwritable path raised OSError out of main: a traceback and exit 1,
@@ -936,7 +1001,8 @@ def region_rows_reference(cfg, seed, samples, benchmarks_only):
             pareto_only=False)
         rows += [[bid, seed, samples, "qam_tin", "",
                   orders_text(result.order_matrix(i))]
-                 + result.rates[i].tolist() for i in range(len(result))]
+                 + result.rates[i].tolist()
+                 for i in range(len(result.weighted_sum))]
     splits = list(power_splits_reference(spec, layout,
                                          section["power_steps"]))
     powers = {key: np.array([split[key] for split in splits])
@@ -961,7 +1027,7 @@ def design_rows_reference(cfg, seed, samples):
     result = scheme.design_search(spec, cfg["design"].get("weights"),
                                   orders=cfg["design"].get("orders"))
     rows = []
-    for rank in range(len(result)):
+    for rank in range(len(result.weighted_sum)):
         orders = result.order_matrix(rank)
         report = scheme.check_modulation_constraints(orders, spec)
         slack = min((r.slack for r in report.rows if r.kind == "order_sum"),

@@ -480,6 +480,44 @@ class TestBroadcastBenchmarks:
                 bits(rates_of(spec, layout, powers, mode))
                 for mode in ("sic", "tin")]
 
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_broadcast_powers_match_materialised(self, data):
+        """Power arrays of different shapes that broadcast together, as the
+        sweep passes each sub-block's table, give the rates of the same call
+        on the arrays broadcast to one entry per split, bit for bit, in
+        every mode of both benchmarks."""
+        k = data.draw(st.integers(1, 3))
+        lengths = sorted(data.draw(st.lists(st.sampled_from([8, 16, 24]),
+                                            min_size=k, max_size=k)))
+        users = tuple(UserSpec(n, data.draw(st.floats(1e-8, 0.4)),
+                               data.draw(st.sampled_from([0.5, 2.0, 7.5])))
+                      for n in lengths)
+        spec = SystemSpec(P=1.0, users=users, order_map=tuple(range(k)))
+        layout = build_layout(spec)
+        # axis 0 for the totals, axis j + 1 for sub-block j's shares
+        grid = tuple(data.draw(st.integers(1, 3)) for _ in range(k + 1))
+        power = st.one_of(st.just(0.0), st.floats(0.0, 50.0))
+        powers = {}
+        for sb in layout.sub_blocks:
+            kept = [a for a in (0, sb.index + 1) if data.draw(st.booleans())]
+            shape = [n if a in kept else 1 for a, n in enumerate(grid)]
+            for u in sb.participants:
+                powers[u, sb.index] = np.array(data.draw(st.lists(
+                    power, min_size=math.prod(shape),
+                    max_size=math.prod(shape)))).reshape(shape)
+        full = {key: np.broadcast_to(p, grid).copy()
+                for key, p in powers.items()}
+        for rates_of in (bc_gaussian_rates, bc_shell_rates):
+            for mode in ("sic", "tin", ("sic", "tin")):
+                got = rates_of(spec, layout, powers, mode)
+                want = rates_of(spec, layout, full, mode)
+                if isinstance(mode, str):
+                    got, want = [got], [want]
+                for g, w in zip(got, want):
+                    assert w.shape == grid + (k,)
+                    assert bits(np.broadcast_to(g, w.shape)) == bits(w)
+
 
 class TestShortBlocklengthGap:
     def test_qam_tin_close_to_gaussian_sic_at_short_blocklength(self):

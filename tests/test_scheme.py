@@ -521,8 +521,20 @@ class TestDesignSearch:
     def test_tiny_power_has_no_design(self):
         spec = SystemSpec.create(1e-9, [UserSpec(64, 1e-6, 1.0)])
         res = design_search(spec)
-        assert not len(res)
+        assert not len(res.weighted_sum)
         assert res.explanation
+
+    def test_replace_round_trips(self):
+        """`_replace` copies a result with only the named field changed, and
+        replacing it back gives the original fields."""
+        cfg = json.loads((ROOT / "configs" / "two_user_urllc.json").read_text())
+        res = design_search(SystemSpec.from_dict(cfg["system"]))
+        assert len(res.weighted_sum) > 0
+        copy = res._replace(explanation="x")
+        assert copy.explanation == "x" and res.explanation is None
+        back = copy._replace(explanation=res.explanation)
+        assert len(back) == len(res._fields)
+        assert all(a is b for a, b in zip(back, res))
 
     def test_deterministic_given_seed(self):
         spec = two_user_spec(n1=32, n2=64)
@@ -552,7 +564,7 @@ class TestDesignSearch:
                                        for k, n in enumerate(lengths)])
         res = design_search(spec, orders=orders, max_sub_block_order=4,
                             pareto_only=False)
-        assert len(res)
+        assert len(res.weighted_sum)
         for i, slack in enumerate(res.min_order_slack):
             report = check_modulation_constraints(res.order_matrix(i), spec)
             want = min((r.slack for r in report.rows
@@ -565,7 +577,8 @@ class TestDesignSearch:
         res = design_search(spec, orders=listed, max_sub_block_order=1)
         # the infeasible matrix is skipped; duplicates stay and nothing is
         # Pareto-filtered or capped
-        assert sorted(res.order_matrix(i) for i in range(len(res))) == [
+        assert sorted(res.order_matrix(i)
+                      for i in range(len(res.weighted_sum))) == [
             ((0,), (0, 2)), ((2,), (2, 2)), ((2,), (2, 2))]
         sums = res.weighted_sum.tolist()
         assert sums == sorted(sums, reverse=True)
@@ -576,8 +589,9 @@ class TestDesignSearch:
         and the sub-block (numbered from 1), wherever a matrix comes in."""
         spec = two_user_spec(n1=32, n2=32)
         res = design_search(spec, max_sub_block_order=4, pareto_only=False)
-        assert len(res) and all(res.order_matrix(i)[1][1] == 0
-                                for i in range(len(res)))
+        assert len(res.weighted_sum) and all(
+            res.order_matrix(i)[1][1] == 0
+            for i in range(len(res.weighted_sum)))
         message = "user 2 has order 9 in sub-block 2, which holds no symbols"
         for call in (
                 lambda o: design_search(spec, orders=[[[2], [2, 0]], o]),
@@ -597,8 +611,8 @@ class TestDesignSearch:
     def test_rates_match_plan_rates_bit_for_bit(self):
         spec = self.three_user_spec()
         res = design_search(spec, max_sub_block_order=3, pareto_only=False)
-        assert len(res) > 50
-        for i in range(len(res)):
+        assert len(res.weighted_sum) > 50
+        for i in range(len(res.weighted_sum)):
             plan = assign_power(res.order_matrix(i), spec)
             assert bits(res.rates[i]) == bits(
                 rates.compute_plan_rates(plan).rates)
@@ -623,7 +637,7 @@ class TestDesignSearch:
         monkeypatch.setattr(rates, "compute_plan_rates", forbidden)
         monkeypatch.setattr(scheme, "assign_power", forbidden)
         res = design_search(spec, max_sub_block_order=3, pareto_only=False)
-        matrices = [res.order_matrix(i) for i in range(len(res))]
+        matrices = [res.order_matrix(i) for i in range(len(res.weighted_sum))]
         keys = {(sb.index, tuple(o[u][sb.index] for u in sb.ranks), k)
                 for o in matrices for k in range(spec.K)
                 for sb in layout.sub_blocks[:k + 1]
@@ -768,10 +782,10 @@ class TestParetoFilter:
         spec = SystemSpec.from_dict(json.loads(
             (ROOT / "configs" / "three_user.json").read_text())["system"])
         full = design_search(spec, max_sub_block_order=6, pareto_only=False)
-        assert len(full) == 12_635
+        assert len(full.weighted_sum) == 12_635
         flags = np.array(pareto_all_pairs(full.rates, [0, 1, 2]), dtype=bool)
         front = design_search(spec, max_sub_block_order=6)
-        assert len(front) == flags.sum() > 0
+        assert len(front.weighted_sum) == flags.sum() > 0
         assert columns(front) == columns(full, flags)
 
 
@@ -812,7 +826,7 @@ def test_three_user_search_matches_list_built_search(system, cap,
                         pareto_only=pareto_only)
     want = design_search_reference(spec, max_sub_block_order=cap,
                                    pareto_only=pareto_only)
-    assert len(got) == len(want) > 0
+    assert len(got.weighted_sum) == len(want.weighted_sum) > 0
     assert columns(got) == columns(want)
 
 
@@ -888,9 +902,9 @@ def test_listed_orders_match_search(system):
     all_silent = [[0] * (k + 1) for k in range(spec.K)]
     infeasible = [[13]] + all_silent[1:]
     assert not check_modulation_constraints(infeasible, spec).feasible
-    listed = [search.order_matrix(i) for i in range(len(search))]
+    listed = [search.order_matrix(i) for i in range(len(search.weighted_sum))]
     got = design_search(spec, orders=listed + [infeasible, all_silent])
-    assert len(got) == len(search) > 100
+    assert len(got.weighted_sum) == len(search.weighted_sum) > 100
     assert columns(got) == columns(search)
 
 
@@ -918,5 +932,5 @@ def test_listed_orders_build_rows_once_per_vector(monkeypatch):
     layout = build_layout(spec)
     distinct = {(sb.index, tuple(o[u][sb.index] for u in sb.ranks))
                 for o in listed for sb in layout.sub_blocks}
-    assert len(res) == len(listed) and len(distinct) == 5
+    assert len(res.weighted_sum) == len(listed) and len(distinct) == 5
     assert calls == {"rows": 5, "check": 0}
